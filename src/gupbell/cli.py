@@ -30,6 +30,9 @@ COMMANDS = ("scan", "sweep", "optimize", "sample", "audit")
 SCENARIOS = ("qm", "s1", "s2", "s3")
 MODEL_RULES = ("self-cubic", "tilt", "custom")
 
+#: largest seed: the stream seed is a uint64 and ``audit`` also uses seed + 1
+SEED_MAX = 2**64 - 2
+
 DEFAULT_SETTINGS_PI = {"a": [0.0, 0.0], "a_prime": [0.5, 0.0],
                        "b": [0.25, 0.0], "b_prime": [-0.25, 0.0]}
 
@@ -84,12 +87,21 @@ def _check_number(value, path, minimum=None, maximum=None) -> float:
     return value
 
 
-def _check_int(value, path, minimum=None) -> int:
+def _check_int(value, path, minimum=None, maximum=None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(path, f"expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         _fail(path, f"must be >= {minimum}")
+    if maximum is not None and value > maximum:
+        _fail(path, f"must be <= {maximum}")
     return value
+
+
+def _load_json(fh, path: str):
+    """``json.load`` that rejects NaN and +-Infinity, which are not JSON."""
+    def reject(name):
+        _fail(path, f"non-finite number {name} is not allowed")
+    return json.load(fh, parse_constant=reject)
 
 
 def _parse_complex_matrix(raw, path, dim) -> list:
@@ -207,7 +219,7 @@ def _apply_config_file(cfg: RunConfig, doc: dict):
     if "shots" in doc:
         cfg.shots = _check_int(doc["shots"], "shots", minimum=1)
     if "seed" in doc:
-        cfg.seed = _check_int(doc["seed"], "seed", minimum=0)
+        cfg.seed = _check_int(doc["seed"], "seed", minimum=0, maximum=SEED_MAX)
     if "noise_p" in doc:
         cfg.noise_p = _check_number(doc["noise_p"], "noise_p", 0.0, 1.0)
     if "k_sigma" in doc:
@@ -268,7 +280,7 @@ def parse_config(argv) -> RunConfig:
     if args.config:
         try:
             with open(args.config) as fh:
-                doc = json.load(fh)
+                doc = _load_json(fh, "config")
         except OSError as exc:
             _fail("config", f"cannot read {args.config}: {exc}")
         except json.JSONDecodeError as exc:
@@ -528,7 +540,7 @@ def _run_sample(cfg: RunConfig, out: Path) -> float:
 def _load_estimate(path: str) -> ChshEstimate:
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = _load_json(fh, path)
     except OSError as exc:
         _fail(path, f"cannot read estimate: {exc}")
     except json.JSONDecodeError as exc:

@@ -1,28 +1,15 @@
-"""Counter-based deterministic sampling kernels.
+"""Counter-based deterministic sampling kernel.
 
 The hot loop of the shot simulator draws one uniform per shot from a
 splitmix64-style mixing of (seed, global shot index) and bins it against
-three cumulative thresholds.  Two interchangeable implementations exist:
-a numba ``@njit`` kernel and a vectorized pure-numpy fallback.  Both run
-the identical 64-bit integer arithmetic, so their outputs are
-bit-for-bit equal; set ``GUPBELL_NO_JIT=1`` to force the numpy path.
-
-``GUPBELL_THREADS`` only influences the chunk size of the numpy path;
-results never depend on it.
+three cumulative thresholds.  Shots are processed in chunks of ``CHUNK``;
+every uniform depends only on its global index, so counts never depend
+on the chunk size.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an optional extra
-    HAVE_NUMBA = False
 
 U64 = np.uint64
 _GOLDEN = U64(0x9E3779B97F4A7C15)
@@ -35,65 +22,18 @@ _S11 = U64(11)
 _ONE = U64(1)
 _INV53 = 1.0 / 9007199254740992.0  # 2**-53
 
-
-def jit_enabled() -> bool:
-    """Whether the numba kernel is active (importable and not disabled)."""
-    return HAVE_NUMBA and os.environ.get("GUPBELL_NO_JIT", "0") != "1"
+#: shots per vectorized chunk; bounds the temporary arrays, not the results
+CHUNK = 1 << 20
 
 
-def _chunk_size() -> int:
-    try:
-        threads = max(1, int(os.environ.get("GUPBELL_THREADS", "1")))
-    except ValueError:
-        threads = 1
-    return max(1 << 16, (1 << 20) // threads)
-
-
-def uniform_stream_numpy(seed: int, base: int, n: int) -> np.ndarray:
-    """Uniforms in [0, 1) for global indices base..base+n-1 (numpy path)."""
+def uniform_stream(seed: int, base: int, n: int) -> np.ndarray:
+    """Uniforms in [0, 1) for global indices base..base+n-1."""
     idx = np.arange(base, base + n, dtype=np.uint64)
     z = (U64(seed) + (idx + _ONE) * _GOLDEN)
     z = (z ^ (z >> _S30)) * _MIX1
     z = (z ^ (z >> _S27)) * _MIX2
     z = z ^ (z >> _S31)
     return (z >> _S11).astype(np.float64) * _INV53
-
-
-def sample_counts_numpy(seed: int, base: int, n: int,
-                        c0: float, c1: float, c2: float) -> np.ndarray:
-    """Bin n counter-derived uniforms against cumulative thresholds."""
-    counts = np.zeros(4, dtype=np.int64)
-    step = _chunk_size()
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
-        u = uniform_stream_numpy(seed, base + lo, hi - lo)
-        outcome = (u >= c0).astype(np.int64)
-        outcome += (u >= c1).astype(np.int64)
-        outcome += (u >= c2).astype(np.int64)
-        counts += np.bincount(outcome, minlength=4)
-    return counts
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _sample_counts_jit(seed, base, n, c0, c1, c2):  # pragma: no cover
-        counts = np.zeros(4, dtype=np.int64)
-        for k in range(n):
-            z = seed + (base + U64(k) + _ONE) * _GOLDEN
-            z = (z ^ (z >> _S30)) * _MIX1
-            z = (z ^ (z >> _S27)) * _MIX2
-            z = z ^ (z >> _S31)
-            u = np.float64(z >> _S11) * _INV53
-            if u < c0:
-                counts[0] += 1
-            elif u < c1:
-                counts[1] += 1
-            elif u < c2:
-                counts[2] += 1
-            else:
-                counts[3] += 1
-        return counts
 
 
 def sample_counts(seed: int, base: int, n: int, cumulative) -> np.ndarray:
@@ -103,6 +43,12 @@ def sample_counts(seed: int, base: int, n: int, cumulative) -> np.ndarray:
     (p0, p0+p1, p0+p1+p2); the fourth outcome takes the rest.
     """
     c0, c1, c2 = (float(c) for c in cumulative)
-    if jit_enabled():
-        return _sample_counts_jit(U64(seed), U64(base), n, c0, c1, c2)
-    return sample_counts_numpy(seed, base, n, c0, c1, c2)
+    counts = np.zeros(4, dtype=np.int64)
+    for lo in range(0, n, CHUNK):
+        hi = min(n, lo + CHUNK)
+        u = uniform_stream(seed, base + lo, hi - lo)
+        outcome = (u >= c0).astype(np.int64)
+        outcome += (u >= c1).astype(np.int64)
+        outcome += (u >= c2).astype(np.int64)
+        counts += np.bincount(outcome, minlength=4)
+    return counts

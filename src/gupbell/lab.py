@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage, optimize
 
 from . import gup, tensor
 from .errors import AmbiguousBranchError, GupBellError
@@ -232,9 +231,24 @@ def grid_scan(cfg: ScenarioConfig, resolution: int = 201,
 
 def superclassical_components(grid: ScanGrid, threshold: float = 2.0) -> int:
     """Number of 4-connected components with S strictly above threshold."""
-    structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
-    _, count = ndimage.label(grid.values > threshold, structure=structure)
-    return int(count)
+    mask = (grid.values > threshold).tolist()
+    rows = len(mask)
+    cols = len(mask[0]) if rows else 0
+    count = 0
+    for i in range(rows):
+        for j in range(cols):
+            if not mask[i][j]:
+                continue
+            count += 1
+            mask[i][j] = False
+            stack = [(i, j)]
+            while stack:
+                a, b = stack.pop()
+                for p, q in ((a - 1, b), (a + 1, b), (a, b - 1), (a, b + 1)):
+                    if 0 <= p < rows and 0 <= q < cols and mask[p][q]:
+                        mask[p][q] = False
+                        stack.append((p, q))
+    return count
 
 
 @dataclass(frozen=True)
@@ -305,6 +319,87 @@ class Optimum:
     converged: bool
 
 
+class _BudgetSpent(Exception):
+    """Raised by the counted objective once ``maxfev`` calls are spent."""
+
+
+def _nelder_mead(fun, x0, xatol: float, fatol: float, maxfev: int):
+    """Minimize ``fun`` by the Nelder-Mead simplex method (Nelder & Mead,
+    Comput. J. 7, 308 (1965)).
+
+    Follows scipy's unbounded, non-adaptive ``minimize(method="Nelder-Mead")``
+    step for step, so ``x``, the minimum, ``nfev`` and convergence match it
+    bit for bit: the same initial simplex, coefficients 1/2/0.5/0.5, sort,
+    centroid and stopping test.  The budget is checked before every call;
+    reaching it abandons the current iteration.  Returns
+    ``(x, fun(x), nfev, converged)``; ``converged`` is False when the
+    budget ran out.
+    """
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _BudgetSpent
+        nfev += 1
+        return fun(x)
+
+    x0 = np.array(x0, dtype=float).ravel()
+    n = x0.size
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = x0.copy()
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _BudgetSpent:
+        pass
+    # sorted twice, as scipy does: np.argsort is not stable, so the second
+    # sort may still reorder vertices with tied values
+    for _ in range(2):
+        order = np.argsort(fsim)
+        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+
+    while nfev < maxfev:
+        try:
+            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc <= fxr
+                else:  # inside contraction
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # shrink towards the best vertex
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+        except _BudgetSpent:
+            pass
+        order = np.argsort(fsim)
+        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+    return sim[0], np.min(fsim), nfev, nfev < maxfev
+
+
 def optimize_angles(cfg: ScenarioConfig, restarts: int = 1, seed: int = 42,
                     coarse_steps: int = 17, max_evals: int = 10_000,
                     eight_angles: bool = False) -> Optimum:
@@ -352,16 +447,15 @@ def optimize_angles(cfg: ScenarioConfig, restarts: int = 1, seed: int = 42,
         if budget <= 4:
             converged = False
             break
-        res = optimize.minimize(
-            objective, x_start, method="Nelder-Mead",
-            options={"xatol": 1e-9, "fatol": 1e-12, "maxfev": budget})
-        evaluations += res.nfev
-        budget -= res.nfev
-        if not res.success:
+        x, fun, nfev, ok = _nelder_mead(objective, x_start, xatol=1e-9,
+                                        fatol=1e-12, maxfev=budget)
+        evaluations += nfev
+        budget -= nfev
+        if not ok:
             converged = False
-        if -res.fun > best_value:
-            best_value = -res.fun
-            best_x = res.x
+        if -fun > best_value:
+            best_value = -fun
+            best_x = x
 
     if eight_angles:
         settings = ChshSettings(*(Direction(best_x[i], best_x[4 + i]) for i in range(4)))

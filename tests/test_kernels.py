@@ -1,11 +1,10 @@
 import numpy as np
-import pytest
 
 from gupbell import kernels
 
 
 def test_uniforms_in_unit_interval():
-    u = kernels.uniform_stream_numpy(42, 0, 10_000)
+    u = kernels.uniform_stream(42, 0, 10_000)
     assert float(u.min()) >= 0.0
     assert float(u.max()) < 1.0
 
@@ -13,45 +12,27 @@ def test_uniforms_in_unit_interval():
 def test_uniforms_counter_based():
     # the stream is a pure function of the global index, so any window
     # can be regenerated independently
-    full = kernels.uniform_stream_numpy(7, 0, 1000)
-    window = kernels.uniform_stream_numpy(7, 400, 100)
+    full = kernels.uniform_stream(7, 0, 1000)
+    window = kernels.uniform_stream(7, 400, 100)
     assert np.array_equal(full[400:500], window)
 
 
 def test_numpy_counts_deterministic():
     cumulative = (0.2, 0.5, 0.9)
-    a = kernels.sample_counts_numpy(3, 0, 50_000, *cumulative)
-    b = kernels.sample_counts_numpy(3, 0, 50_000, *cumulative)
+    a = kernels.sample_counts(3, 0, 50_000, cumulative)
+    b = kernels.sample_counts(3, 0, 50_000, cumulative)
     assert np.array_equal(a, b)
     assert a.sum() == 50_000
 
 
 def test_counts_follow_thresholds():
-    counts = kernels.sample_counts_numpy(11, 0, 200_000, 0.25, 0.5, 0.75)
+    counts = kernels.sample_counts(11, 0, 200_000, (0.25, 0.5, 0.75))
     assert np.max(np.abs(counts / 200_000 - 0.25)) < 0.01
 
 
 def test_chunking_does_not_change_counts(monkeypatch):
     cumulative = (0.3, 0.6, 0.8)
-    monkeypatch.setenv("GUPBELL_THREADS", "1")
-    one = kernels.sample_counts_numpy(9, 123, 300_000, *cumulative)
-    monkeypatch.setenv("GUPBELL_THREADS", "4")
-    four = kernels.sample_counts_numpy(9, 123, 300_000, *cumulative)
-    assert np.array_equal(one, four)
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
-def test_jit_matches_numpy_bitwise():
-    cumulative = (0.31, 0.62, 0.93)
-    jit = kernels._sample_counts_jit(
-        kernels.U64(42), kernels.U64(1000), 100_000, *cumulative)
-    plain = kernels.sample_counts_numpy(42, 1000, 100_000, *cumulative)
-    assert np.array_equal(jit, plain)
-
-
-def test_no_jit_env_flag(monkeypatch):
-    monkeypatch.setenv("GUPBELL_NO_JIT", "1")
-    assert not kernels.jit_enabled()
-    counts = kernels.sample_counts(5, 0, 10_000, (0.2, 0.4, 0.6))
-    monkeypatch.delenv("GUPBELL_NO_JIT")
-    assert np.array_equal(counts, kernels.sample_counts(5, 0, 10_000, (0.2, 0.4, 0.6)))
+    whole = kernels.sample_counts(9, 123, 300_000, cumulative)
+    monkeypatch.setattr(kernels, "CHUNK", 1 << 16)
+    chunked = kernels.sample_counts(9, 123, 300_000, cumulative)
+    assert np.array_equal(whole, chunked)
