@@ -2,12 +2,12 @@
 
 from .errors import (
     AmbiguousBranchError, DegeneracyError, DimensionError, GupBellError,
-    HermiticityError, NotDichotomicError, NumericError, ValidationError,
+    HermiticityError, NotDichotomicError, NumericError, OutOfRangeError,
+    ValidationError,
 )
 from .gup import (
     ChshResult, GupModel, GupObservable, PerturbedState, default_hamiltonian,
-    default_perturbation, gup_correct_observable, perturb_state, qm_chsh,
-    scenario1_chsh, scenario2_chsh, scenario3_chsh,
+    default_perturbation, gup_correct_observable, perturb_state,
 )
 from .lab import (
     BatchEvaluator, Optimum, ScanGrid, ScenarioConfig, SweepCurve, beta_sweep,
@@ -15,8 +15,8 @@ from .lab import (
     superclassical_components,
 )
 from .quantum import (
-    ChshSettings, DensityMatrix, Direction, PureState, bell_operator,
-    bell_state, canonical_settings, chsh_value, spin_observable,
+    ChshSettings, DensityMatrix, Direction, PureState, bell_state,
+    canonical_settings, correlation_tensor, spin_observable,
 )
 from .security import (
     SecurityReport, build_report, eavesdrop_test, minentropy_bound,
@@ -24,8 +24,7 @@ from .security import (
 )
 from .shots import (
     ChshEstimate, CountsTable, ShotPlan, depolarize, estimate_chsh, lhv_max,
-    measure_pair,
 )
-from .tensor import EigenSystem, eig_hermitian, expect, kron
+from .tensor import EigenSystem, eig_hermitian, kron
 
 __version__ = "0.1.0"

@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import lab, security, shots
-from .errors import GupBellError, ValidationError
+from . import gup, lab, security, shots
+from .errors import GupBellError, OutOfRangeError, ValidationError
 from .gup import GupModel
 from .lab import ScenarioConfig, classify
 from .quantum import ChshSettings, Direction, bell_state
@@ -111,6 +111,8 @@ def _parse_complex_matrix(raw, path, dim) -> list:
         _fail(path, "expected a nested array of [re, im] pairs")
     if arr.shape != (dim, dim, 2):
         _fail(path, f"expected shape {dim}x{dim}x2, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        _fail(path, "entries must be finite")
     return arr.tolist()
 
 
@@ -126,6 +128,8 @@ def _validate_axis(raw, path) -> list:
         _fail(path, "expected three numbers")
     if len(m) != 3:
         _fail(path, "expected three components")
+    if not all(math.isfinite(x) for x in m):
+        _fail(path, "components must be finite")
     norm = math.sqrt(sum(x * x for x in m))
     if norm == 0.0:
         _fail(path, "axis must be non-zero")
@@ -188,6 +192,8 @@ def _apply_config_file(cfg: RunConfig, doc: dict):
                 theta, phi = (float(x) for x in pair)
             except (TypeError, ValueError):
                 _fail(f"settings.{name}", "expected [theta_over_pi, phi_over_pi]")
+            if not all(math.isfinite(x * PI) for x in (theta, phi)):
+                _fail(f"settings.{name}", "angles must be finite")
             cfg.settings_pi[name] = [theta, phi]
     if "grid" in doc:
         grid = doc["grid"]
@@ -519,16 +525,16 @@ def _estimate_payload(est: ChshEstimate, plan: ShotPlan) -> dict:
 
 
 def _sample_estimate(cfg: RunConfig, noise_p: float, seed: int) -> tuple[ChshEstimate, ShotPlan]:
+    """Shots from the scenario's own state and (corrected) observables."""
     plan = ShotPlan(shots_per_pair=cfg.shots, seed=seed, noise_p=noise_p)
     settings = _chsh_settings(cfg)
-    observables = None
-    if cfg.scenario in ("s1", "s3"):
-        from .gup import gup_correct_observable
-        model = _gup_model(cfg)
-        observables = [gup_correct_observable(d, model).j_gup
-                       for d in (settings.a, settings.a_prime,
-                                 settings.b, settings.b_prime)]
-    return shots.estimate_chsh(bell_state(), settings, plan, observables), plan
+    scenario = _scenario_config(cfg)
+    state = scenario.sampled_state()
+    model = scenario.operator_model()
+    observables = None if model is None else [
+        gup.gup_correct_observable(d, model).j_gup
+        for d in (settings.a, settings.a_prime, settings.b, settings.b_prime)]
+    return shots.estimate_chsh(state, settings, plan, observables), plan
 
 
 def _run_sample(cfg: RunConfig, out: Path) -> float:
@@ -550,10 +556,14 @@ def _load_estimate(path: str) -> ChshEstimate:
             counts={k: np.asarray(doc["counts"][k], dtype=np.int64)
                     for k in shots.PAIR_LABELS},
             shots_per_pair=int(doc["shots_per_pair"]))
-        return ChshEstimate(s_hat=float(doc["s_hat"]), stderr=float(doc["stderr"]),
-                            counts=table, correlators=dict(doc["correlators"]))
+        s_hat, stderr = float(doc["s_hat"]), float(doc["stderr"])
+        estimate = ChshEstimate(s_hat=s_hat, stderr=stderr, counts=table,
+                                correlators=dict(doc["correlators"]))
     except (KeyError, TypeError, ValueError) as exc:
         _fail(path, f"not a valid estimate document: {exc}")
+    if not (math.isfinite(s_hat) and math.isfinite(stderr)):
+        _fail(path, "s_hat and stderr must be finite")
+    return estimate
 
 
 def _run_audit(cfg: RunConfig, out: Path) -> float:
@@ -586,7 +596,7 @@ def main(argv=None) -> int:
         return 2
     try:
         value = execute(cfg)
-    except ValidationError as exc:
+    except (ValidationError, OutOfRangeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -30,5 +30,11 @@ class NotDichotomicError(GupBellError):
     """An observable does not have two distinct eigenvalues."""
 
 
+class OutOfRangeError(GupBellError, ValueError):
+    """An input lies outside the domain the first-order treatment covers:
+    |beta * lambda_p / lambda| >= 1 for a corrected observable, or a
+    scenario whose effective operator is not a state is asked for shots."""
+
+
 class ValidationError(GupBellError):
     """A run configuration violates the schema."""

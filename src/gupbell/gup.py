@@ -1,9 +1,11 @@
-"""Minimal-length corrections to observables and states, and the three
-correction scenarios for the CHSH expectation.
+"""Minimal-length corrections to observables and states.
 
-Scenario 1 applies corrected dichotomic operators to an ordinary
-entangled state, scenario 2 applies ordinary operators to a first-order
-perturbed state, and scenario 3 corrects both sides.
+A corrected observable is a unit spin along a corrected direction: the
+direction map n -> w(n) = (n + beta*a)/|n + beta*a| of ``GupModel.corrected``
+is the only place where observables are corrected, checked for validity
+and warned about.  The perturbed state of scenarios 2 and 3 comes from
+first-order perturbation theory (``perturb_state``); ``lab`` evaluates the
+scenarios from both.
 """
 
 from __future__ import annotations
@@ -14,10 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor
-from .errors import AmbiguousBranchError, DegeneracyError, HermiticityError
+from .errors import (
+    AmbiguousBranchError, DegeneracyError, HermiticityError, OutOfRangeError,
+)
 from .quantum import (
-    SIGMA_X, SIGMA_Y, SIGMA_Z, ChshSettings, Direction, PureState,
-    bell_operator, chsh_value, spin_observable,
+    SIGMA_X, SIGMA_Z, Direction, PureState, pauli_parts, spin, spin_observable,
 )
 
 RULES = ("self-cubic", "tilt", "custom")
@@ -36,13 +39,17 @@ class GupModel:
     rule "self-cubic" uses the cube of the observable (a no-op for spin
     components, kept as a consistency anchor), "tilt" adds a fixed spin
     component along the unit axis ``m``, and "custom" uses the supplied
-    2x2 Hermitian ``jp`` verbatim.
+    2x2 Hermitian ``jp`` verbatim.  ``shift`` and ``axis`` are the Pauli
+    decomposition shift*I + axis.sigma of the perturbation for tilt and
+    custom (zero for self-cubic).
     """
 
     beta: float
     rule: str = "tilt"
     m: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
     jp: np.ndarray | None = None
+    shift: float = field(init=False, repr=False, default=0.0)
+    axis: np.ndarray = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         if self.beta < 0:
@@ -52,89 +59,95 @@ class GupModel:
             raise ValueError(f"unknown rule {self.rule!r}; expected one of {RULES}")
         object.__setattr__(self, "rule", rule)
         m = np.asarray(self.m, dtype=float).reshape(-1)
+        axis = np.zeros(3)
         if rule == "tilt":
             if m.shape[0] != 3 or abs(np.linalg.norm(m) - 1.0) > 1e-12:
                 raise ValueError("tilt axis m must be a unit 3-vector")
+            axis = m
         object.__setattr__(self, "m", m)
         if rule == "custom":
             jp = np.asarray(self.jp, dtype=complex)
             if jp.shape != (2, 2) or not tensor.is_hermitian(jp):
                 raise HermiticityError("custom jp must be 2x2 Hermitian")
             object.__setattr__(self, "jp", jp)
+            shift, axis = pauli_parts(jp)
+            object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "axis", axis)
 
     def perturbation_of(self, j: np.ndarray) -> np.ndarray:
         """The perturbation operator J_p for an unperturbed observable."""
         if self.rule == "self-cubic":
             return j @ j @ j
         if self.rule == "tilt":
-            return (self.m[0] * SIGMA_X + self.m[1] * SIGMA_Y
-                    + self.m[2] * SIGMA_Z)
+            return spin(self.m)
         return self.jp
+
+    def corrected(self, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The direction map of the corrected spin along unit directions n.
+
+        ``n`` has shape (..., 3).  J + beta*J_p equals lambda * w.sigma
+        with w = (n + beta*a)/lambda and lambda = |n + beta*a|; self-cubic
+        gives w = n and lambda = 1 + beta.  beta' = beta * lambda_p is the
+        first-order coupling, lambda_p = n.a (1 for self-cubic) being the
+        shift of the +1 eigenvalue.  Returns (w, lambda, beta').
+
+        Raises
+        ------
+        AmbiguousBranchError
+            if a custom jp has an identity part, so the two eigenvalue
+            branches of J + beta*J_p differ in magnitude.
+        OutOfRangeError
+            if |beta'| >= 1 for any direction.
+
+        Warns when |beta'| exceeds ``SMALLNESS_WARN`` for any direction.
+        """
+        n = np.asarray(n, dtype=float)
+        if self.rule == "self-cubic" or self.beta == 0.0:
+            w = n
+            lam = np.full(n.shape[:-1], 1.0 + self.beta)
+            beta_prime = np.full(n.shape[:-1], self.beta)
+        else:
+            if 2.0 * abs(self.beta * self.shift) > BRANCH_MISMATCH_TOL:
+                raise AmbiguousBranchError(
+                    f"custom jp has identity part {self.shift:.12g}: the eigenvalue "
+                    "branch magnitudes differ; normalization undefined")
+            v = n + self.beta * self.axis
+            lam = np.linalg.norm(v, axis=-1)
+            w = v / lam[..., None]
+            beta_prime = self.beta * (n @ self.axis)
+        worst = float(np.max(np.abs(beta_prime), initial=0.0))
+        if worst >= 1.0:
+            raise OutOfRangeError(
+                f"|beta * lambda_p / lambda| = {worst:.3g} >= 1; "
+                "first-order treatment invalid")
+        if worst > SMALLNESS_WARN:
+            warnings.warn(
+                f"|beta * lambda_p / lambda| > {SMALLNESS_WARN}; "
+                "perturbative correction is no longer small", stacklevel=2)
+        return w, lam, beta_prime
 
 
 @dataclass(frozen=True)
 class GupObservable:
-    """A single-party observable together with its corrected versions.
+    """A single-party observable together with its corrected version.
 
-    ``j_qm`` is the unperturbed dichotomic operator, ``j_gup_unnorm`` its
-    corrected form before normalization, and ``j_gup`` the normalized
-    dichotomic-in-intent operator actually used in Bell measurements.
+    ``j_qm`` is the unperturbed spin, ``j_gup = w.sigma`` the normalized,
+    exactly dichotomic corrected operator used in Bell measurements,
+    ``lambda_gup_abs`` the eigenvalue magnitude of J + beta*J_p before
+    normalization and ``beta_prime`` the first-order coupling.
     """
 
     j_qm: np.ndarray
-    j_p: np.ndarray
-    j_gup_unnorm: np.ndarray
-    lambda_gup_abs: float
     j_gup: np.ndarray
+    lambda_gup_abs: float
     beta_prime: float
-    beta_dprime: float
 
 
 def gup_correct_observable(n: Direction, model: GupModel) -> GupObservable:
-    """Apply the first-order correction to the spin observable along n.
-
-    The per-branch first-order eigenvalue shift is the diagonal matrix
-    element of the perturbation in the unperturbed eigenbasis.  Both
-    branch magnitudes must agree for the single normalization constant
-    to make sense; built-in rules guarantee this, a custom rule may not.
-    """
-    j = spin_observable(n)
-    jp = model.perturbation_of(j)
-    eig = tensor.eig_hermitian(j)
-    lam = eig.values  # (-1, +1) ascending
-    lam_p = np.array([
-        (eig.vectors[:, k].conj() @ jp @ eig.vectors[:, k]).real
-        for k in range(2)
-    ])
-    # normalization uses the exact corrected eigenvalues, so the
-    # normalized operator is exactly dichotomic; lam_p only feeds the
-    # first-order expansion coefficients
-    lam_gup = tensor.eig_hermitian(j + model.beta * jp).values
-    mags = np.abs(lam_gup)
-    if abs(mags[0] - mags[1]) > BRANCH_MISMATCH_TOL:
-        raise AmbiguousBranchError(
-            "eigenvalue branch magnitudes differ "
-            f"({mags[0]:.12g} vs {mags[1]:.12g}); normalization undefined")
-    beta_prime = model.beta * lam_p[1] / lam[1]
-    if abs(beta_prime) >= 1.0:
-        raise ValueError(
-            f"|beta * lambda_p / lambda| = {abs(beta_prime):.3g} >= 1; "
-            "first-order treatment invalid")
-    if abs(beta_prime) > SMALLNESS_WARN:
-        warnings.warn(
-            f"|beta * lambda_p / lambda| = {abs(beta_prime):.3g} > {SMALLNESS_WARN}; "
-            "perturbative correction is no longer small", stacklevel=2)
-    j_gup_unnorm = j + model.beta * jp
-    lambda_gup_abs = float(mags[1])
-    return GupObservable(
-        j_qm=j,
-        j_p=jp,
-        j_gup_unnorm=j_gup_unnorm,
-        lambda_gup_abs=lambda_gup_abs,
-        j_gup=j_gup_unnorm / lambda_gup_abs,
-        beta_prime=float(beta_prime),
-        beta_dprime=model.beta / abs(float(lam[1])),
-    )
+    """Apply the first-order correction to the spin observable along n."""
+    w, lam, beta_prime = model.corrected(n.unit_vector())
+    return GupObservable(j_qm=spin_observable(n), j_gup=spin(w),
+                         lambda_gup_abs=float(lam), beta_prime=float(beta_prime))
 
 
 @dataclass(frozen=True)
@@ -202,89 +215,3 @@ def perturb_state(h0: np.ndarray, hp: np.ndarray, level_index: int,
         xi_p += (vk.conj() @ (np.asarray(hp, dtype=complex) @ xi)) \
             / (energies[level_index] - energies[k]) * vk
     return PerturbedState(xi=PureState(xi), xi_p=xi_p, beta=float(beta))
-
-
-def qm_chsh(state: PureState, s: ChshSettings) -> ChshResult:
-    """Uncorrected CHSH expectation with the classical bound 2."""
-    return ChshResult("qm", chsh_value(state, s), 2.0, {}, 0.0)
-
-
-def _bell_combination(alice: np.ndarray, alice_prime: np.ndarray,
-                      bob_plus: np.ndarray, bob_minus: np.ndarray) -> np.ndarray:
-    return tensor.kron(alice, bob_plus) + tensor.kron(alice_prime, bob_minus)
-
-
-def scenario1_chsh(state: PureState, s: ChshSettings, model: GupModel) -> ChshResult:
-    """Corrected operators on an ordinary state.
-
-    The reported bound is 2 plus the four correction brackets with their
-    signs; the mixed brackets deliberately use the unnormalized corrected
-    operators on one side, exactly as the expansion is written.
-    """
-    oa = gup_correct_observable(s.a, model)
-    oap = gup_correct_observable(s.a_prime, model)
-    ob = gup_correct_observable(s.b, model)
-    obp = gup_correct_observable(s.b_prime, model)
-
-    psi = state.amplitudes
-    b_plus = ob.j_gup + obp.j_gup
-    b_minus = ob.j_gup - obp.j_gup
-    b_gup = _bell_combination(oa.j_gup, oap.j_gup, b_plus, b_minus)
-    value = tensor.expect(psi, b_gup)
-
-    t1 = tensor.expect(psi, _bell_combination(
-        oa.beta_prime * oa.j_gup, oap.beta_prime * oap.j_gup, b_plus, b_minus))
-    t2 = tensor.expect(psi, _bell_combination(
-        oa.j_gup, oap.j_gup,
-        ob.beta_prime * ob.j_gup + obp.beta_prime * obp.j_gup,
-        ob.beta_prime * ob.j_gup - obp.beta_prime * obp.j_gup))
-    t3 = oa.beta_dprime * tensor.expect(psi, _bell_combination(
-        oa.j_gup_unnorm, oap.j_gup_unnorm, b_plus, b_minus))
-    t4 = ob.beta_dprime * tensor.expect(psi, _bell_combination(
-        oa.j_gup, oap.j_gup,
-        ob.j_gup_unnorm + obp.j_gup_unnorm,
-        ob.j_gup_unnorm - obp.j_gup_unnorm))
-
-    correction = -t1 - t2 + t3 + t4
-    terms = {
-        "bracket_beta_prime_alice": t1,
-        "bracket_beta_prime_bob": t2,
-        "bracket_beta_dprime_alice": t3,
-        "bracket_beta_dprime_bob": t4,
-        "correction_sum": correction,
-    }
-    return ChshResult("s1", value, 2.0 + correction, terms, model.beta)
-
-
-def scenario2_chsh(ps: PerturbedState, s: ChshSettings) -> ChshResult:
-    """Ordinary operators on a perturbed state.
-
-    The first-order cross term uses the real part of <xi|B|xi_p>;
-    Hermiticity of B makes the full first-order contribution twice that.
-    """
-    b = bell_operator(s)
-    qm = tensor.expect(ps.xi.amplitudes, b)
-    cross = float((ps.xi.amplitudes.conj() @ (b @ ps.xi_p)).real)
-    value = qm + 2.0 * ps.beta * cross
-    terms = {"qm": qm, "cross": cross}
-    return ChshResult("s2", value, 2.0 * (1.0 + ps.beta * cross), terms, ps.beta)
-
-
-def scenario3_chsh(ps: PerturbedState, s: ChshSettings, model: GupModel) -> ChshResult:
-    """Corrected operators on the corrected state.
-
-    The expectation is divided by the squared norm of the corrected
-    state so the reported number is a genuine expectation value; the
-    O(beta^2) norm deviation is kept in the terms for inspection.
-    """
-    oa = gup_correct_observable(s.a, model)
-    oap = gup_correct_observable(s.a_prime, model)
-    ob = gup_correct_observable(s.b, model)
-    obp = gup_correct_observable(s.b_prime, model)
-    b_gup = _bell_combination(oa.j_gup, oap.j_gup,
-                              ob.j_gup + obp.j_gup, ob.j_gup - obp.j_gup)
-    xg = ps.corrected_vector()
-    norm_sq = float((xg.conj() @ xg).real)
-    value = float((xg.conj() @ (b_gup @ xg)).real) / norm_sq
-    terms = {"norm_sq": norm_sq}
-    return ChshResult("s3", value, 2.0, terms, model.beta)

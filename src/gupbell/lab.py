@@ -1,11 +1,12 @@
 """Parameter-space exploration: angle-grid scans, beta sweeps,
 derivative-free angle optimization and region classification.
 
-The scan and sweep evaluators share a vectorized path that reduces every
-scenario to Bloch-vector contractions against precomputed two-qubit
-moments of an effective density operator.  Single-point results from the
-full matrix evaluators agree with this path to float precision, which is
-covered by tests.
+Every scenario value is computed from one representation: the
+correlation matrix T of the scenario's effective two-qubit operator and
+the corrected directions w of the four observables, so that
+S = sum(+-) w_A . T . w_B.  ``evaluate_point`` adds the scenario's
+diagnostic terms at one settings tuple; ``BatchEvaluator`` evaluates S
+over arrays of directions for scans, sweeps and the optimizer.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import gup, tensor
-from .errors import AmbiguousBranchError, GupBellError
+from . import gup
+from .errors import GupBellError, OutOfRangeError
 from .gup import ChshResult, GupModel, PerturbedState
 from .quantum import (
-    I2, PAULIS, ChshSettings, Direction, PureState, bell_state,
+    ChshSettings, Direction, PureState, bell_state, correlation_tensor,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -32,15 +33,20 @@ REGION_SUPERQUANTUM = "superquantum"
 REGION_UNPHYSICAL = "unphysical"
 
 
+#: rounding allowance at every region boundary
+CLASSIFY_TOL = 1e-12
+
+
 def classify(s: float) -> str:
-    """Region of a CHSH value; each boundary belongs to the lower region."""
+    """Region of a CHSH value; each boundary, widened by ``CLASSIFY_TOL``
+    for rounding, belongs to the lower region."""
     if not math.isfinite(s):
         raise ValueError("CHSH value must be finite")
-    if s <= 2.0:
+    if s <= 2.0 + CLASSIFY_TOL:
         return REGION_CLASSICAL
-    if s <= TSIRELSON:
+    if s <= TSIRELSON + CLASSIFY_TOL:
         return REGION_QUANTUM
-    if s <= BOXWORLD:
+    if s <= BOXWORLD + CLASSIFY_TOL:
         return REGION_SUPERQUANTUM
     return REGION_UNPHYSICAL
 
@@ -95,16 +101,89 @@ class ScenarioConfig:
         """The correction applied to measurement operators, if any."""
         return self.model if self.scenario in ("s1", "s3") else None
 
+    def sampled_state(self) -> PureState:
+        """The state shots are drawn from: the given state for qm and s1,
+        the normalized corrected state for s3.
+
+        Raises
+        ------
+        OutOfRangeError
+            for s2, whose effective operator |xi><xi| + beta(|xi_p><xi| + h.c.)
+            has a negative eigenvalue and so is not a state.
+        """
+        if self.scenario in ("qm", "s1"):
+            return self.state
+        if self.scenario == "s2":
+            raise OutOfRangeError(
+                "scenario s2 cannot be sampled: its effective operator is not a state")
+        xg = self.perturbed().corrected_vector()
+        return PureState(xg / np.linalg.norm(xg))
+
+
+#: the four correlator pairs (Alice, Bob) of S, as indices into (a, a', b, b')
+_PAIRS = ((0, 2), (0, 3), (1, 2), (1, 3))
+_SIGNS = np.array([1.0, 1.0, 1.0, -1.0])
+
+
+def _correlators(t: np.ndarray, w) -> np.ndarray:
+    """E(a,b), E(a,b'), E(a',b), E(a',b') = w_A . T . w_B."""
+    return np.array([w[i] @ t @ w[j] for i, j in _PAIRS])
+
+
+def _chsh(t: np.ndarray, w) -> float:
+    return float(_correlators(t, w) @ _SIGNS)
+
 
 def evaluate_point(cfg: ScenarioConfig, s: ChshSettings) -> ChshResult:
-    """Full matrix evaluation of one settings tuple."""
-    if cfg.scenario == "qm":
-        return gup.qm_chsh(cfg.state, s)
-    if cfg.scenario == "s1":
-        return gup.scenario1_chsh(cfg.state, s, cfg.model)
+    """One settings tuple, with the scenario's bound and diagnostic terms.
+
+    s1 reports 2 plus the four correction brackets of the first-order
+    expansion; each is a weighted sum of the correlators, with weights
+    beta' (the first-order couplings) or beta * lambda (the mixed brackets
+    use the unnormalized corrected operators lambda * w.sigma on one
+    side).  s2 reports the unperturbed value ``qm`` and the cross term
+    Re<xi|B|xi_p>; s3 the squared norm of the corrected state.
+    """
+    n = np.array([d.unit_vector() for d in (s.a, s.a_prime, s.b, s.b_prime)])
     if cfg.scenario == "s2":
-        return gup.scenario2_chsh(cfg.perturbed(), s)
-    return gup.scenario3_chsh(cfg.perturbed(), s, cfg.model)
+        ps = cfg.perturbed()
+        xi = ps.xi.amplitudes
+        sym = 0.5 * (np.outer(ps.xi_p, xi.conj()) + np.outer(xi, ps.xi_p.conj()))
+        qm = _chsh(correlation_tensor(np.outer(xi, xi.conj()))[2], n)
+        cross = _chsh(correlation_tensor(sym)[2], n)
+        return ChshResult("s2", qm + 2.0 * ps.beta * cross,
+                          2.0 * (1.0 + ps.beta * cross),
+                          {"qm": qm, "cross": cross}, ps.beta)
+    t = correlation_tensor(cfg.effective_density())[2]
+    model = cfg.operator_model()
+    if model is None:
+        return ChshResult("qm", _chsh(t, n), 2.0, {}, 0.0)
+    w, lam, beta_prime = model.corrected(n)
+    if cfg.scenario == "s3":
+        xg = cfg.perturbed().corrected_vector()
+        return ChshResult("s3", _chsh(t, w), 2.0,
+                          {"norm_sq": float((xg.conj() @ xg).real)}, model.beta)
+    e = _correlators(t, w)
+
+    def alice(k):  # weights k on A, A' against B + B' and B - B'
+        return float(k[0] * (e[0] + e[1]) + k[1] * (e[2] - e[3]))
+
+    def bob(k):  # weights k on B, B' against A and A'
+        return float(k[2] * (e[0] + e[2]) + k[3] * (e[1] - e[3]))
+
+    beta = model.beta
+    terms = {
+        "bracket_beta_prime_alice": alice(beta_prime),
+        "bracket_beta_prime_bob": bob(beta_prime),
+        "bracket_beta_dprime_alice": beta * alice(lam),
+        "bracket_beta_dprime_bob": beta * bob(lam),
+    }
+    terms["correction_sum"] = (-terms["bracket_beta_prime_alice"]
+                               - terms["bracket_beta_prime_bob"]
+                               + terms["bracket_beta_dprime_alice"]
+                               + terms["bracket_beta_dprime_bob"])
+    return ChshResult("s1", float(e @ _SIGNS), 2.0 + terms["correction_sum"],
+                      terms, beta)
 
 
 def planar_directions(theta: np.ndarray) -> np.ndarray:
@@ -124,61 +203,23 @@ class BatchEvaluator:
     """Vectorized CHSH evaluation over arrays of measurement directions."""
 
     def __init__(self, cfg: ScenarioConfig):
-        rho = cfg.effective_density()
-        self.trace = float(np.trace(rho).real)
-        self.r_alice = np.array([
-            np.trace(rho @ tensor.kron(sig, I2)).real for sig in PAULIS])
-        self.r_bob = np.array([
-            np.trace(rho @ tensor.kron(I2, sig)).real for sig in PAULIS])
-        self.moments = np.array([
-            [np.trace(rho @ tensor.kron(si, sj)).real for sj in PAULIS]
-            for si in PAULIS])
-        model = cfg.operator_model()
-        self.rule = None if model is None else model.rule
-        self.beta = 0.0 if model is None else model.beta
-        self.axis = np.zeros(3)
-        self.shift = 0.0
-        if self.rule == "tilt":
-            self.axis = model.m
-        elif self.rule == "custom":
-            jp = model.jp
-            self.shift = float(np.trace(jp).real) / 2.0
-            self.axis = np.array([np.trace(jp @ sig).real / 2.0 for sig in PAULIS])
+        self.moments = correlation_tensor(cfg.effective_density())[2]
+        self.model = cfg.operator_model()
 
-    def _corrected(self, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Identity coefficient and Bloch vector of the normalized
-        (possibly corrected) observable along each direction."""
-        if self.rule is None or self.rule == "self-cubic" or self.beta == 0.0:
-            return np.zeros(n.shape[0]), n
-        # exact eigenvalues of (s0 I + v.sigma) are s0 +- |v|
-        v = n + self.beta * self.axis
-        s0 = self.beta * self.shift
-        vnorm = np.linalg.norm(v, axis=-1)
-        mag_pos = np.abs(s0 + vnorm)
-        mag_neg = np.abs(s0 - vnorm)
-        if np.max(np.abs(mag_pos - mag_neg)) > gup.BRANCH_MISMATCH_TOL:
-            raise AmbiguousBranchError(
-                "eigenvalue branch magnitudes differ; normalization undefined")
-        alpha = s0 / mag_pos
-        w = v / mag_pos[:, None]
-        return alpha, w
+    def _corrected(self, n: np.ndarray) -> np.ndarray:
+        n = np.atleast_2d(n)
+        return n if self.model is None else self.model.corrected(n)[0]
 
-    def _correlator(self, alpha_a, w_a, alpha_b, w_b) -> np.ndarray:
-        return (alpha_a * alpha_b * self.trace
-                + alpha_a * (w_b @ self.r_bob)
-                + alpha_b * (w_a @ self.r_alice)
-                + np.einsum("ki,ij,kj->k", w_a, self.moments, w_b))
+    def _correlator(self, w_a, w_b) -> np.ndarray:
+        return np.einsum("ki,ij,kj->k", w_a, self.moments, w_b)
 
     def values(self, na, nap, nb, nbp) -> np.ndarray:
         """S for each row of the four (K, 3) direction arrays."""
-        aa, wa = self._corrected(np.atleast_2d(na))
-        aap, wap = self._corrected(np.atleast_2d(nap))
-        ab, wb = self._corrected(np.atleast_2d(nb))
-        abp, wbp = self._corrected(np.atleast_2d(nbp))
-        return (self._correlator(aa, wa, ab, wb)
-                + self._correlator(aa, wa, abp, wbp)
-                + self._correlator(aap, wap, ab, wb)
-                - self._correlator(aap, wap, abp, wbp))
+        wa, wap, wb, wbp = (self._corrected(n) for n in (na, nap, nb, nbp))
+        return (self._correlator(wa, wb)
+                + self._correlator(wa, wbp)
+                + self._correlator(wap, wb)
+                - self._correlator(wap, wbp))
 
 
 @dataclass(frozen=True)

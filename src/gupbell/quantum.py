@@ -1,9 +1,9 @@
-"""Two-qubit states, spin observables and the CHSH operator."""
+"""Two-qubit states, spin observables and their correlation tensor."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,21 +129,34 @@ def bell_state(kind: str = "phi_plus") -> PureState:
     return PureState(np.array(table[kind], dtype=complex))
 
 
-def spin_observable(n: Direction) -> np.ndarray:
-    """Spin component along a direction: n . sigma, with eigenvalues +-1."""
-    v = n.unit_vector()
+def spin(v) -> np.ndarray:
+    """v . sigma for a real 3-vector v."""
     return v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z
 
 
-def bell_operator(s: ChshSettings) -> np.ndarray:
-    """B = a (x) (b + b') + a' (x) (b - b') for unit-spin observables."""
-    a = spin_observable(s.a)
-    ap = spin_observable(s.a_prime)
-    b = spin_observable(s.b)
-    bp = spin_observable(s.b_prime)
-    return tensor.kron(a, b + bp) + tensor.kron(ap, b - bp)
+def pauli_parts(m: np.ndarray) -> tuple[float, np.ndarray]:
+    """Identity part c0 and Bloch vector c of a 2x2 Hermitian matrix,
+    m = c0 I + c . sigma; its eigenvalues are c0 +- |c|."""
+    c = np.array([np.trace(m @ sig).real / 2.0 for sig in PAULIS])
+    return float(np.trace(m).real) / 2.0, c
 
 
-def chsh_value(state: PureState, s: ChshSettings) -> float:
-    """Exact CHSH expectation <B> in the given state."""
-    return tensor.expect(state.amplitudes, bell_operator(s))
+def spin_observable(n: Direction) -> np.ndarray:
+    """Spin component along a direction: n . sigma, with eigenvalues +-1."""
+    return spin(n.unit_vector())
+
+
+def correlation_tensor(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Local Bloch vectors and correlation matrix of a two-qubit operator:
+    r_A[i] = tr(rho s_i (x) I), r_B[j] = tr(rho I (x) s_j) and
+    T[i, j] = tr(rho s_i (x) s_j).
+
+    Every CHSH value, s1 bracket and shot probability is computed from
+    these three and the corrected directions of the observables.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    r_a = np.array([np.trace(rho @ tensor.kron(sig, I2)).real for sig in PAULIS])
+    r_b = np.array([np.trace(rho @ tensor.kron(I2, sig)).real for sig in PAULIS])
+    t = np.array([[np.trace(rho @ tensor.kron(si, sj)).real for sj in PAULIS]
+                  for si in PAULIS])
+    return r_a, r_b, t

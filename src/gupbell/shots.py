@@ -10,8 +10,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, tensor
-from .errors import NotDichotomicError
-from .quantum import ChshSettings, DensityMatrix, PureState, spin_observable
+from .errors import DimensionError, HermiticityError, NotDichotomicError
+from .quantum import (
+    ChshSettings, DensityMatrix, PureState, correlation_tensor, pauli_parts,
+    spin_observable,
+)
 
 PAIR_LABELS = ("ab", "abp", "apb", "apbp")
 #: signs combining the four correlators into S
@@ -69,46 +72,37 @@ def depolarize(state: PureState, p: float) -> DensityMatrix:
     return DensityMatrix(rho)
 
 
-def _dichotomic_branches(obs: np.ndarray):
-    """Eigenvalues (descending) and projectors of a dichotomic observable."""
-    eig = tensor.eig_hermitian(obs)
-    if abs(eig.values[1] - eig.values[0]) < 1e-12:
-        raise NotDichotomicError("observable has a single degenerate eigenvalue")
-    # descending: "+" outcome first
-    vals = eig.values[::-1]
-    projectors = [np.outer(eig.vectors[:, k], eig.vectors[:, k].conj())
-                  for k in (1, 0)]
-    return vals, projectors
+def _pauli_parts(obs: np.ndarray) -> tuple[float, np.ndarray]:
+    """``pauli_parts`` of an observable checked to be 2x2 Hermitian."""
+    obs = np.asarray(obs, dtype=complex)
+    if obs.shape != (2, 2):
+        raise DimensionError(f"observable must be 2x2, got shape {obs.shape}")
+    if not tensor.is_hermitian(obs, tol=tensor.EIG_HERMITIAN_TOL):
+        raise HermiticityError("observable must be Hermitian")
+    return pauli_parts(obs)
 
 
 def joint_probabilities(rho: DensityMatrix, obs_a: np.ndarray, obs_b: np.ndarray):
     """Born probabilities for the four joint outcomes, ordered
-    (+,+), (+,-), (-,+), (-,-), with the actual outcome eigenvalues."""
-    vals_a, proj_a = _dichotomic_branches(obs_a)
-    vals_b, proj_b = _dichotomic_branches(obs_b)
-    probs = np.empty(4)
-    outcomes = np.empty((4, 2))
-    for idx, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-        probs[idx] = max(0.0, float(np.trace(
-            rho.matrix @ tensor.kron(proj_a[i], proj_b[j])).real))
-        outcomes[idx] = (vals_a[i], vals_b[j])
-    return probs, outcomes
+    (+,+), (+,-), (-,+), (-,-), with the actual outcome eigenvalues.
 
-
-def measure_pair(rho: DensityMatrix, obs_a: np.ndarray, obs_b: np.ndarray,
-                 draw: float):
-    """One joint measurement, driven by a uniform draw in [0, 1).
-
-    Returns the pair of outcome eigenvalues, so scaled spectra propagate
-    unbiasedly into correlators.
+    With each observable c0 I + c . sigma, outcomes c0 +- |c| and
+    u = c/|c| its unit Bloch direction,
+    P(s, t) = (1 + s u_a.r_A + t u_b.r_B + s t u_a.T.u_b) / 4.
     """
-    probs, outcomes = joint_probabilities(rho, obs_a, obs_b)
-    acc = 0.0
-    for idx in range(3):
-        acc += probs[idx]
-        if draw < acc:
-            return tuple(outcomes[idx])
-    return tuple(outcomes[3])
+    r_a, r_b, t = correlation_tensor(rho.matrix)
+    a0, a = _pauli_parts(obs_a)
+    b0, b = _pauli_parts(obs_b)
+    norm_a, norm_b = np.linalg.norm(a), np.linalg.norm(b)
+    if 2.0 * min(norm_a, norm_b) < 1e-12:
+        raise NotDichotomicError("observable has a single degenerate eigenvalue")
+    ua, ub = a / norm_a, b / norm_b
+    sa = np.array([1.0, 1.0, -1.0, -1.0])
+    sb = np.array([1.0, -1.0, 1.0, -1.0])
+    probs = np.maximum(0.0, (1.0 + sa * (ua @ r_a) + sb * (ub @ r_b)
+                             + sa * sb * (ua @ t @ ub)) / 4.0)
+    outcomes = np.stack([a0 + sa * norm_a, b0 + sb * norm_b], axis=-1)
+    return probs, outcomes
 
 
 def default_observables(s: ChshSettings):

@@ -75,19 +75,3 @@ def eig_hermitian(m: np.ndarray) -> EigenSystem:
         vectors[:, k] = col * phase.conjugate()
     return EigenSystem(values=values, vectors=vectors)
 
-
-def expect(state: np.ndarray, op: np.ndarray) -> float:
-    """Expectation value <psi|op|psi> of a Hermitian operator.
-
-    The imaginary residue is checked against 1e-9 and discarded.
-    """
-    op = _require_square(op, "op")
-    psi = np.asarray(state, dtype=complex).reshape(-1)
-    if psi.shape[0] != op.shape[0]:
-        raise DimensionError(
-            f"state dim {psi.shape[0]} does not match operator dim {op.shape[0]}")
-    val = complex(psi.conj() @ (op @ psi))
-    if abs(val.imag) > 1e-9:
-        raise HermiticityError(
-            f"expectation has imaginary part {val.imag:.3e}; operator not Hermitian?")
-    return val.real

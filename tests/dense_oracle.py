@@ -1,0 +1,177 @@
+"""Dense 4x4 reference evaluation of the CHSH scenarios.
+
+The package computes every value from the correlation tensor of the
+state and the corrected directions of the observables.  This module
+computes the same quantities the long way, as expectation values of
+dense Bell operators built from eigendecomposed corrected observables,
+and the tests compare the two.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from gupbell import tensor
+from gupbell.errors import DimensionError, HermiticityError
+from gupbell.gup import ChshResult, GupModel, PerturbedState
+from gupbell.quantum import ChshSettings, Direction, PureState, spin_observable
+
+
+def expect(state: np.ndarray, op: np.ndarray) -> float:
+    """Expectation value <psi|op|psi> of a Hermitian operator.
+
+    The imaginary residue is checked against 1e-9 and discarded.
+    """
+    op = np.asarray(op, dtype=complex)
+    psi = np.asarray(state, dtype=complex).reshape(-1)
+    if op.shape != (psi.shape[0], psi.shape[0]):
+        raise DimensionError(
+            f"state dim {psi.shape[0]} does not match operator shape {op.shape}")
+    val = complex(psi.conj() @ (op @ psi))
+    if abs(val.imag) > 1e-9:
+        raise HermiticityError(
+            f"expectation has imaginary part {val.imag:.3e}; operator not Hermitian?")
+    return val.real
+
+
+def bell_operator(s: ChshSettings) -> np.ndarray:
+    """B = a (x) (b + b') + a' (x) (b - b') for unit-spin observables."""
+    a = spin_observable(s.a)
+    ap = spin_observable(s.a_prime)
+    b = spin_observable(s.b)
+    bp = spin_observable(s.b_prime)
+    return tensor.kron(a, b + bp) + tensor.kron(ap, b - bp)
+
+
+def chsh_value(state: PureState, s: ChshSettings) -> float:
+    """Exact CHSH expectation <B> in the given state."""
+    return expect(state.amplitudes, bell_operator(s))
+
+
+@dataclass(frozen=True)
+class DenseObservable:
+    j_gup_unnorm: np.ndarray
+    lambda_gup_abs: float
+    j_gup: np.ndarray
+    beta_prime: float
+    beta_dprime: float
+
+
+def correct_observable(n: Direction, model: GupModel) -> DenseObservable:
+    """The corrected observable from eigendecompositions: the first-order
+    shift is the diagonal element of J_p in the eigenbasis of J, and the
+    normalization the exact eigenvalue magnitude of J + beta*J_p."""
+    j = spin_observable(n)
+    jp = model.perturbation_of(j)
+    eig = tensor.eig_hermitian(j)
+    lam = eig.values  # (-1, +1) ascending
+    lam_p = (eig.vectors[:, 1].conj() @ jp @ eig.vectors[:, 1]).real
+    j_gup_unnorm = j + model.beta * jp
+    lambda_gup_abs = float(np.abs(tensor.eig_hermitian(j_gup_unnorm).values[1]))
+    return DenseObservable(
+        j_gup_unnorm=j_gup_unnorm,
+        lambda_gup_abs=lambda_gup_abs,
+        j_gup=j_gup_unnorm / lambda_gup_abs,
+        beta_prime=float(model.beta * lam_p / lam[1]),
+        beta_dprime=model.beta / abs(float(lam[1])),
+    )
+
+
+def qm_chsh(state: PureState, s: ChshSettings) -> ChshResult:
+    """Uncorrected CHSH expectation with the classical bound 2."""
+    return ChshResult("qm", chsh_value(state, s), 2.0, {}, 0.0)
+
+
+def _bell_combination(alice: np.ndarray, alice_prime: np.ndarray,
+                      bob_plus: np.ndarray, bob_minus: np.ndarray) -> np.ndarray:
+    return tensor.kron(alice, bob_plus) + tensor.kron(alice_prime, bob_minus)
+
+
+def scenario1_chsh(state: PureState, s: ChshSettings, model: GupModel) -> ChshResult:
+    """Corrected operators on an ordinary state.
+
+    The reported bound is 2 plus the four correction brackets with their
+    signs; the mixed brackets deliberately use the unnormalized corrected
+    operators on one side, exactly as the expansion is written.
+    """
+    oa = correct_observable(s.a, model)
+    oap = correct_observable(s.a_prime, model)
+    ob = correct_observable(s.b, model)
+    obp = correct_observable(s.b_prime, model)
+
+    psi = state.amplitudes
+    b_plus = ob.j_gup + obp.j_gup
+    b_minus = ob.j_gup - obp.j_gup
+    b_gup = _bell_combination(oa.j_gup, oap.j_gup, b_plus, b_minus)
+    value = expect(psi, b_gup)
+
+    t1 = expect(psi, _bell_combination(
+        oa.beta_prime * oa.j_gup, oap.beta_prime * oap.j_gup, b_plus, b_minus))
+    t2 = expect(psi, _bell_combination(
+        oa.j_gup, oap.j_gup,
+        ob.beta_prime * ob.j_gup + obp.beta_prime * obp.j_gup,
+        ob.beta_prime * ob.j_gup - obp.beta_prime * obp.j_gup))
+    t3 = oa.beta_dprime * expect(psi, _bell_combination(
+        oa.j_gup_unnorm, oap.j_gup_unnorm, b_plus, b_minus))
+    t4 = ob.beta_dprime * expect(psi, _bell_combination(
+        oa.j_gup, oap.j_gup,
+        ob.j_gup_unnorm + obp.j_gup_unnorm,
+        ob.j_gup_unnorm - obp.j_gup_unnorm))
+
+    correction = -t1 - t2 + t3 + t4
+    terms = {
+        "bracket_beta_prime_alice": t1,
+        "bracket_beta_prime_bob": t2,
+        "bracket_beta_dprime_alice": t3,
+        "bracket_beta_dprime_bob": t4,
+        "correction_sum": correction,
+    }
+    return ChshResult("s1", value, 2.0 + correction, terms, model.beta)
+
+
+def scenario2_chsh(ps: PerturbedState, s: ChshSettings) -> ChshResult:
+    """Ordinary operators on a perturbed state.
+
+    The first-order cross term uses the real part of <xi|B|xi_p>;
+    Hermiticity of B makes the full first-order contribution twice that.
+    """
+    b = bell_operator(s)
+    qm = expect(ps.xi.amplitudes, b)
+    cross = float((ps.xi.amplitudes.conj() @ (b @ ps.xi_p)).real)
+    value = qm + 2.0 * ps.beta * cross
+    terms = {"qm": qm, "cross": cross}
+    return ChshResult("s2", value, 2.0 * (1.0 + ps.beta * cross), terms, ps.beta)
+
+
+def scenario3_chsh(ps: PerturbedState, s: ChshSettings, model: GupModel) -> ChshResult:
+    """Corrected operators on the corrected state, divided by the squared
+    norm of the corrected state."""
+    oa = correct_observable(s.a, model)
+    oap = correct_observable(s.a_prime, model)
+    ob = correct_observable(s.b, model)
+    obp = correct_observable(s.b_prime, model)
+    b_gup = _bell_combination(oa.j_gup, oap.j_gup,
+                              ob.j_gup + obp.j_gup, ob.j_gup - obp.j_gup)
+    xg = ps.corrected_vector()
+    norm_sq = float((xg.conj() @ xg).real)
+    value = float((xg.conj() @ (b_gup @ xg)).real) / norm_sq
+    terms = {"norm_sq": norm_sq}
+    return ChshResult("s3", value, 2.0, terms, model.beta)
+
+
+def scenario_chsh(cfg, s: ChshSettings) -> ChshResult:
+    """The dense evaluation of a ``lab.ScenarioConfig`` at one settings tuple."""
+    if cfg.scenario == "qm":
+        return qm_chsh(cfg.state, s)
+    if cfg.scenario == "s1":
+        return scenario1_chsh(cfg.state, s, cfg.model)
+    if cfg.scenario == "s2":
+        return scenario2_chsh(cfg.perturbed(), s)
+    return scenario3_chsh(cfg.perturbed(), s, cfg.model)
+
+
+def correlator(rho: np.ndarray, obs_a: np.ndarray, obs_b: np.ndarray) -> float:
+    """tr(rho A (x) B)."""
+    return float(np.trace(np.asarray(rho) @ tensor.kron(obs_a, obs_b)).real)

@@ -9,16 +9,17 @@ import warnings
 
 import numpy as np
 
+from dense_oracle import chsh_value
 from gupbell import lab, security, shots
 from gupbell.gup import (
     GupModel, default_hamiltonian, default_perturbation,
-    gup_correct_observable, perturb_state, scenario1_chsh,
+    gup_correct_observable, perturb_state,
 )
 from gupbell.lab import (
     BatchEvaluator, ScenarioConfig, beta_sweep, evaluate_point, grid_scan,
     optimize_angles, superclassical_components,
 )
-from gupbell.quantum import bell_state, canonical_settings, chsh_value
+from gupbell.quantum import bell_state, canonical_settings
 from gupbell.shots import ShotPlan, estimate_chsh, lhv_max
 from gupbell.tensor import eig_hermitian
 
@@ -122,7 +123,7 @@ def test_criterion_07_self_cubic_bracket_sum():
     worst = 0.0
     for beta in (0.1, 0.3):
         model = GupModel(beta=beta, rule="self-cubic")
-        res = scenario1_chsh(state, can, model)
+        res = evaluate_point(ScenarioConfig("s1", state=state, model=model), can)
         err = abs(res.terms["correction_sum"] - 2.0 * beta * beta * b_exp)
         assert err < 1e-10
         worst = max(worst, err)
@@ -130,10 +131,9 @@ def test_criterion_07_self_cubic_bracket_sum():
 
 
 def test_criterion_08_perturbed_state_identities(asym_settings, custom_hp):
-    from gupbell.gup import scenario2_chsh
     beta = 0.17
-    ps = perturb_state(default_hamiltonian(), custom_hp, 0, beta)
-    res = scenario2_chsh(ps, asym_settings)
+    cfg = ScenarioConfig("s2", model=GupModel(beta=beta), hp=custom_hp)
+    res = evaluate_point(cfg, asym_settings)
     cross = res.terms["cross"]
     value_err = abs(res.value - res.terms["qm"] - 2.0 * beta * cross)
     bound_err = abs(res.bound - 2.0 * (1.0 + beta * cross))

@@ -3,16 +3,17 @@ import math
 import numpy as np
 import pytest
 
+import dense_oracle
 from gupbell import gup
 from gupbell.errors import (
     AmbiguousBranchError, DegeneracyError, HermiticityError,
 )
 from gupbell.gup import (
     GupModel, default_hamiltonian, default_perturbation,
-    gup_correct_observable, perturb_state, qm_chsh, scenario1_chsh,
-    scenario2_chsh, scenario3_chsh,
+    gup_correct_observable, perturb_state,
 )
-from gupbell.quantum import ChshSettings, Direction, bell_state, canonical_settings
+from gupbell.lab import ScenarioConfig, evaluate_point
+from gupbell.quantum import Direction, bell_state, canonical_settings
 
 
 class TestGupModel:
@@ -66,6 +67,22 @@ class TestCorrectObservable:
         with pytest.raises(ValueError):
             gup_correct_observable(Direction(0.0), model)
 
+    def test_matches_dense_oracle(self):
+        # the direction map against eigendecompositions of J + beta*J_p
+        rng = np.random.default_rng(3)
+        models = [GupModel(beta=0.25, rule="self-cubic"),
+                  GupModel(beta=0.25, rule="tilt", m=np.array([0.0, 0.6, 0.8])),
+                  GupModel(beta=0.25, rule="custom",
+                           jp=np.array([[0.2, 0.1 - 0.3j], [0.1 + 0.3j, -0.2]]))]
+        for model in models:
+            for theta, phi in rng.uniform(0.0, 2.0 * math.pi, size=(5, 2)):
+                d = Direction(theta, phi)
+                got = gup_correct_observable(d, model)
+                want = dense_oracle.correct_observable(d, model)
+                assert np.max(np.abs(got.j_gup - want.j_gup)) < 1e-12
+                assert got.lambda_gup_abs == pytest.approx(want.lambda_gup_abs, abs=1e-12)
+                assert got.beta_prime == pytest.approx(want.beta_prime, abs=1e-12)
+
     def test_moderate_coupling_warns(self):
         model = GupModel(beta=0.5, rule="tilt")
         with pytest.warns(UserWarning, match="no longer small"):
@@ -109,8 +126,8 @@ class TestPerturbState:
 class TestScenario1:
     def test_frozen_canonical_tilt(self):
         # [DERIVED] frozen oracle: dense-matrix evaluation, tilt z, beta 0.1
-        res = scenario1_chsh(bell_state(), canonical_settings(),
-                             GupModel(beta=0.1, rule="tilt"))
+        res = evaluate_point(ScenarioConfig("s1", model=GupModel(beta=0.1, rule="tilt")),
+                             canonical_settings())
         assert res.value == pytest.approx(2.815738559973453, abs=1e-12)
         assert res.bound == pytest.approx(2.249876080898522, abs=1e-12)
         expected = {
@@ -125,12 +142,12 @@ class TestScenario1:
     def test_frozen_off_axis_tilt(self, asym_settings):
         # [DERIVED] frozen oracle: tilt (0.6, 0, 0.8), beta 0.3
         model = GupModel(beta=0.3, rule="tilt", m=np.array([0.6, 0.0, 0.8]))
-        res = scenario1_chsh(bell_state(), asym_settings, model)
+        res = evaluate_point(ScenarioConfig("s1", model=model), asym_settings)
         assert res.value == pytest.approx(2.401810441695836, abs=1e-12)
 
     def test_beta_zero_recovers_qm(self, asym_settings):
-        res = scenario1_chsh(bell_state(), asym_settings, GupModel(beta=0.0))
-        qm = qm_chsh(bell_state(), asym_settings)
+        res = evaluate_point(ScenarioConfig("s1", model=GupModel(beta=0.0)), asym_settings)
+        qm = evaluate_point(ScenarioConfig(), asym_settings)
         assert res.value == pytest.approx(qm.value, abs=1e-14)
         assert res.bound == pytest.approx(2.0, abs=1e-14)
 
@@ -138,16 +155,16 @@ class TestScenario1:
 class TestScenario2:
     def test_frozen_custom_perturbation(self, asym_settings, custom_hp):
         # [DERIVED] frozen oracle: default H0, dense custom Hp, beta 0.1
-        ps = perturb_state(default_hamiltonian(), custom_hp, 0, 0.1)
-        res = scenario2_chsh(ps, asym_settings)
+        cfg = ScenarioConfig("s2", model=GupModel(beta=0.1), hp=custom_hp)
+        res = evaluate_point(cfg, asym_settings)
         assert res.terms["qm"] == pytest.approx(2.546011150452553, abs=1e-12)
         assert res.terms["cross"] == pytest.approx(0.009670946549880, abs=1e-12)
         assert res.value == pytest.approx(2.547945339762529, abs=1e-12)
         assert res.bound == pytest.approx(2.001934189309976, abs=1e-12)
 
     def test_value_and_bound_identities(self, asym_settings, custom_hp):
-        ps = perturb_state(default_hamiltonian(), custom_hp, 0, 0.25)
-        res = scenario2_chsh(ps, asym_settings)
+        cfg = ScenarioConfig("s2", model=GupModel(beta=0.25), hp=custom_hp)
+        res = evaluate_point(cfg, asym_settings)
         cross = res.terms["cross"]
         assert res.value - res.terms["qm"] == pytest.approx(2.0 * 0.25 * cross,
                                                             abs=1e-14)
@@ -158,18 +175,16 @@ class TestScenario3:
     def test_frozen_off_axis_tilt(self, asym_settings, custom_hp):
         # [DERIVED] frozen oracle: tilt (0.6, 0, 0.8), beta 0.4, custom Hp
         model = GupModel(beta=0.4, rule="tilt", m=np.array([0.6, 0.0, 0.8]))
-        ps = perturb_state(default_hamiltonian(), custom_hp, 0, 0.4)
+        cfg = ScenarioConfig("s3", model=model, hp=custom_hp)
         with pytest.warns(UserWarning):
-            res = scenario3_chsh(ps, asym_settings, model)
+            res = evaluate_point(cfg, asym_settings)
         assert res.value == pytest.approx(2.339858290156385, abs=1e-12)
         assert res.terms["norm_sq"] == pytest.approx(1.016950000000000, abs=1e-12)
 
     def test_self_cubic_matches_qm(self, asym_settings):
         model = GupModel(beta=0.3, rule="self-cubic")
-        ps = perturb_state(default_hamiltonian(),
-                           default_perturbation(model), 0, 0.3)
-        res = scenario3_chsh(ps, asym_settings, model)
-        qm = qm_chsh(bell_state(), asym_settings)
+        res = evaluate_point(ScenarioConfig("s3", model=model), asym_settings)
+        qm = evaluate_point(ScenarioConfig(), asym_settings)
         assert res.value == pytest.approx(qm.value, abs=1e-12)
 
 
@@ -179,5 +194,6 @@ def test_sweep_family_frozen_point():
     from gupbell.lab import sweep_settings
     model = GupModel(beta=0.5, rule="tilt")
     with pytest.warns(UserWarning):
-        res = scenario1_chsh(bell_state(), sweep_settings(math.pi / 8), model)
+        res = evaluate_point(ScenarioConfig("s1", model=model),
+                             sweep_settings(math.pi / 8))
     assert res.value == pytest.approx(2.193838411346909, abs=1e-12)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import dense_oracle
 from gupbell import lab
 from gupbell.errors import GupBellError
 from gupbell.gup import GupModel
@@ -11,7 +12,9 @@ from gupbell.lab import (
     evaluate_point, grid_scan, optimize_angles, scan_settings,
     superclassical_components, sweep_settings,
 )
-from gupbell.quantum import ChshSettings, Direction, bell_state
+from gupbell.quantum import (
+    SIGMA_X, SIGMA_Y, SIGMA_Z, ChshSettings, Direction, correlation_tensor,
+)
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
@@ -27,6 +30,11 @@ class TestClassify:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             classify(math.inf)
+
+    def test_rounding_above_tsirelson_is_quantum(self):
+        # an s3 eight-angle optimum that reached 2*sqrt(2) up to rounding
+        assert 2.8284271247461907 - TSIRELSON == pytest.approx(4.4e-16, abs=1e-16)
+        assert classify(2.8284271247461907) == "quantum"
 
 
 class TestScenarioConfig:
@@ -74,6 +82,25 @@ class TestBatchConsistency:
                 assert evaluate_point(cfg, s).value == pytest.approx(
                     want, abs=1e-12)
 
+    def test_matches_dense_oracle(self, custom_hp):
+        rng = np.random.default_rng(23)
+        for cfg in random_configs(rng, 3):
+            ev = BatchEvaluator(cfg)
+            for _ in range(3):
+                theta = rng.uniform(0.0, math.pi, 4)
+                phi = rng.uniform(0.0, 2.0 * math.pi, 4)
+                s = ChshSettings(*(Direction(t, p) for t, p in zip(theta, phi)))
+                got = evaluate_point(cfg, s)
+                want = dense_oracle.scenario_chsh(cfg, s)
+                assert got.value == pytest.approx(want.value, abs=1e-12)
+                assert got.bound == pytest.approx(want.bound, abs=1e-12)
+                assert set(got.terms) == set(want.terms)
+                for key in want.terms:
+                    assert got.terms[key] == pytest.approx(want.terms[key], abs=1e-12)
+                batch = ev.values(*(lab.sphere_directions(theta[i], phi[i])
+                                    for i in range(4)))
+                assert batch[0] == pytest.approx(want.value, abs=1e-12)
+
     def test_sphere_directions_match(self):
         rng = np.random.default_rng(5)
         theta = rng.uniform(0.0, math.pi, size=(8, 4))
@@ -87,6 +114,52 @@ class TestBatchConsistency:
                                for i in range(4)))
             assert evaluate_point(cfg, s).value == pytest.approx(
                 batch[k], abs=1e-12)
+
+
+def random_configs(rng, per_combination: int = 1):
+    """Seeded ScenarioConfigs over every scenario and rule, with the
+    default or a random perturbation hp, beta in [0, 0.9)."""
+    for scenario in ("qm", "s1", "s2", "s3"):
+        for rule in ("tilt", "self-cubic", "custom"):
+            for k in range(per_combination):
+                beta = rng.uniform(0.0, 0.9)
+                if rule == "tilt":
+                    m = rng.normal(size=3)
+                    model = GupModel(beta=beta, rule="tilt", m=m / np.linalg.norm(m))
+                elif rule == "custom":
+                    v = rng.normal(size=3)
+                    v *= rng.uniform(0.0, 1.0) / np.linalg.norm(v)
+                    jp = v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z
+                    model = GupModel(beta=beta, rule="custom", jp=jp)
+                else:
+                    model = GupModel(beta=beta, rule="self-cubic")
+                hp = None
+                if k % 2:
+                    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+                    hp = (a + a.conj().T) / (2.0 * np.linalg.norm(a, 2))
+                yield ScenarioConfig(scenario=scenario,
+                                     model=None if scenario == "qm" else model, hp=hp)
+
+
+def horodecki_bound(cfg: ScenarioConfig) -> float:
+    """2 sqrt(t1^2 + t2^2) from the two largest singular values of T: the
+    maximum of S over all unit directions (Horodecki et al., Phys. Lett.
+    A 200, 340 (1995)), which bounds every corrected value as well."""
+    t = correlation_tensor(cfg.effective_density())[2]
+    sv = np.linalg.svd(t, compute_uv=False)
+    return 2.0 * math.sqrt(sv[0] ** 2 + sv[1] ** 2)
+
+
+@pytest.mark.filterwarnings("ignore:.*no longer small")
+@pytest.mark.parametrize("eight_angles", [False, True])
+def test_horodecki_bound_holds(eight_angles):
+    rng = np.random.default_rng(31 + eight_angles)
+    for cfg in random_configs(rng, 2):
+        bound = horodecki_bound(cfg) + 1e-12
+        opt = optimize_angles(cfg, coarse_steps=9, max_evals=2000,
+                              eight_angles=eight_angles)
+        assert opt.value <= bound
+        assert float(grid_scan(cfg, resolution=41).values.max()) <= bound
 
 
 class TestGridScan:

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dense_oracle import bell_operator, chsh_value
 from gupbell import quantum
 from gupbell.errors import DimensionError, HermiticityError
 from gupbell.quantum import (
-    ChshSettings, DensityMatrix, Direction, PureState, bell_operator,
-    bell_state, canonical_settings, chsh_value, spin_observable,
+    ChshSettings, DensityMatrix, Direction, PureState, bell_state,
+    canonical_settings, spin_observable,
 )
 
 TSIRELSON = 2.0 * math.sqrt(2.0)

