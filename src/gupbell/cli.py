@@ -13,12 +13,16 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, field, asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import gup, lab, security, shots
-from .errors import GupBellError, OutOfRangeError, ValidationError
+from .errors import (
+    AmbiguousBranchError, DegeneracyError, GupBellError, HermiticityError,
+    OutOfRangeError, ValidationError,
+)
 from .gup import GupModel
 from .lab import ScenarioConfig, classify
 from .quantum import ChshSettings, Direction, bell_state
@@ -36,12 +40,6 @@ SEED_MAX = 2**64 - 2
 DEFAULT_SETTINGS_PI = {"a": [0.0, 0.0], "a_prime": [0.5, 0.0],
                        "b": [0.25, 0.0], "b_prime": [-0.25, 0.0]}
 
-CONFIG_KEYS = {
-    "scenario", "beta", "model", "m", "jp", "settings", "grid", "betas",
-    "theta_steps", "shots", "seed", "noise_p", "k_sigma", "restarts",
-    "eight_angles", "h0", "hp", "out", "baseline_estimate", "observed_estimate",
-}
-
 
 @dataclass
 class RunConfig:
@@ -50,7 +48,7 @@ class RunConfig:
     beta: float = 0.1
     model_rule: str = "tilt"
     m: list = field(default_factory=lambda: [0.0, 0.0, 1.0])
-    jp: list | None = None
+    jp: np.ndarray | None = None
     settings_pi: dict = field(default_factory=lambda: dict(DEFAULT_SETTINGS_PI))
     grid_min_pi: float = 0.0
     grid_max_pi: float = 2.0
@@ -63,8 +61,8 @@ class RunConfig:
     k_sigma: float = 5.0
     restarts: int = 1
     eight_angles: bool = False
-    h0: list | None = None
-    hp: list | None = None
+    h0: np.ndarray | None = None
+    hp: np.ndarray | None = None
     out: str = "out"
     baseline_estimate: str | None = None
     observed_estimate: str | None = None
@@ -97,6 +95,45 @@ def _check_int(value, path, minimum=None, maximum=None) -> int:
     return value
 
 
+def _check_choice(value, path, choices) -> str:
+    if value not in choices:
+        _fail(path, f"must be one of {choices}")
+    return value
+
+
+def _check_rule(value, path) -> str:
+    rule = value.replace("_", "-") if isinstance(value, str) else value
+    return _check_choice(rule, path, MODEL_RULES)
+
+
+def _check_beta(value, path) -> float:
+    value = _check_number(value, path)
+    if value < 0:
+        _fail(path, "negative beta models are out of scope")
+    return value
+
+
+def _check_betas(value, path) -> list:
+    if not isinstance(value, list) or not value:
+        _fail(path, "expected a non-empty list")
+    return [_check_beta(b, f"{path}[{i}]") for i, b in enumerate(value)]
+
+
+def _check_angles(value, path) -> list:
+    if not isinstance(value, list) or len(value) != 2:
+        _fail(path, "expected [theta_over_pi, phi_over_pi]")
+    angles = [_check_number(x, f"{path}[{i}]") for i, x in enumerate(value)]
+    if not all(math.isfinite(x * PI) for x in angles):
+        _fail(path, "angles must be finite")
+    return angles
+
+
+def _check_type(value, path, kind, what):
+    if not isinstance(value, kind):
+        _fail(path, f"expected {what}")
+    return value
+
+
 def _load_json(fh, path: str):
     """``json.load`` that rejects NaN and +-Infinity, which are not JSON."""
     def reject(name):
@@ -104,32 +141,23 @@ def _load_json(fh, path: str):
     return json.load(fh, parse_constant=reject)
 
 
-def _parse_complex_matrix(raw, path, dim) -> list:
+def _check_matrix(raw, path, dim) -> np.ndarray:
+    """A dim x dim complex matrix given as nested [re, im] pairs."""
     try:
         arr = np.asarray(raw, dtype=float)
     except (TypeError, ValueError):
         _fail(path, "expected a nested array of [re, im] pairs")
     if arr.shape != (dim, dim, 2):
         _fail(path, f"expected shape {dim}x{dim}x2, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        _fail(path, "entries must be finite")
-    return arr.tolist()
-
-
-def _complex_from_pairs(raw) -> np.ndarray:
-    arr = np.asarray(raw, dtype=float)
+    for i, j, k in np.ndindex(arr.shape):
+        _check_number(raw[i][j][k], f"{path}[{i}][{j}][{k}]")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
 def _validate_axis(raw, path) -> list:
-    try:
-        m = [float(x) for x in raw]
-    except (TypeError, ValueError):
+    if not isinstance(raw, list) or len(raw) != 3:
         _fail(path, "expected three numbers")
-    if len(m) != 3:
-        _fail(path, "expected three components")
-    if not all(math.isfinite(x) for x in m):
-        _fail(path, "components must be finite")
+    m = [_check_number(x, f"{path}[{i}]") for i, x in enumerate(raw)]
     norm = math.sqrt(sum(x * x for x in m))
     if norm == 0.0:
         _fail(path, "axis must be non-zero")
@@ -141,114 +169,99 @@ def _validate_axis(raw, path) -> list:
     return m
 
 
-def _apply_config_file(cfg: RunConfig, doc: dict):
+#: every config key, nested keys by dotted path -> (RunConfig field,
+#: checker(value, path) returning the value to store).  Keys are applied
+#: in this order, so a top-level ``m``/``jp`` wins over ``model.m``/``model.jp``.
+_CONFIG = {
+    "scenario": ("scenario", partial(_check_choice, choices=SCENARIOS)),
+    "beta": ("beta", _check_beta),
+    "model.rule": ("model_rule", _check_rule),
+    "model.m": ("m", _validate_axis),
+    "model.jp": ("jp", partial(_check_matrix, dim=2)),
+    "m": ("m", _validate_axis),
+    "jp": ("jp", partial(_check_matrix, dim=2)),
+    **{f"settings.{name}": (f"settings_pi.{name}", _check_angles)
+       for name in DEFAULT_SETTINGS_PI},
+    "grid.min": ("grid_min_pi", _check_number),
+    "grid.max": ("grid_max_pi", _check_number),
+    "grid.steps": ("grid_steps", partial(_check_int, minimum=2)),
+    "betas": ("betas", _check_betas),
+    "theta_steps": ("theta_steps", partial(_check_int, minimum=2)),
+    "shots": ("shots", partial(_check_int, minimum=1)),
+    "seed": ("seed", partial(_check_int, minimum=0, maximum=SEED_MAX)),
+    "noise_p": ("noise_p", partial(_check_number, minimum=0.0, maximum=1.0)),
+    "k_sigma": ("k_sigma", partial(_check_number, minimum=0.0)),
+    "restarts": ("restarts", partial(_check_int, minimum=1)),
+    "eight_angles": ("eight_angles", partial(_check_type, kind=bool, what="a boolean")),
+    "h0": ("h0", partial(_check_matrix, dim=4)),
+    "hp": ("hp", partial(_check_matrix, dim=4)),
+    **{key: (key, partial(_check_type, kind=str, what="a path string"))
+       for key in ("out", "baseline_estimate", "observed_estimate")},
+}
+
+#: config objects whose keys are listed above as "<section>.<key>"
+_SECTIONS = ("model", "grid", "settings")
+
+
+def _flatten(doc, prefix="") -> dict:
+    """Config document -> {dotted key path: value}; unknown keys fail."""
     if not isinstance(doc, dict):
-        _fail("$", "config root must be a JSON object")
-    for key in doc:
-        if key not in CONFIG_KEYS:
-            _fail(key, "unknown configuration key")
-    if "scenario" in doc:
-        if doc["scenario"] not in SCENARIOS:
-            _fail("scenario", f"must be one of {SCENARIOS}")
-        cfg.scenario = doc["scenario"]
-    if "beta" in doc:
-        value = _check_number(doc["beta"], "beta")
-        if value < 0:
-            _fail("beta", "negative beta models are out of scope")
-        cfg.beta = value
-    if "model" in doc:
-        model = doc["model"]
-        if isinstance(model, str):
-            rule = model.replace("_", "-")
-            if rule not in MODEL_RULES:
-                _fail("model", f"must be one of {MODEL_RULES}")
-            cfg.model_rule = rule
-        elif isinstance(model, dict):
-            for key in model:
-                if key not in ("rule", "m", "jp"):
-                    _fail(f"model.{key}", "unknown model key")
-            rule = model.get("rule", cfg.model_rule)
-            rule = rule.replace("_", "-") if isinstance(rule, str) else rule
-            if rule not in MODEL_RULES:
-                _fail("model.rule", f"must be one of {MODEL_RULES}")
-            cfg.model_rule = rule
-            if "m" in model:
-                cfg.m = _validate_axis(model["m"], "model.m")
-            if "jp" in model:
-                cfg.jp = _parse_complex_matrix(model["jp"], "model.jp", 2)
+        _fail(prefix[:-1] or "$", "expected an object")
+    flat = {}
+    for key, value in doc.items():
+        path = prefix + key
+        if path == "model" and isinstance(value, str):
+            flat["model.rule"] = value
+        elif path in _SECTIONS:
+            flat.update(_flatten(value, path + "."))
+        elif path in _CONFIG and "." not in key:
+            flat[path] = value
         else:
-            _fail("model", "expected a rule name or an object")
-    if "m" in doc:
-        cfg.m = _validate_axis(doc["m"], "m")
-    if "jp" in doc:
-        cfg.jp = _parse_complex_matrix(doc["jp"], "jp", 2)
-    if "settings" in doc:
-        if not isinstance(doc["settings"], dict):
-            _fail("settings", "expected an object")
-        for name, pair in doc["settings"].items():
-            if name not in DEFAULT_SETTINGS_PI:
-                _fail(f"settings.{name}", "unknown setting; use a, a_prime, b, b_prime")
-            try:
-                theta, phi = (float(x) for x in pair)
-            except (TypeError, ValueError):
-                _fail(f"settings.{name}", "expected [theta_over_pi, phi_over_pi]")
-            if not all(math.isfinite(x * PI) for x in (theta, phi)):
-                _fail(f"settings.{name}", "angles must be finite")
-            cfg.settings_pi[name] = [theta, phi]
-    if "grid" in doc:
-        grid = doc["grid"]
-        if not isinstance(grid, dict):
-            _fail("grid", "expected an object")
-        for key in grid:
-            if key not in ("min", "max", "steps"):
-                _fail(f"grid.{key}", "unknown grid key")
-        if "min" in grid:
-            cfg.grid_min_pi = _check_number(grid["min"], "grid.min")
-        if "max" in grid:
-            cfg.grid_max_pi = _check_number(grid["max"], "grid.max")
-        if "steps" in grid:
-            cfg.grid_steps = _check_int(grid["steps"], "grid.steps", minimum=2)
-        if cfg.grid_max_pi <= cfg.grid_min_pi:
-            _fail("grid.max", "must exceed grid.min")
-    if "betas" in doc:
-        if not isinstance(doc["betas"], list) or not doc["betas"]:
-            _fail("betas", "expected a non-empty list")
-        betas = []
-        for i, b in enumerate(doc["betas"]):
-            value = _check_number(b, f"betas[{i}]")
-            if value < 0:
-                _fail(f"betas[{i}]", "negative beta models are out of scope")
-            betas.append(value)
-        cfg.betas = betas
-    if "theta_steps" in doc:
-        cfg.theta_steps = _check_int(doc["theta_steps"], "theta_steps", minimum=2)
-    if "shots" in doc:
-        cfg.shots = _check_int(doc["shots"], "shots", minimum=1)
-    if "seed" in doc:
-        cfg.seed = _check_int(doc["seed"], "seed", minimum=0, maximum=SEED_MAX)
-    if "noise_p" in doc:
-        cfg.noise_p = _check_number(doc["noise_p"], "noise_p", 0.0, 1.0)
-    if "k_sigma" in doc:
-        cfg.k_sigma = _check_number(doc["k_sigma"], "k_sigma", 0.0)
-    if "restarts" in doc:
-        cfg.restarts = _check_int(doc["restarts"], "restarts", minimum=1)
-    if "eight_angles" in doc:
-        if not isinstance(doc["eight_angles"], bool):
-            _fail("eight_angles", "expected a boolean")
-        cfg.eight_angles = doc["eight_angles"]
-    if "h0" in doc:
-        cfg.h0 = _parse_complex_matrix(doc["h0"], "h0", 4)
-    if "hp" in doc:
-        cfg.hp = _parse_complex_matrix(doc["hp"], "hp", 4)
-    if "out" in doc:
-        if not isinstance(doc["out"], str):
-            _fail("out", "expected a path string")
-        cfg.out = doc["out"]
-    for key in ("baseline_estimate", "observed_estimate"):
-        if key in doc:
-            if not isinstance(doc[key], str):
-                _fail(key, "expected a path string")
-            setattr(cfg, key, doc[key])
+            _fail(path, "unknown configuration key")
+    return flat
+
+
+def _apply(cfg: RunConfig, values: dict):
+    """Check and store values given by dotted key path."""
+    for path, (name, check) in _CONFIG.items():
+        if path in values:
+            name, _, item = name.partition(".")
+            if item:
+                getattr(cfg, name)[item] = check(values[path], path)
+            else:
+                setattr(cfg, name, check(values[path], path))
+    if cfg.grid_max_pi <= cfg.grid_min_pi:
+        _fail("grid.max", "must exceed grid.min")
+
+
+def _csv_numbers(path: str, message: str):
+    """argparse type for a comma-separated list of numbers."""
+    def parse(text):
+        try:
+            return [float(x) for x in text.split(",")]
+        except ValueError:
+            _fail(path, message)
+    return parse
+
+
+#: command-line flag -> (config key it overrides, argparse keywords)
+_FLAGS = {
+    "--scenario": ("scenario", {"choices": SCENARIOS}),
+    "--beta": ("beta", {"type": float}),
+    "--model": ("model.rule", {"choices": MODEL_RULES}),
+    "--m": ("m", {"type": _csv_numbers("m", "expected x,y,z numbers"),
+                  "help": "tilt axis as x,y,z"}),
+    "--grid-steps": ("grid.steps", {"type": int}),
+    "--betas": ("betas", {
+        "type": _csv_numbers("betas", "expected comma-separated numbers"),
+        "help": "comma-separated beta list"}),
+    "--shots": ("shots", {"type": int}),
+    "--seed": ("seed", {"type": int}),
+    "--noise-p": ("noise_p", {"type": float}),
+    "--k-sigma": ("k_sigma", {"type": float}),
+    "--restarts": ("restarts", {"type": int}),
+    "--out": ("out", {"help": "output directory"}),
+}
 
 
 def _build_arg_parser() -> argparse.ArgumentParser:
@@ -265,18 +278,8 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", help="JSON configuration file")
-        p.add_argument("--scenario", choices=SCENARIOS)
-        p.add_argument("--beta", type=float)
-        p.add_argument("--model", choices=["self-cubic", "tilt", "custom"])
-        p.add_argument("--m", help="tilt axis as x,y,z")
-        p.add_argument("--grid-steps", type=int)
-        p.add_argument("--betas", help="comma-separated beta list")
-        p.add_argument("--shots", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--noise-p", type=float)
-        p.add_argument("--k-sigma", type=float)
-        p.add_argument("--restarts", type=int)
-        p.add_argument("--out", help="output directory")
+        for flag, (_, kwargs) in _FLAGS.items():
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -291,49 +294,11 @@ def parse_config(argv) -> RunConfig:
             _fail("config", f"cannot read {args.config}: {exc}")
         except json.JSONDecodeError as exc:
             _fail("config", f"malformed JSON: {exc}")
-        _apply_config_file(cfg, doc)
-    overrides = {}
-    if args.scenario is not None:
-        overrides["scenario"] = args.scenario
-    if args.beta is not None:
-        overrides["beta"] = args.beta
-    if args.model is not None:
-        overrides["model"] = args.model
-    if args.m is not None:
-        try:
-            overrides["m"] = [float(x) for x in args.m.split(",")]
-        except ValueError:
-            _fail("m", "expected x,y,z numbers")
-    if args.grid_steps is not None:
-        overrides["grid"] = {"steps": args.grid_steps}
-    if args.betas is not None:
-        try:
-            overrides["betas"] = [float(x) for x in args.betas.split(",")]
-        except ValueError:
-            _fail("betas", "expected comma-separated numbers")
-    if args.shots is not None:
-        overrides["shots"] = args.shots
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.noise_p is not None:
-        overrides["noise_p"] = args.noise_p
-    if args.k_sigma is not None:
-        overrides["k_sigma"] = args.k_sigma
-    if args.restarts is not None:
-        overrides["restarts"] = args.restarts
-    if args.out is not None:
-        overrides["out"] = args.out
-    _apply_config_file(cfg, overrides)
+        _apply(cfg, _flatten(doc))
+    flags = {key: getattr(args, flag[2:].replace("-", "_"))
+             for flag, (key, _) in _FLAGS.items()}
+    _apply(cfg, {key: value for key, value in flags.items() if value is not None})
     return cfg
-
-
-def _gup_model(cfg: RunConfig) -> GupModel:
-    if cfg.model_rule == "custom":
-        if cfg.jp is None:
-            _fail("jp", "custom model requires a 2x2 Hermitian jp")
-        return GupModel(beta=cfg.beta, rule="custom", jp=_complex_from_pairs(cfg.jp))
-    return GupModel(beta=cfg.beta, rule=cfg.model_rule,
-                    m=np.asarray(cfg.m, dtype=float))
 
 
 def _chsh_settings(cfg: RunConfig) -> ChshSettings:
@@ -344,11 +309,29 @@ def _chsh_settings(cfg: RunConfig) -> ChshSettings:
 
 
 def _scenario_config(cfg: RunConfig) -> ScenarioConfig:
-    model = None if cfg.scenario == "qm" else _gup_model(cfg)
-    h0 = None if cfg.h0 is None else _complex_from_pairs(cfg.h0)
-    hp = None if cfg.hp is None else _complex_from_pairs(cfg.hp)
-    return ScenarioConfig(scenario=cfg.scenario, state=bell_state(),
-                          model=model, h0=h0, hp=hp)
+    """The run's scenario with its model and perturbed state built, so an
+    input the physics rejects exits 2 in every command and scenario."""
+    if cfg.model_rule == "custom" and cfg.jp is None:
+        _fail("jp", "custom model requires a 2x2 Hermitian jp")
+    # a sweep corrects at each beta in betas, and the identity-part check
+    # of a custom jp grows with beta: check its model at the largest
+    beta = max(cfg.betas) if cfg.command == "sweep" else cfg.beta
+    try:
+        model = GupModel(beta=beta, rule=cfg.model_rule, m=cfg.m, jp=cfg.jp)
+        model.corrected(np.zeros((0, 3)))  # the identity-part check, no direction
+    except (HermiticityError, AmbiguousBranchError) as exc:
+        _fail("jp", str(exc))
+    scenario = ScenarioConfig(scenario=cfg.scenario, state=bell_state(),
+                              model=model, h0=cfg.h0, hp=cfg.hp)
+    try:
+        scenario.perturbed()
+    except DegeneracyError as exc:
+        _fail("h0", str(exc))
+    except HermiticityError as exc:
+        # the default h0 and hp are Hermitian, so a given one failed
+        _fail(", ".join(k for k in ("h0", "hp") if getattr(cfg, k) is not None),
+              str(exc))
+    return scenario
 
 
 def _fmt9(x: float) -> str:
@@ -457,8 +440,8 @@ def render_heatmap(grid: lab.ScanGrid, path) -> None:
 
 # --- subcommands -----------------------------------------------------------
 
-def _run_scan(cfg: RunConfig, out: Path) -> float:
-    grid = lab.grid_scan(_scenario_config(cfg), resolution=cfg.grid_steps,
+def _run_scan(cfg: RunConfig, scenario: ScenarioConfig, out: Path) -> float:
+    grid = lab.grid_scan(scenario, resolution=cfg.grid_steps,
                          theta_min=cfg.grid_min_pi * PI,
                          theta_max=cfg.grid_max_pi * PI)
     lines = ["theta1,theta2,S"]
@@ -470,14 +453,11 @@ def _run_scan(cfg: RunConfig, out: Path) -> float:
     return float(grid.values.max())
 
 
-def _run_sweep(cfg: RunConfig, out: Path) -> float:
+def _run_sweep(cfg: RunConfig, scenario: ScenarioConfig, out: Path) -> float:
     theta_axis = np.linspace(0.0, 2.0 * PI, cfg.theta_steps)
-    curves = lab.beta_sweep(
-        cfg.betas, theta_axis, rule=cfg.model_rule,
-        m=np.asarray(cfg.m, dtype=float),
-        jp=None if cfg.jp is None else _complex_from_pairs(cfg.jp),
-        h0=None if cfg.h0 is None else _complex_from_pairs(cfg.h0),
-        hp=None if cfg.hp is None else _complex_from_pairs(cfg.hp))
+    model = scenario.model
+    curves = lab.beta_sweep(cfg.betas, theta_axis, rule=model.rule, m=model.m,
+                            jp=model.jp, h0=scenario.h0, hp=scenario.hp)
     lines = ["beta,theta,S_qm,S_s1,S_s2,S_s3"]
     best = -math.inf
     for curve in curves:
@@ -492,8 +472,8 @@ def _run_sweep(cfg: RunConfig, out: Path) -> float:
     return best
 
 
-def _run_optimize(cfg: RunConfig, out: Path) -> float:
-    opt = lab.optimize_angles(_scenario_config(cfg), restarts=cfg.restarts,
+def _run_optimize(cfg: RunConfig, scenario: ScenarioConfig, out: Path) -> float:
+    opt = lab.optimize_angles(scenario, restarts=cfg.restarts,
                               seed=cfg.seed, eight_angles=cfg.eight_angles)
     payload = {
         "value": opt.value,
@@ -524,11 +504,11 @@ def _estimate_payload(est: ChshEstimate, plan: ShotPlan) -> dict:
     }
 
 
-def _sample_estimate(cfg: RunConfig, noise_p: float, seed: int) -> tuple[ChshEstimate, ShotPlan]:
+def _sample_estimate(cfg: RunConfig, scenario: ScenarioConfig, noise_p: float,
+                     seed: int) -> tuple[ChshEstimate, ShotPlan]:
     """Shots from the scenario's own state and (corrected) observables."""
     plan = ShotPlan(shots_per_pair=cfg.shots, seed=seed, noise_p=noise_p)
     settings = _chsh_settings(cfg)
-    scenario = _scenario_config(cfg)
     state = scenario.sampled_state()
     model = scenario.operator_model()
     observables = None if model is None else [
@@ -537,8 +517,8 @@ def _sample_estimate(cfg: RunConfig, noise_p: float, seed: int) -> tuple[ChshEst
     return shots.estimate_chsh(state, settings, plan, observables), plan
 
 
-def _run_sample(cfg: RunConfig, out: Path) -> float:
-    est, plan = _sample_estimate(cfg, cfg.noise_p, cfg.seed)
+def _run_sample(cfg: RunConfig, scenario: ScenarioConfig, out: Path) -> float:
+    est, plan = _sample_estimate(cfg, scenario, cfg.noise_p, cfg.seed)
     _write_json(out / "sample.json", _estimate_payload(est, plan))
     return est.s_hat
 
@@ -553,28 +533,28 @@ def _load_estimate(path: str) -> ChshEstimate:
         _fail(path, f"malformed JSON: {exc}")
     try:
         table = CountsTable(
-            counts={k: np.asarray(doc["counts"][k], dtype=np.int64)
+            counts={k: np.asarray([_check_int(c, f"{path}: counts.{k}[{i}]")
+                                   for i, c in enumerate(doc["counts"][k])],
+                                  dtype=np.int64)
                     for k in shots.PAIR_LABELS},
-            shots_per_pair=int(doc["shots_per_pair"]))
-        s_hat, stderr = float(doc["s_hat"]), float(doc["stderr"])
-        estimate = ChshEstimate(s_hat=s_hat, stderr=stderr, counts=table,
-                                correlators=dict(doc["correlators"]))
+            shots_per_pair=_check_int(doc["shots_per_pair"], f"{path}: shots_per_pair"))
+        estimate = ChshEstimate(s_hat=_check_number(doc["s_hat"], f"{path}: s_hat"),
+                                stderr=_check_number(doc["stderr"], f"{path}: stderr"),
+                                counts=table, correlators=dict(doc["correlators"]))
     except (KeyError, TypeError, ValueError) as exc:
         _fail(path, f"not a valid estimate document: {exc}")
-    if not (math.isfinite(s_hat) and math.isfinite(stderr)):
-        _fail(path, "s_hat and stderr must be finite")
     return estimate
 
 
-def _run_audit(cfg: RunConfig, out: Path) -> float:
+def _run_audit(cfg: RunConfig, scenario: ScenarioConfig, out: Path) -> float:
     if cfg.baseline_estimate:
         baseline = _load_estimate(cfg.baseline_estimate)
     else:
-        baseline, _ = _sample_estimate(cfg, 0.0, cfg.seed)
+        baseline, _ = _sample_estimate(cfg, scenario, 0.0, cfg.seed)
     if cfg.observed_estimate:
         observed = _load_estimate(cfg.observed_estimate)
     else:
-        observed, _ = _sample_estimate(cfg, cfg.noise_p, cfg.seed + 1)
+        observed, _ = _sample_estimate(cfg, scenario, cfg.noise_p, cfg.seed + 1)
     report = security.build_report(baseline, observed, cfg.k_sigma)
     _write_json(out / "audit.json", asdict(report))
     return report.s_observed
@@ -582,19 +562,15 @@ def _run_audit(cfg: RunConfig, out: Path) -> float:
 
 def execute(cfg: RunConfig) -> float:
     """Run the configured command, write artifacts, return the summary S."""
-    out = Path(cfg.out)
+    scenario = _scenario_config(cfg)
     runner = {"scan": _run_scan, "sweep": _run_sweep, "optimize": _run_optimize,
               "sample": _run_sample, "audit": _run_audit}[cfg.command]
-    return runner(cfg, out)
+    return runner(cfg, scenario, Path(cfg.out))
 
 
 def main(argv=None) -> int:
     try:
         cfg = parse_config(sys.argv[1:] if argv is None else argv)
-    except ValidationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    try:
         value = execute(cfg)
     except (ValidationError, OutOfRangeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

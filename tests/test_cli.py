@@ -275,6 +275,62 @@ def _hermitian(seed: int, dim: int, scale: float) -> np.ndarray:
     return scale * (a + a.conj().T) / np.linalg.norm(a + a.conj().T, 2)
 
 
+_NON_HERMITIAN_4 = np.diag([-1.0, 0.0, 1.0, 2.0]) + np.diag([0.5, 0.0, 0.0], 1)
+_ESTIMATE = {"s_hat": 2.4, "stderr": 0.03, "shots_per_pair": 1000,
+             "correlators": {"ab": 0.6, "abp": 0.6, "apb": 0.6, "apbp": -0.6},
+             "counts": {"ab": [400, 100, 100, 400], "abp": [400, 100, 100, 400],
+                        "apb": [400, 100, 100, 400], "apbp": [100, 400, 400, 100]}}
+
+
+@pytest.mark.parametrize("target, doc, key", [
+    ("config", {"settings": {"a": "12"}}, "settings.a"),
+    ("config", {"settings": {"a": [True, False]}}, "settings.a[0]"),
+    ("config", {"settings": {"b": [0.25]}}, "settings.b"),
+    ("config", {"m": "001"}, "m"),
+    ("config", {"model": {"m": [0, 0, True]}}, "model.m[2]"),
+    ("config", {"jp": [[["0", 0], [1, 0]], [[1, 0], [0, 0]]]}, "jp[0][0][0]"),
+    ("config", {"h0": _pairs(np.diag([-1.0, 0.0, 1.0, 2.0]) + 0j)[:3]
+                + [[[0, 0], [0, 0], [0, 0], [True, 0]]]}, "h0[3][3][0]"),
+    ("config", {"hp": [[["0.5", 0]] * 4] * 4}, "hp[0][0][0]"),
+    ("estimate", {"shots_per_pair": "1000"}, "shots_per_pair"),
+    ("estimate", {"s_hat": "2.75"}, "s_hat"),
+    ("estimate", {"stderr": True}, "stderr"),
+    ("estimate", {"counts": dict(_ESTIMATE["counts"], ab=[412.9, 88, 100, 400])},
+     "counts.ab[0]"),
+])
+def test_json_numbers_must_be_numbers(tmp_path, capsys, target, doc, key):
+    cfgfile = tmp_path / "run.json"
+    if target == "estimate":
+        estimate = tmp_path / "estimate.json"
+        estimate.write_text(json.dumps(dict(_ESTIMATE, **doc)))
+        doc = {"baseline_estimate": str(estimate)}
+    cfgfile.write_text(json.dumps(dict(doc, shots=1000)))
+    command = "audit" if target == "estimate" else "sample"
+    assert run_main([command, "--config", cfgfile, "--out", tmp_path / "out"]) == 2
+    assert f" {key}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"model": {"rule": "custom", "jp": _pairs(np.diag([1.0, 0.0]) + 0j)}}, "jp"),
+    ({"model": {"rule": "custom", "jp": _pairs(np.array([[0, 1], [0, 0]]) + 0j)}}, "jp"),
+    ({"hp": _pairs(_NON_HERMITIAN_4 + 0j)}, "hp"),
+    ({"h0": _pairs(_NON_HERMITIAN_4 + 0j)}, "h0"),
+    ({"h0": _pairs(np.diag([0.0, 0.0, 1.0, 2.0]) + 0j)}, "h0"),
+    ({"model": "custom"}, "jp"),
+], ids=["traceful-jp", "non-hermitian-jp", "non-hermitian-hp", "non-hermitian-h0",
+        "degenerate-h0", "custom-without-jp"])
+def test_rejected_matrix_exits_2_in_every_command(tmp_path, capsys, doc, key):
+    # the model and the perturbed state are built for every run, so the
+    # physics rejects an input before any command evaluates a scenario
+    cfgfile = tmp_path / "run.json"
+    for command in cli.COMMANDS:
+        for scenario in cli.SCENARIOS:
+            cfgfile.write_text(json.dumps(dict(doc, scenario=scenario)))
+            assert run_main([command, "--config", cfgfile,
+                             "--out", tmp_path / "out"]) == 2, (command, scenario)
+            assert f" {key}: " in capsys.readouterr().err
+
+
 small = st.floats(-2.0, 2.0, allow_nan=False)
 axes = st.lists(small, min_size=3, max_size=3).filter(lambda v: any(v))
 fuzz_configs = st.fixed_dictionaries(
