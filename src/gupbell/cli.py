@@ -36,6 +36,8 @@ MODEL_RULES = ("self-cubic", "tilt", "custom")
 
 #: largest seed: the stream seed is a uint64 and ``audit`` also uses seed + 1
 SEED_MAX = 2**64 - 2
+#: largest count an estimate file may hold: counts are stored as int64
+COUNT_MAX = 2**63 - 1
 
 DEFAULT_SETTINGS_PI = {"a": [0.0, 0.0], "a_prime": [0.5, 0.0],
                        "b": [0.25, 0.0], "b_prime": [-0.25, 0.0]}
@@ -75,7 +77,10 @@ def _fail(path: str, message: str):
 def _check_number(value, path, minimum=None, maximum=None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        value = math.inf
     if not math.isfinite(value):
         _fail(path, "must be finite")
     if minimum is not None and value < minimum:
@@ -533,7 +538,8 @@ def _load_estimate(path: str) -> ChshEstimate:
         _fail(path, f"malformed JSON: {exc}")
     try:
         table = CountsTable(
-            counts={k: np.asarray([_check_int(c, f"{path}: counts.{k}[{i}]")
+            counts={k: np.asarray([_check_int(c, f"{path}: counts.{k}[{i}]",
+                                              maximum=COUNT_MAX)
                                    for i, c in enumerate(doc["counts"][k])],
                                   dtype=np.int64)
                     for k in shots.PAIR_LABELS},

@@ -5,50 +5,96 @@ splitmix64-style mixing of (seed, global shot index) and bins it against
 three cumulative thresholds.  Shots are processed in chunks of ``CHUNK``;
 every uniform depends only on its global index, so counts never depend
 on the chunk size.
+
+The uniform of a shot is u = k·2⁻⁵³ with k the top 53 bits of its mixed
+word, so u ≥ c holds exactly when k ≥ ceil(c·2⁵³).  ``sample_counts``
+therefore bins the integers k against those integer thresholds without
+ever forming u; its counts are the ones the float comparison gives.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 U64 = np.uint64
-_GOLDEN = U64(0x9E3779B97F4A7C15)
+_GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = U64(0xBF58476D1CE4E5B9)
 _MIX2 = U64(0x94D049BB133111EB)
 _S30 = U64(30)
 _S27 = U64(27)
 _S31 = U64(31)
 _S11 = U64(11)
-_ONE = U64(1)
-_INV53 = 1.0 / 9007199254740992.0  # 2**-53
+_M64 = (1 << 64) - 1
+_TWO53 = 9007199254740992.0  # 2**53
 
 #: shots per vectorized chunk; bounds the temporary arrays, not the results
 CHUNK = 1 << 20
 
 
+def _steps(n: int) -> np.ndarray:
+    """i·golden (mod 2⁶⁴) for i = 0..n-1: the per-index part of a mix input."""
+    return np.arange(n, dtype=np.uint64) * U64(_GOLDEN)
+
+
+def _mix(seed: int, start: int, steps: np.ndarray, z: np.ndarray,
+         scratch: np.ndarray) -> np.ndarray:
+    """Overwrite z with the 53-bit words k of global indices start, start+1, ...
+
+    The mix input of index i is seed + (i + 1)·golden (mod 2⁶⁴), i.e. the
+    per-call constant ``steps`` plus one offset per chunk.  ``scratch``
+    has the length of z; both are overwritten in place.
+    """
+    offset = (int(seed) + (int(start) + 1) * _GOLDEN) & _M64
+    np.add(steps[:z.size], U64(offset), out=z)
+    np.right_shift(z, _S30, out=scratch)
+    z ^= scratch
+    z *= _MIX1
+    np.right_shift(z, _S27, out=scratch)
+    z ^= scratch
+    z *= _MIX2
+    np.right_shift(z, _S31, out=scratch)
+    z ^= scratch
+    z >>= _S11
+    return z
+
+
 def uniform_stream(seed: int, base: int, n: int) -> np.ndarray:
     """Uniforms in [0, 1) for global indices base..base+n-1."""
-    idx = np.arange(base, base + n, dtype=np.uint64)
-    z = (U64(seed) + (idx + _ONE) * _GOLDEN)
-    z = (z ^ (z >> _S30)) * _MIX1
-    z = (z ^ (z >> _S27)) * _MIX2
-    z = z ^ (z >> _S31)
-    return (z >> _S11).astype(np.float64) * _INV53
+    k = _mix(seed, base, _steps(n), np.empty(n, np.uint64), np.empty(n, np.uint64))
+    return k.astype(np.float64) / _TWO53
 
 
 def sample_counts(seed: int, base: int, n: int, cumulative) -> np.ndarray:
     """Outcome counts for n shots of a four-outcome distribution.
 
     ``cumulative`` holds the three inner cumulative probabilities
-    (p0, p0+p1, p0+p1+p2); the fourth outcome takes the rest.
+    (p0, p0+p1, p0+p1+p2), non-decreasing in [0, 1]; the fourth outcome
+    takes the rest.  Shot i falls in outcome j when exactly j thresholds
+    lie at or below its uniform.
     """
-    c0, c1, c2 = (float(c) for c in cumulative)
-    counts = np.zeros(4, dtype=np.int64)
+    c = np.asarray(cumulative, dtype=np.float64)
+    if c.shape != (3,) or not 0.0 <= c[0] <= c[1] <= c[2] <= 1.0:
+        raise ValueError("cumulative must be three non-decreasing values in "
+                         f"[0, 1], got {cumulative!r}")
+    if n < 0:
+        raise ValueError(f"shot count must be non-negative, got {n}")
+    # c·2⁵³ only rescales by a power of two, so it is exact; 2⁵³ (c = 1)
+    # exceeds every k and counts no shot
+    thresholds = [U64(math.ceil(float(x) * _TWO53)) for x in c]
+    size = min(n, CHUNK)
+    steps = _steps(size)
+    z = np.empty(size, np.uint64)
+    scratch = np.empty(size, np.uint64)
+    mask = np.empty(size, np.bool_)
+    above = [0, 0, 0]
     for lo in range(0, n, CHUNK):
-        hi = min(n, lo + CHUNK)
-        u = uniform_stream(seed, base + lo, hi - lo)
-        outcome = (u >= c0).astype(np.int64)
-        outcome += (u >= c1).astype(np.int64)
-        outcome += (u >= c2).astype(np.int64)
-        counts += np.bincount(outcome, minlength=4)
-    return counts
+        m = min(CHUNK, n - lo)
+        k = _mix(seed, base + lo, steps, z[:m], scratch[:m])
+        hit = mask[:m]
+        for i, threshold in enumerate(thresholds):
+            np.greater_equal(k, threshold, out=hit)
+            above[i] += int(np.count_nonzero(hit))
+    a0, a1, a2 = above
+    return np.array([n - a0, a0 - a1, a1 - a2, a2], dtype=np.int64)

@@ -49,7 +49,9 @@ class CountsTable:
     def __post_init__(self):
         for label, row in self.counts.items():
             row = np.asarray(row, dtype=np.int64)
-            if row.shape != (4,) or row.min() < 0 or row.sum() != self.shots_per_pair:
+            # the sum of Python ints cannot wrap as an int64 sum can
+            if (row.shape != (4,) or row.min() < 0
+                    or sum(row.tolist()) != self.shots_per_pair):
                 raise ValueError(f"invalid counts for pair {label}")
 
 

@@ -297,6 +297,10 @@ _ESTIMATE = {"s_hat": 2.4, "stderr": 0.03, "shots_per_pair": 1000,
     ("estimate", {"stderr": True}, "stderr"),
     ("estimate", {"counts": dict(_ESTIMATE["counts"], ab=[412.9, 88, 100, 400])},
      "counts.ab[0]"),
+    # integers beyond the float and the int64 range
+    ("config", {"beta": 10**400}, "beta"),
+    ("estimate", {"counts": dict(_ESTIMATE["counts"], ab=[2**64, 0, 0, 0])},
+     "counts.ab[0]"),
 ])
 def test_json_numbers_must_be_numbers(tmp_path, capsys, target, doc, key):
     cfgfile = tmp_path / "run.json"
@@ -308,6 +312,17 @@ def test_json_numbers_must_be_numbers(tmp_path, capsys, target, doc, key):
     command = "audit" if target == "estimate" else "sample"
     assert run_main([command, "--config", cfgfile, "--out", tmp_path / "out"]) == 2
     assert f" {key}: " in capsys.readouterr().err
+
+
+def test_estimate_counts_sum_without_wrapping(tmp_path, capsys):
+    # each row's int64 sum wraps round from 2**64 + 2 to shots_per_pair
+    estimate = tmp_path / "estimate.json"
+    estimate.write_text(json.dumps(dict(_ESTIMATE, shots_per_pair=2, counts={
+        k: [2**62, 2**62, 2**62, 2**62 + 2] for k in _ESTIMATE["counts"]})))
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text(json.dumps({"baseline_estimate": str(estimate)}))
+    assert run_main(["audit", "--config", cfgfile, "--out", tmp_path / "out"]) == 2
+    assert "invalid counts for pair ab" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("doc, key", [
@@ -332,7 +347,10 @@ def test_rejected_matrix_exits_2_in_every_command(tmp_path, capsys, doc, key):
 
 
 small = st.floats(-2.0, 2.0, allow_nan=False)
-axes = st.lists(small, min_size=3, max_size=3).filter(lambda v: any(v))
+# a positive norm: [5e-324, 0, 0] is nonzero, but its norm underflows to 0
+# and it would normalize to NaN
+axes = st.lists(small, min_size=3, max_size=3).filter(
+    lambda v: np.linalg.norm(v) > 0)
 fuzz_configs = st.fixed_dictionaries(
     {"scenario": st.sampled_from(cli.SCENARIOS), "beta": st.floats(0.0, 1.5)},
     optional={

@@ -1,6 +1,59 @@
+import math
+
 import numpy as np
+import pytest
 
 from gupbell import kernels
+
+_M64 = (1 << 64) - 1
+
+
+def _words(seed, base, n):
+    """Top 53 bits of the splitmix64 mix of indices base..base+n-1, one
+    Python integer at a time."""
+    out = []
+    for i in range(base, base + n):
+        z = (seed + (i + 1) * 0x9E3779B97F4A7C15) & _M64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+        out.append((z ^ (z >> 31)) >> 11)
+    return out
+
+
+def _reference_counts(seed, base, n, cumulative):
+    """One float uniform and one comparison chain per shot."""
+    c0, c1, c2 = cumulative
+    counts = [0, 0, 0, 0]
+    for k in _words(seed, base, n):
+        u = k * 2.0**-53
+        counts[0 if u < c0 else 1 if u < c1 else 2 if u < c2 else 3] += 1
+    return counts
+
+
+def _float_counts(seed, base, n, cumulative):
+    """Outcome = number of float thresholds at or below the uniform."""
+    u = kernels.uniform_stream(seed, base, n)
+    outcome = sum((u >= c).astype(np.int64) for c in cumulative)
+    return np.bincount(outcome, minlength=4)
+
+
+def _assert_matches_oracles(seed, base, n, cumulative):
+    got = kernels.sample_counts(seed, base, n, cumulative)
+    assert got.dtype == np.int64
+    assert got.tolist() == _reference_counts(seed, base, n, cumulative)
+    assert np.array_equal(got, _float_counts(seed, base, n, cumulative))
+
+
+def _edge_thresholds(seed, base, n):
+    """Threshold triples on, just above and just below uniforms that the
+    window actually draws, plus 0 and 1."""
+    words = sorted(_words(seed, base, n))
+    exact = [k * 2.0**-53 for k in (words[0], words[n // 2], words[-1])]
+    up = [np.nextafter(x, 1.0) for x in exact]
+    down = [np.nextafter(x, -1.0) for x in exact]
+    return [(0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0.0, 0.5, 1.0),
+            tuple(exact), tuple(up), tuple(down),
+            (down[0], exact[1], up[2]), (0.0, exact[1], 1.0)]
 
 
 def test_uniforms_in_unit_interval():
@@ -17,6 +70,12 @@ def test_uniforms_counter_based():
     assert np.array_equal(full[400:500], window)
 
 
+def test_uniforms_match_reference_words():
+    base = 2**40 - 50
+    u = kernels.uniform_stream(2**64 - 2, base, 100)
+    assert u.tolist() == [k * 2.0**-53 for k in _words(2**64 - 2, base, 100)]
+
+
 def test_numpy_counts_deterministic():
     cumulative = (0.2, 0.5, 0.9)
     a = kernels.sample_counts(3, 0, 50_000, cumulative)
@@ -30,9 +89,40 @@ def test_counts_follow_thresholds():
     assert np.max(np.abs(counts / 200_000 - 0.25)) < 0.01
 
 
+@pytest.mark.parametrize("seed, base", [(0, 0), (5, 2**40 - 700),
+                                        (2**64 - 2, 2**40 + 12_345)])
+def test_counts_exact_at_threshold_edges(seed, base):
+    n = 1500
+    for cumulative in _edge_thresholds(seed, base, n):
+        _assert_matches_oracles(seed, base, n, cumulative)
+
+
+def test_counts_exact_across_chunk_boundaries(monkeypatch):
+    seed, base, n = 17, 2**40 - 300, 1000
+    monkeypatch.setattr(kernels, "CHUNK", 256)
+    for cumulative in _edge_thresholds(seed, base, n) + [(0.3, 0.6, 0.8)]:
+        _assert_matches_oracles(seed, base, n, cumulative)
+    assert kernels.sample_counts(seed, base, 0, (0.3, 0.6, 0.8)).tolist() == [0] * 4
+
+
 def test_chunking_does_not_change_counts(monkeypatch):
     cumulative = (0.3, 0.6, 0.8)
     whole = kernels.sample_counts(9, 123, 300_000, cumulative)
     monkeypatch.setattr(kernels, "CHUNK", 1 << 16)
     chunked = kernels.sample_counts(9, 123, 300_000, cumulative)
     assert np.array_equal(whole, chunked)
+    assert np.array_equal(whole, _float_counts(9, 123, 300_000, cumulative))
+
+
+@pytest.mark.parametrize("cumulative", [
+    (0.5, 0.3, 0.9), (0.2, 0.9, 0.5), (-0.1, 0.5, 0.9), (0.2, 0.5, 1.5),
+    (math.nan, 0.5, 0.9), (0.2, 0.5, math.inf), (0.2, 0.5), (0.1, 0.2, 0.3, 0.4),
+])
+def test_rejects_invalid_thresholds(cumulative):
+    with pytest.raises(ValueError, match="cumulative"):
+        kernels.sample_counts(1, 0, 100, cumulative)
+
+
+def test_rejects_negative_shot_count():
+    with pytest.raises(ValueError, match="non-negative"):
+        kernels.sample_counts(1, 0, -1, (0.2, 0.5, 0.9))
