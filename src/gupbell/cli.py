@@ -361,20 +361,6 @@ _MARGIN_TOP = 16
 _LEGEND_W = 70
 
 
-def _heat_color(value: float, vmin: float, vmax: float) -> str:
-    """Linear blue -> white -> red map over [vmin, vmax]."""
-    mid = 0.5 * (vmin + vmax)
-    half = 0.5 * (vmax - vmin)
-    t = 0.0 if half == 0 else max(-1.0, min(1.0, (value - mid) / half))
-    if t < 0:
-        r = g = int(round(255 * (1.0 + t)))
-        b = 255
-    else:
-        r = 255
-        g = b = int(round(255 * (1.0 - t)))
-    return f"#{r:02x}{g:02x}{b:02x}"
-
-
 def render_heatmap(grid: lab.ScanGrid, path) -> None:
     """Hand-emitted SVG: one rect per cell, cells above the classical
     bound outlined, axes in units of pi, and a color legend."""
@@ -393,16 +379,26 @@ def render_heatmap(grid: lab.ScanGrid, path) -> None:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
-    for i in range(n1):
-        for j in range(n2):
-            v = float(values[i, j])
-            x = _MARGIN_LEFT + i * _CELL
-            y = _MARGIN_TOP + (n2 - 1 - j) * _CELL
-            outline = (not degenerate) and v > 2.0
-            stroke = ' stroke="#000" stroke-width="0.4"' if outline else ""
-            parts.append(
-                f'<rect x="{x}" y="{y}" width="{_CELL}" height="{_CELL}" '
-                f'fill="{_heat_color(v, vmin, vmax)}"{stroke}/>')
+    # linear blue -> white -> red map over [vmin, vmax]: colour k is
+    # (k, k, 255) below the midpoint and 256 + k is (255, k, k) from it
+    # on, k = 255 * (1 - |t|) rounded half to even like round; 512 on
+    # adds the S > 2 outline
+    mid = 0.5 * (vmin + vmax)
+    half = 0.5 * (vmax - vmin)
+    t = np.clip((values - mid) / half, -1.0, 1.0)
+    colors = np.round(255 * (1.0 - np.abs(t))).astype(np.int64) + 256 * (t >= 0)
+    if not degenerate:
+        colors += 512 * (values > 2.0)
+    hexes = [f"{k:02x}" for k in range(256)]
+    fills = [color + '"' + stroke + "/>"
+             for stroke in ("", ' stroke="#000" stroke-width="0.4"')
+             for color in [h + h + "ff" for h in hexes] + ["ff" + h + h for h in hexes]]
+    # cells go column by column (theta1), each from the bottom row up
+    rows = [f'{_MARGIN_TOP + (n2 - 1 - j) * _CELL}" width="{_CELL}" '
+            f'height="{_CELL}" fill="#' for j in range(n2)]
+    for i, column in enumerate(colors):
+        x = f'<rect x="{_MARGIN_LEFT + i * _CELL}" y="'
+        parts += [x + row + fills[k] for row, k in zip(rows, column.tolist())]
     axis_y = _MARGIN_TOP + n2 * _CELL
     t1 = grid.theta1_axis
     t2 = grid.theta2_axis
@@ -449,10 +445,11 @@ def _run_scan(cfg: RunConfig, scenario: ScenarioConfig, out: Path) -> float:
     grid = lab.grid_scan(scenario, resolution=cfg.grid_steps,
                          theta_min=cfg.grid_min_pi * PI,
                          theta_max=cfg.grid_max_pi * PI)
+    t2s = [_fmt9(t) + "," for t in grid.theta2_axis]
     lines = ["theta1,theta2,S"]
-    for i, t1 in enumerate(grid.theta1_axis):
-        for j, t2 in enumerate(grid.theta2_axis):
-            lines.append(f"{_fmt9(t1)},{_fmt9(t2)},{_fmt9(grid.values[i, j])}")
+    for t1, row in zip(grid.theta1_axis, grid.values):
+        t1 = _fmt9(t1) + ","
+        lines += [t1 + t2 + format(v, ".9g") for t2, v in zip(t2s, row.tolist())]
     _write_text(out / "scan.csv", "\n".join(lines) + "\n")
     render_heatmap(grid, out / "scan.svg")
     return float(grid.values.max())
@@ -463,18 +460,15 @@ def _run_sweep(cfg: RunConfig, scenario: ScenarioConfig, out: Path) -> float:
     model = scenario.model
     curves = lab.beta_sweep(cfg.betas, theta_axis, rule=model.rule, m=model.m,
                             jp=model.jp, h0=scenario.h0, hp=scenario.hp)
+    thetas = [_fmt9(theta) for theta in theta_axis]
     lines = ["beta,theta,S_qm,S_s1,S_s2,S_s3"]
-    best = -math.inf
     for curve in curves:
-        for k, theta in enumerate(curve.theta_axis):
-            row = [_fmt9(curve.beta), _fmt9(theta)]
-            for tag in ("qm", "s1", "s2", "s3"):
-                value = float(curve.series[tag][k])
-                best = max(best, value)
-                row.append(_fmt9(value))
-            lines.append(",".join(row))
+        # "%.9g" formats a float as _fmt9 does
+        row = _fmt9(curve.beta) + ",%s" + ",%.9g" * len(SCENARIOS)
+        series = [curve.series[tag].tolist() for tag in SCENARIOS]
+        lines += [row % values for values in zip(thetas, *series)]
     _write_text(out / "sweep.csv", "\n".join(lines) + "\n")
-    return best
+    return max(float(curve.series[tag].max()) for curve in curves for tag in SCENARIOS)
 
 
 def _run_optimize(cfg: RunConfig, scenario: ScenarioConfig, out: Path) -> float:
@@ -543,7 +537,8 @@ def _load_estimate(path: str) -> ChshEstimate:
                                    for i, c in enumerate(doc["counts"][k])],
                                   dtype=np.int64)
                     for k in shots.PAIR_LABELS},
-            shots_per_pair=_check_int(doc["shots_per_pair"], f"{path}: shots_per_pair"))
+            shots_per_pair=_check_int(doc["shots_per_pair"], f"{path}: shots_per_pair",
+                                      minimum=1))
         estimate = ChshEstimate(s_hat=_check_number(doc["s_hat"], f"{path}: s_hat"),
                                 stderr=_check_number(doc["stderr"], f"{path}: stderr"),
                                 counts=table, correlators=dict(doc["correlators"]))

@@ -5,15 +5,20 @@ state and the corrected directions of the observables.  This module
 computes the same quantities the long way, as expectation values of
 dense Bell operators built from eigendecomposed corrected observables,
 and the tests compare the two.
+
+It also keeps the per-cell artifact writers: one format call, colour
+and rect per cell of ``scan.csv``, ``scan.svg`` and ``sweep.csv``, which
+the CLI's column-at-a-time writers must match byte for byte.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from gupbell import tensor
+from gupbell import cli, tensor
 from gupbell.errors import DimensionError, HermiticityError
 from gupbell.gup import ChshResult, GupModel, PerturbedState
 from gupbell.quantum import ChshSettings, Direction, PureState, spin_observable
@@ -175,3 +180,68 @@ def scenario_chsh(cfg, s: ChshSettings) -> ChshResult:
 def correlator(rho: np.ndarray, obs_a: np.ndarray, obs_b: np.ndarray) -> float:
     """tr(rho A (x) B)."""
     return float(np.trace(np.asarray(rho) @ tensor.kron(obs_a, obs_b)).real)
+
+
+def _fmt9(x: float) -> str:
+    return format(float(x), ".9g")
+
+
+def heat_color(value: float, vmin: float, vmax: float) -> str:
+    """Linear blue -> white -> red map over [vmin, vmax]."""
+    mid = 0.5 * (vmin + vmax)
+    half = 0.5 * (vmax - vmin)
+    t = 0.0 if half == 0 else max(-1.0, min(1.0, (value - mid) / half))
+    if t < 0:
+        r = g = int(round(255 * (1.0 + t)))
+        b = 255
+    else:
+        r = 255
+        g = b = int(round(255 * (1.0 - t)))
+    return f"#{r:02x}{g:02x}{b:02x}"
+
+
+def heatmap_cells(values: np.ndarray) -> list:
+    """The cell rects of ``scan.svg``, one per cell, column by column."""
+    n1, n2 = values.shape
+    vmin = float(values.min())
+    vmax = float(values.max())
+    degenerate = (vmax - vmin) < 1e-12
+    if degenerate:
+        vmin, vmax = -4.0, 4.0
+    cells = []
+    for i in range(n1):
+        for j in range(n2):
+            v = float(values[i, j])
+            x = cli._MARGIN_LEFT + i * cli._CELL
+            y = cli._MARGIN_TOP + (n2 - 1 - j) * cli._CELL
+            outline = (not degenerate) and v > 2.0
+            stroke = ' stroke="#000" stroke-width="0.4"' if outline else ""
+            cells.append(
+                f'<rect x="{x}" y="{y}" width="{cli._CELL}" height="{cli._CELL}" '
+                f'fill="{heat_color(v, vmin, vmax)}"{stroke}/>')
+    return cells
+
+
+def scan_csv(grid) -> str:
+    """``scan.csv`` of a ``lab.ScanGrid``, formatted cell by cell."""
+    lines = ["theta1,theta2,S"]
+    for i, t1 in enumerate(grid.theta1_axis):
+        for j, t2 in enumerate(grid.theta2_axis):
+            lines.append(f"{_fmt9(t1)},{_fmt9(t2)},{_fmt9(grid.values[i, j])}")
+    return "\n".join(lines) + "\n"
+
+
+def sweep_csv(curves) -> tuple:
+    """``sweep.csv`` of ``lab.beta_sweep`` curves, formatted cell by cell,
+    and the largest S in it."""
+    lines = ["beta,theta,S_qm,S_s1,S_s2,S_s3"]
+    best = -math.inf
+    for curve in curves:
+        for k, theta in enumerate(curve.theta_axis):
+            row = [_fmt9(curve.beta), _fmt9(theta)]
+            for tag in ("qm", "s1", "s2", "s3"):
+                value = float(curve.series[tag][k])
+                best = max(best, value)
+                row.append(_fmt9(value))
+            lines.append(",".join(row))
+    return "\n".join(lines) + "\n", best

@@ -325,6 +325,17 @@ def test_estimate_counts_sum_without_wrapping(tmp_path, capsys):
     assert "invalid counts for pair ab" in capsys.readouterr().err
 
 
+def test_estimate_without_shots_is_2(tmp_path, capsys):
+    # no shot at all: every count 0 sums to shots_per_pair 0
+    estimate = tmp_path / "estimate.json"
+    estimate.write_text(json.dumps(dict(_ESTIMATE, shots_per_pair=0, counts={
+        k: [0, 0, 0, 0] for k in _ESTIMATE["counts"]})))
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text(json.dumps({"baseline_estimate": str(estimate)}))
+    assert run_main(["audit", "--config", cfgfile, "--out", tmp_path / "out"]) == 2
+    assert f"{estimate}: shots_per_pair: must be >= 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("doc, key", [
     ({"model": {"rule": "custom", "jp": _pairs(np.diag([1.0, 0.0]) + 0j)}}, "jp"),
     ({"model": {"rule": "custom", "jp": _pairs(np.array([[0, 1], [0, 0]]) + 0j)}}, "jp"),
