@@ -25,6 +25,6 @@ from .security import (
 from .shots import (
     ChshEstimate, CountsTable, ShotPlan, depolarize, estimate_chsh, lhv_max,
 )
-from .tensor import EigenSystem, eig_hermitian, kron
+from .tensor import EigenSystem, eig_hermitian
 
 __version__ = "0.1.0"

@@ -31,8 +31,8 @@ from .shots import ChshEstimate, CountsTable, ShotPlan
 PI = math.pi
 
 COMMANDS = ("scan", "sweep", "optimize", "sample", "audit")
-SCENARIOS = ("qm", "s1", "s2", "s3")
-MODEL_RULES = ("self-cubic", "tilt", "custom")
+SCENARIOS = lab.SCENARIOS
+MODEL_RULES = gup.RULES
 
 #: largest seed: the stream seed is a uint64 and ``audit`` also uses seed + 1
 SEED_MAX = 2**64 - 2
@@ -55,8 +55,8 @@ class RunConfig:
     grid_min_pi: float = 0.0
     grid_max_pi: float = 2.0
     grid_steps: int = 201
-    betas: list = field(default_factory=lambda: [0.1, 0.2, 0.5, 0.9])
-    theta_steps: int = 721
+    betas: list = field(default_factory=lambda: list(lab.DEFAULT_SWEEP_BETAS))
+    theta_steps: int = lab.DEFAULT_SWEEP_POINTS
     shots: int = 1_000_000
     seed: int = 42
     noise_p: float = 0.0
@@ -124,13 +124,18 @@ def _check_betas(value, path) -> list:
     return [_check_beta(b, f"{path}[{i}]") for i, b in enumerate(value)]
 
 
+def _check_pi_angle(value, path) -> float:
+    """An angle in multiples of pi that stays finite in radians."""
+    value = _check_number(value, path)
+    if not math.isfinite(value * PI):
+        _fail(path, "must be finite in radians (times pi)")
+    return value
+
+
 def _check_angles(value, path) -> list:
     if not isinstance(value, list) or len(value) != 2:
         _fail(path, "expected [theta_over_pi, phi_over_pi]")
-    angles = [_check_number(x, f"{path}[{i}]") for i, x in enumerate(value)]
-    if not all(math.isfinite(x * PI) for x in angles):
-        _fail(path, "angles must be finite")
-    return angles
+    return [_check_pi_angle(x, f"{path}[{i}]") for i, x in enumerate(value)]
 
 
 def _check_type(value, path, kind, what):
@@ -187,8 +192,8 @@ _CONFIG = {
     "jp": ("jp", partial(_check_matrix, dim=2)),
     **{f"settings.{name}": (f"settings_pi.{name}", _check_angles)
        for name in DEFAULT_SETTINGS_PI},
-    "grid.min": ("grid_min_pi", _check_number),
-    "grid.max": ("grid_max_pi", _check_number),
+    "grid.min": ("grid_min_pi", _check_pi_angle),
+    "grid.max": ("grid_max_pi", _check_pi_angle),
     "grid.steps": ("grid_steps", partial(_check_int, minimum=2)),
     "betas": ("betas", _check_betas),
     "theta_steps": ("theta_steps", partial(_check_int, minimum=2)),
@@ -237,6 +242,8 @@ def _apply(cfg: RunConfig, values: dict):
                 setattr(cfg, name, check(values[path], path))
     if cfg.grid_max_pi <= cfg.grid_min_pi:
         _fail("grid.max", "must exceed grid.min")
+    if not math.isfinite(cfg.grid_max_pi * PI - cfg.grid_min_pi * PI):
+        _fail("grid.max", "the span from grid.min must be finite in radians (times pi)")
 
 
 def _csv_numbers(path: str, message: str):
@@ -318,12 +325,11 @@ def _scenario_config(cfg: RunConfig) -> ScenarioConfig:
     input the physics rejects exits 2 in every command and scenario."""
     if cfg.model_rule == "custom" and cfg.jp is None:
         _fail("jp", "custom model requires a 2x2 Hermitian jp")
-    # a sweep corrects at each beta in betas, and the identity-part check
-    # of a custom jp grows with beta: check its model at the largest
+    # a sweep builds a model at each beta in betas, and the identity-part
+    # check of a custom jp grows with beta: check its model at the largest
     beta = max(cfg.betas) if cfg.command == "sweep" else cfg.beta
     try:
         model = GupModel(beta=beta, rule=cfg.model_rule, m=cfg.m, jp=cfg.jp)
-        model.corrected(np.zeros((0, 3)))  # the identity-part check, no direction
     except (HermiticityError, AmbiguousBranchError) as exc:
         _fail("jp", str(exc))
     scenario = ScenarioConfig(scenario=cfg.scenario, state=bell_state(),
@@ -522,7 +528,13 @@ def _run_sample(cfg: RunConfig, scenario: ScenarioConfig, out: Path) -> float:
     return est.s_hat
 
 
+#: how far a stored s_hat, stderr or correlator may be from its value from the counts
+DERIVED_TOL = 1e-12
+
+
 def _load_estimate(path: str) -> ChshEstimate:
+    """The estimate derived from a file's counts; the file's own ``s_hat``,
+    ``stderr`` and ``correlators`` must agree with it."""
     try:
         with open(path) as fh:
             doc = _load_json(fh, path)
@@ -539,11 +551,19 @@ def _load_estimate(path: str) -> ChshEstimate:
                     for k in shots.PAIR_LABELS},
             shots_per_pair=_check_int(doc["shots_per_pair"], f"{path}: shots_per_pair",
                                       minimum=1))
-        estimate = ChshEstimate(s_hat=_check_number(doc["s_hat"], f"{path}: s_hat"),
-                                stderr=_check_number(doc["stderr"], f"{path}: stderr"),
-                                counts=table, correlators=dict(doc["correlators"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        stored = {"s_hat": doc["s_hat"], "stderr": doc["stderr"],
+                  **{f"correlators.{k}": v for k, v in doc["correlators"].items()}}
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         _fail(path, f"not a valid estimate document: {exc}")
+    estimate = shots.estimate_from_counts(table)
+    derived = {"s_hat": estimate.s_hat, "stderr": estimate.stderr,
+               **{f"correlators.{k}": v for k, v in estimate.correlators.items()}}
+    for key in [*derived, *sorted(stored.keys() - derived.keys())]:
+        if key not in stored or key not in derived:
+            _fail(f"{path}: {key}", f"correlators must hold the pairs {shots.PAIR_LABELS}")
+        if abs(_check_number(stored[key], f"{path}: {key}") - derived[key]) > DERIVED_TOL:
+            _fail(f"{path}: {key}", f"{stored[key]!r} differs from {derived[key]!r}, "
+                  "its value from the counts")
     return estimate
 
 

@@ -39,16 +39,16 @@ class GupModel:
     rule "self-cubic" uses the cube of the observable (a no-op for spin
     components, kept as a consistency anchor), "tilt" adds a fixed spin
     component along the unit axis ``m``, and "custom" uses the supplied
-    2x2 Hermitian ``jp`` verbatim.  ``shift`` and ``axis`` are the Pauli
-    decomposition shift*I + axis.sigma of the perturbation for tilt and
-    custom (zero for self-cubic).
+    2x2 Hermitian ``jp`` verbatim.  ``axis`` is the Bloch vector of the
+    perturbation for tilt and custom (zero for self-cubic).  A custom jp
+    with an identity part at non-zero beta raises AmbiguousBranchError:
+    the eigenvalue branches of J + beta*J_p then differ in magnitude.
     """
 
     beta: float
     rule: str = "tilt"
     m: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
     jp: np.ndarray | None = None
-    shift: float = field(init=False, repr=False, default=0.0)
     axis: np.ndarray = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
@@ -71,7 +71,10 @@ class GupModel:
                 raise HermiticityError("custom jp must be 2x2 Hermitian")
             object.__setattr__(self, "jp", jp)
             shift, axis = pauli_parts(jp)
-            object.__setattr__(self, "shift", shift)
+            if 2.0 * abs(self.beta * shift) > BRANCH_MISMATCH_TOL:
+                raise AmbiguousBranchError(
+                    f"custom jp has identity part {shift:.12g}: the eigenvalue "
+                    "branch magnitudes differ; normalization undefined")
         object.__setattr__(self, "axis", axis)
 
     def perturbation_of(self, j: np.ndarray) -> np.ndarray:
@@ -93,9 +96,6 @@ class GupModel:
 
         Raises
         ------
-        AmbiguousBranchError
-            if a custom jp has an identity part, so the two eigenvalue
-            branches of J + beta*J_p differ in magnitude.
         OutOfRangeError
             if |beta'| >= 1 for any direction.
 
@@ -107,10 +107,6 @@ class GupModel:
             lam = np.full(n.shape[:-1], 1.0 + self.beta)
             beta_prime = np.full(n.shape[:-1], self.beta)
         else:
-            if 2.0 * abs(self.beta * self.shift) > BRANCH_MISMATCH_TOL:
-                raise AmbiguousBranchError(
-                    f"custom jp has identity part {self.shift:.12g}: the eigenvalue "
-                    "branch magnitudes differ; normalization undefined")
             v = n + self.beta * self.axis
             lam = np.linalg.norm(v, axis=-1)
             w = v / lam[..., None]
@@ -175,7 +171,7 @@ class ChshResult:
 
 def default_hamiltonian() -> np.ndarray:
     """-(sx (x) sx + sz (x) sz): unique PhiPlus ground state, gap 2."""
-    return -(tensor.kron(SIGMA_X, SIGMA_X) + tensor.kron(SIGMA_Z, SIGMA_Z))
+    return -(np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Z, SIGMA_Z))
 
 
 def default_perturbation(model: GupModel) -> np.ndarray:
@@ -184,7 +180,7 @@ def default_perturbation(model: GupModel) -> np.ndarray:
     hp = np.zeros((4, 4), dtype=complex)
     for p in (SIGMA_X, SIGMA_Z):
         pp = model.perturbation_of(p)
-        hp -= tensor.kron(pp, p) + tensor.kron(p, pp)
+        hp -= np.kron(pp, p) + np.kron(p, pp)
     return hp
 
 

@@ -20,11 +20,10 @@ from . import gup
 from .errors import GupBellError, OutOfRangeError
 from .gup import ChshResult, GupModel, PerturbedState
 from .quantum import (
-    ChshSettings, Direction, PureState, bell_state, correlation_tensor,
+    CHSH_PAIRS, CHSH_SIGNS, TSIRELSON, TWO_PI, ChshSettings, Direction, PureState,
+    bell_state, correlation_tensor,
 )
 
-TWO_PI = 2.0 * math.pi
-TSIRELSON = 2.0 * math.sqrt(2.0)
 BOXWORLD = 4.0
 
 REGION_CLASSICAL = "classical"
@@ -32,6 +31,8 @@ REGION_QUANTUM = "quantum"
 REGION_SUPERQUANTUM = "superquantum"
 REGION_UNPHYSICAL = "unphysical"
 
+#: uncorrected, corrected observables, perturbed state, both corrections
+SCENARIOS = ("qm", "s1", "s2", "s3")
 
 #: rounding allowance at every region boundary
 CLASSIFY_TOL = 1e-12
@@ -60,10 +61,9 @@ class ScenarioConfig:
     model: GupModel | None = None
     h0: np.ndarray | None = None
     hp: np.ndarray | None = None
-    level_index: int = 0
 
     def __post_init__(self):
-        if self.scenario not in ("qm", "s1", "s2", "s3"):
+        if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if self.scenario != "qm" and self.model is None:
             raise ValueError(f"scenario {self.scenario} requires a GupModel")
@@ -74,11 +74,11 @@ class ScenarioConfig:
         return 0.0 if self.model is None else self.model.beta
 
     def perturbed(self) -> PerturbedState:
-        """Perturbed state for scenarios 2 and 3 (defaults filled in)."""
+        """Perturbed ground state for scenarios 2 and 3 (defaults filled in)."""
         if self._perturbed is None:
             h0 = self.h0 if self.h0 is not None else gup.default_hamiltonian()
             hp = self.hp if self.hp is not None else gup.default_perturbation(self.model)
-            self._perturbed = gup.perturb_state(h0, hp, self.level_index, self.beta)
+            self._perturbed = gup.perturb_state(h0, hp, 0, self.beta)
         return self._perturbed
 
     def effective_density(self) -> np.ndarray:
@@ -120,18 +120,24 @@ class ScenarioConfig:
         return PureState(xg / np.linalg.norm(xg))
 
 
-#: the four correlator pairs (Alice, Bob) of S, as indices into (a, a', b, b')
-_PAIRS = ((0, 2), (0, 3), (1, 2), (1, 3))
-_SIGNS = np.array([1.0, 1.0, 1.0, -1.0])
+def _correlators(t: np.ndarray, w):
+    """E(a,b), E(a,b'), E(a',b), E(a',b') = w_A . T . w_B, one (K,) array
+    per pair, for the four (K, 3) direction arrays w = (w_a, w_a', w_b, w_b').
+
+    A generator, so that ``_chsh`` adds each correlator as it is made and
+    a large K never holds all four at once.
+    """
+    for i, j in CHSH_PAIRS:
+        yield np.einsum("ki,ij,kj->k", w[i], t, w[j])
 
 
-def _correlators(t: np.ndarray, w) -> np.ndarray:
-    """E(a,b), E(a,b'), E(a',b), E(a',b') = w_A . T . w_B."""
-    return np.array([w[i] @ t @ w[j] for i, j in _PAIRS])
-
-
-def _chsh(t: np.ndarray, w) -> float:
-    return float(_correlators(t, w) @ _SIGNS)
+def _chsh(correlators):
+    """S: the correlators added or subtracted by their sign, in pair order."""
+    e = iter(correlators)
+    s = next(e)  # the first sign is +1
+    for sign, x in zip(CHSH_SIGNS[1:], e):
+        s = s + x if sign > 0 else s - x
+    return s
 
 
 def evaluate_point(cfg: ScenarioConfig, s: ChshSettings) -> ChshResult:
@@ -145,25 +151,29 @@ def evaluate_point(cfg: ScenarioConfig, s: ChshSettings) -> ChshResult:
     Re<xi|B|xi_p>; s3 the squared norm of the corrected state.
     """
     n = np.array([d.unit_vector() for d in (s.a, s.a_prime, s.b, s.b_prime)])
+
+    def correlators(t, w):  # the kernel's single row, at the four rows of w
+        return [float(e[0]) for e in _correlators(t, w[:, None])]
+
     if cfg.scenario == "s2":
         ps = cfg.perturbed()
         xi = ps.xi.amplitudes
         sym = 0.5 * (np.outer(ps.xi_p, xi.conj()) + np.outer(xi, ps.xi_p.conj()))
-        qm = _chsh(correlation_tensor(np.outer(xi, xi.conj()))[2], n)
-        cross = _chsh(correlation_tensor(sym)[2], n)
+        qm = _chsh(correlators(correlation_tensor(np.outer(xi, xi.conj()))[2], n))
+        cross = _chsh(correlators(correlation_tensor(sym)[2], n))
         return ChshResult("s2", qm + 2.0 * ps.beta * cross,
                           2.0 * (1.0 + ps.beta * cross),
                           {"qm": qm, "cross": cross}, ps.beta)
     t = correlation_tensor(cfg.effective_density())[2]
     model = cfg.operator_model()
     if model is None:
-        return ChshResult("qm", _chsh(t, n), 2.0, {}, 0.0)
+        return ChshResult("qm", _chsh(correlators(t, n)), 2.0, {}, 0.0)
     w, lam, beta_prime = model.corrected(n)
     if cfg.scenario == "s3":
         xg = cfg.perturbed().corrected_vector()
-        return ChshResult("s3", _chsh(t, w), 2.0,
+        return ChshResult("s3", _chsh(correlators(t, w)), 2.0,
                           {"norm_sq": float((xg.conj() @ xg).real)}, model.beta)
-    e = _correlators(t, w)
+    e = correlators(t, w)
 
     def alice(k):  # weights k on A, A' against B + B' and B - B'
         return float(k[0] * (e[0] + e[1]) + k[1] * (e[2] - e[3]))
@@ -182,8 +192,7 @@ def evaluate_point(cfg: ScenarioConfig, s: ChshSettings) -> ChshResult:
                                - terms["bracket_beta_prime_bob"]
                                + terms["bracket_beta_dprime_alice"]
                                + terms["bracket_beta_dprime_bob"])
-    return ChshResult("s1", float(e @ _SIGNS), 2.0 + terms["correction_sum"],
-                      terms, beta)
+    return ChshResult("s1", _chsh(e), 2.0 + terms["correction_sum"], terms, beta)
 
 
 def planar_directions(theta: np.ndarray) -> np.ndarray:
@@ -210,16 +219,10 @@ class BatchEvaluator:
         n = np.atleast_2d(n)
         return n if self.model is None else self.model.corrected(n)[0]
 
-    def _correlator(self, w_a, w_b) -> np.ndarray:
-        return np.einsum("ki,ij,kj->k", w_a, self.moments, w_b)
-
     def values(self, na, nap, nb, nbp) -> np.ndarray:
         """S for each row of the four (K, 3) direction arrays."""
-        wa, wap, wb, wbp = (self._corrected(n) for n in (na, nap, nb, nbp))
-        return (self._correlator(wa, wb)
-                + self._correlator(wa, wbp)
-                + self._correlator(wap, wb)
-                - self._correlator(wap, wbp))
+        w = [self._corrected(n) for n in (na, nap, nb, nbp)]
+        return _chsh(_correlators(self.moments, w))
 
 
 @dataclass(frozen=True)
@@ -318,34 +321,23 @@ DEFAULT_SWEEP_BETAS = (0.1, 0.2, 0.5, 0.9)
 DEFAULT_SWEEP_POINTS = 721
 
 
-def beta_sweep(betas=DEFAULT_SWEEP_BETAS, theta_axis=None,
-               scenarios=("qm", "s1", "s2", "s3"), rule: str = "tilt",
-               m=(0.0, 0.0, 1.0), jp=None, state: PureState | None = None,
-               h0=None, hp=None) -> list[SweepCurve]:
-    """One curve bundle per beta over the one-parameter settings family."""
+def beta_sweep(betas=DEFAULT_SWEEP_BETAS, theta_axis=None, rule: str = "tilt",
+               m=(0.0, 0.0, 1.0), jp=None, h0=None, hp=None) -> list[SweepCurve]:
+    """One curve bundle per beta over the one-parameter settings family,
+    with a series per scenario on the Bell state."""
     if theta_axis is None:
         theta_axis = np.linspace(0.0, TWO_PI, DEFAULT_SWEEP_POINTS)
     theta_axis = np.asarray(theta_axis, dtype=float)
-    if state is None:
-        state = bell_state()
-    na = planar_directions(np.zeros_like(theta_axis))
-    nap = planar_directions(2.0 * theta_axis)
-    nb = planar_directions(theta_axis)
-    nbp = planar_directions(-theta_axis)
+    dirs = [planar_directions(t) for t in (np.zeros_like(theta_axis), 2.0 * theta_axis,
+                                           theta_axis, -theta_axis)]
+    qm = BatchEvaluator(ScenarioConfig()).values(*dirs)  # the same at every beta
     curves = []
     for beta in betas:
-        if beta < 0:
-            raise ValueError("beta must be non-negative")
-        if rule == "custom":
-            model = GupModel(beta=beta, rule="custom", jp=jp)
-        else:
-            model = GupModel(beta=beta, rule=rule, m=np.asarray(m, dtype=float))
-        series = {}
-        for tag in scenarios:
-            cfg = ScenarioConfig(scenario=tag, state=state,
-                                 model=None if tag == "qm" else model,
-                                 h0=h0, hp=hp)
-            series[tag] = BatchEvaluator(cfg).values(na, nap, nb, nbp)
+        model = GupModel(beta=beta, rule=rule, m=m, jp=jp)
+        series = {"qm": qm}
+        for tag in SCENARIOS[1:]:
+            cfg = ScenarioConfig(scenario=tag, model=model, h0=h0, hp=hp)
+            series[tag] = BatchEvaluator(cfg).values(*dirs)
         curves.append(SweepCurve(float(beta), theta_axis, series))
     return curves
 

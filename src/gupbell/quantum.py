@@ -17,6 +17,10 @@ PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 I2 = np.eye(2, dtype=complex)
 
 TWO_PI = 2.0 * math.pi
+TSIRELSON = 2.0 * math.sqrt(2.0)
+#: the correlator pairs (Alice, Bob) of S, indices into (a, a', b, b'), and their signs
+CHSH_PAIRS = ((0, 2), (0, 3), (1, 2), (1, 3))
+CHSH_SIGNS = (1.0, 1.0, 1.0, -1.0)
 
 BELL_KINDS = ("phi_plus", "phi_minus", "psi_plus", "psi_minus")
 
@@ -155,8 +159,8 @@ def correlation_tensor(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     these three and the corrected directions of the observables.
     """
     rho = np.asarray(rho, dtype=complex)
-    r_a = np.array([np.trace(rho @ tensor.kron(sig, I2)).real for sig in PAULIS])
-    r_b = np.array([np.trace(rho @ tensor.kron(I2, sig)).real for sig in PAULIS])
-    t = np.array([[np.trace(rho @ tensor.kron(si, sj)).real for sj in PAULIS]
+    r_a = np.array([np.trace(rho @ np.kron(sig, I2)).real for sig in PAULIS])
+    r_b = np.array([np.trace(rho @ np.kron(I2, sig)).real for sig in PAULIS])
+    t = np.array([[np.trace(rho @ np.kron(si, sj)).real for sj in PAULIS]
                   for si in PAULIS])
     return r_a, r_b, t

@@ -11,9 +11,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import GupBellError
+from .quantum import TSIRELSON
 from .shots import ChshEstimate
-
-TSIRELSON = 2.0 * math.sqrt(2.0)
 
 
 @dataclass(frozen=True)

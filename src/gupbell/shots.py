@@ -12,13 +12,12 @@ import numpy as np
 from . import kernels, tensor
 from .errors import DimensionError, HermiticityError, NotDichotomicError
 from .quantum import (
-    ChshSettings, DensityMatrix, PureState, correlation_tensor, pauli_parts,
-    spin_observable,
+    CHSH_PAIRS, CHSH_SIGNS, ChshSettings, DensityMatrix, PureState,
+    correlation_tensor, pauli_parts, spin_observable,
 )
 
+#: the labels of the four correlator pairs, in ``CHSH_PAIRS`` order
 PAIR_LABELS = ("ab", "abp", "apb", "apbp")
-#: signs combining the four correlators into S
-PAIR_SIGNS = (1.0, 1.0, 1.0, -1.0)
 
 
 @dataclass(frozen=True)
@@ -112,6 +111,24 @@ def default_observables(s: ChshSettings):
     return [spin_observable(d) for d in (s.a, s.a_prime, s.b, s.b_prime)]
 
 
+def estimate_from_counts(table: CountsTable) -> ChshEstimate:
+    """The correlators, S and its plug-in standard error from the counts,
+    with outcomes +-1: E = (n(+,+) - n(+,-) - n(-,+) + n(-,-)) / N."""
+    n = table.shots_per_pair
+    correlators = {}
+    s_hat = 0.0
+    var_sum = 0.0
+    for label, sign in zip(PAIR_LABELS, CHSH_SIGNS):
+        # Python ints: an int64 sum of an estimate file's counts could wrap
+        pp, pm, mp, mm = np.asarray(table.counts[label]).tolist()
+        e_hat = (pp - pm - mp + mm) / n
+        correlators[label] = e_hat
+        s_hat += sign * e_hat
+        var_sum += max(0.0, 1.0 - e_hat * e_hat)
+    return ChshEstimate(s_hat=s_hat, stderr=math.sqrt(var_sum / n),
+                        counts=table, correlators=correlators)
+
+
 def estimate_chsh(state: PureState, s: ChshSettings, plan: ShotPlan,
                   observables=None) -> ChshEstimate:
     """Estimate S from N shots per setting pair.
@@ -122,27 +139,14 @@ def estimate_chsh(state: PureState, s: ChshSettings, plan: ShotPlan,
     """
     if observables is None:
         observables = default_observables(s)
-    obs_a, obs_ap, obs_b, obs_bp = observables
     rho = depolarize(state, plan.noise_p)
     n = plan.shots_per_pair
-    pairs = ((obs_a, obs_b), (obs_a, obs_bp), (obs_ap, obs_b), (obs_ap, obs_bp))
     counts = {}
-    correlators = {}
-    s_hat = 0.0
-    var_sum = 0.0
-    for j, ((oa, ob), label, sign) in enumerate(zip(pairs, PAIR_LABELS, PAIR_SIGNS)):
-        probs, outcomes = joint_probabilities(rho, oa, ob)
+    for j, ((a, b), label) in enumerate(zip(CHSH_PAIRS, PAIR_LABELS)):
+        probs, _ = joint_probabilities(rho, observables[a], observables[b])
         cumulative = np.minimum(np.cumsum(probs)[:3], 1.0)
-        row = kernels.sample_counts(plan.seed, j * n, n, cumulative)
-        products = outcomes[:, 0] * outcomes[:, 1]
-        e_hat = float(row @ products) / n
-        counts[label] = row
-        correlators[label] = e_hat
-        s_hat += sign * e_hat
-        var_sum += max(0.0, 1.0 - e_hat * e_hat)
-    table = CountsTable(counts=counts, shots_per_pair=n)
-    return ChshEstimate(s_hat=s_hat, stderr=math.sqrt(var_sum / n),
-                        counts=table, correlators=correlators)
+        counts[label] = kernels.sample_counts(plan.seed, j * n, n, cumulative)
+    return estimate_from_counts(CountsTable(counts=counts, shots_per_pair=n))
 
 
 def lhv_max():

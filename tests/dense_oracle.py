@@ -47,7 +47,7 @@ def bell_operator(s: ChshSettings) -> np.ndarray:
     ap = spin_observable(s.a_prime)
     b = spin_observable(s.b)
     bp = spin_observable(s.b_prime)
-    return tensor.kron(a, b + bp) + tensor.kron(ap, b - bp)
+    return np.kron(a, b + bp) + np.kron(ap, b - bp)
 
 
 def chsh_value(state: PureState, s: ChshSettings) -> float:
@@ -91,7 +91,7 @@ def qm_chsh(state: PureState, s: ChshSettings) -> ChshResult:
 
 def _bell_combination(alice: np.ndarray, alice_prime: np.ndarray,
                       bob_plus: np.ndarray, bob_minus: np.ndarray) -> np.ndarray:
-    return tensor.kron(alice, bob_plus) + tensor.kron(alice_prime, bob_minus)
+    return np.kron(alice, bob_plus) + np.kron(alice_prime, bob_minus)
 
 
 def scenario1_chsh(state: PureState, s: ChshSettings, model: GupModel) -> ChshResult:
@@ -179,7 +179,7 @@ def scenario_chsh(cfg, s: ChshSettings) -> ChshResult:
 
 def correlator(rho: np.ndarray, obs_a: np.ndarray, obs_b: np.ndarray) -> float:
     """tr(rho A (x) B)."""
-    return float(np.trace(np.asarray(rho) @ tensor.kron(obs_a, obs_b)).real)
+    return float(np.trace(np.asarray(rho) @ np.kron(obs_a, obs_b)).real)
 
 
 def _fmt9(x: float) -> str:

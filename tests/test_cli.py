@@ -276,7 +276,8 @@ def _hermitian(seed: int, dim: int, scale: float) -> np.ndarray:
 
 
 _NON_HERMITIAN_4 = np.diag([-1.0, 0.0, 1.0, 2.0]) + np.diag([0.5, 0.0, 0.0], 1)
-_ESTIMATE = {"s_hat": 2.4, "stderr": 0.03, "shots_per_pair": 1000,
+# s_hat, stderr and correlators as the counts give them
+_ESTIMATE = {"s_hat": 2.4, "stderr": 0.05059644256269407, "shots_per_pair": 1000,
              "correlators": {"ab": 0.6, "abp": 0.6, "apb": 0.6, "apbp": -0.6},
              "counts": {"ab": [400, 100, 100, 400], "abp": [400, 100, 100, 400],
                         "apb": [400, 100, 100, 400], "apbp": [100, 400, 400, 100]}}
@@ -301,6 +302,18 @@ _ESTIMATE = {"s_hat": 2.4, "stderr": 0.03, "shots_per_pair": 1000,
     ("config", {"beta": 10**400}, "beta"),
     ("estimate", {"counts": dict(_ESTIMATE["counts"], ab=[2**64, 0, 0, 0])},
      "counts.ab[0]"),
+    # each bound, and the span, must stay finite in radians
+    ("config", {"grid": {"min": -1e308, "max": 1e308}}, "grid.min"),
+    ("config", {"grid": {"min": -5e307, "max": 5e307}}, "grid.max"),
+    # derived fields must match the counts, which give S = 4
+    ("estimate", {"s_hat": 3.9, "stderr": 0.0, "correlators": {"x": "junk"},
+                  "counts": dict.fromkeys(("ab", "abp", "apb"), [1000, 0, 0, 0]) | {
+                      "apbp": [0, 1000, 0, 0]}}, "s_hat"),
+    ("estimate", {"stderr": 0.03}, "stderr"),
+    ("estimate", {"correlators": dict(_ESTIMATE["correlators"], apb=0.61)},
+     "correlators.apb"),
+    ("estimate", {"correlators": dict(_ESTIMATE["correlators"], x=0.6)},
+     "correlators.x"),
 ])
 def test_json_numbers_must_be_numbers(tmp_path, capsys, target, doc, key):
     cfgfile = tmp_path / "run.json"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import dense_oracle
-from gupbell import gup
+from gupbell import gup, tensor
 from gupbell.errors import (
     AmbiguousBranchError, DegeneracyError, HermiticityError,
 )
@@ -57,10 +57,10 @@ class TestCorrectObservable:
         assert obs.beta_prime == pytest.approx(0.2)
 
     def test_branch_mismatch_raises(self):
-        # traceful jp shifts the two eigenvalue magnitudes apart
-        model = GupModel(beta=0.2, rule="custom", jp=np.eye(2, dtype=complex))
+        # traceful jp shifts the two eigenvalue magnitudes apart; the
+        # check needs only beta and jp, so construction fails
         with pytest.raises(AmbiguousBranchError):
-            gup_correct_observable(Direction(0.0), model)
+            GupModel(beta=0.2, rule="custom", jp=np.eye(2, dtype=complex))
 
     def test_large_coupling_raises(self):
         model = GupModel(beta=1.0, rule="tilt")
@@ -110,6 +110,27 @@ class TestPerturbState:
         hp[0, 1] = 1.0
         with pytest.raises(HermiticityError):
             perturb_state(default_hamiltonian(), hp, 0, 0.1)
+
+    def test_eigenvector_phases_cancel(self, monkeypatch, custom_hp):
+        # a phase of xi carries over to xi_p, and the phases of the other
+        # levels cancel in xi_p, so no effective density depends on them
+        rng = np.random.default_rng(13)
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        h0 = a + a.conj().T
+        model = GupModel(beta=0.2, rule="tilt", m=np.array([0.6, 0.0, 0.8]))
+
+        def densities():
+            return [ScenarioConfig(tag, model=model, h0=h, hp=custom_hp).effective_density()
+                    for tag in ("s2", "s3") for h in (None, h0)]
+
+        want = densities()
+        eig = tensor.eig_hermitian
+        for _ in range(5):
+            phases = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 4))
+            monkeypatch.setattr(tensor, "eig_hermitian", lambda m: tensor.EigenSystem(
+                eig(m).values, eig(m).vectors * phases))
+            for got, rho in zip(densities(), want):
+                assert np.max(np.abs(got - rho)) < 1e-12
 
     def test_level_index_range(self):
         with pytest.raises(IndexError):

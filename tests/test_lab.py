@@ -101,6 +101,22 @@ class TestBatchConsistency:
                                     for i in range(4)))
                 assert batch[0] == pytest.approx(want.value, abs=1e-12)
 
+    @pytest.mark.filterwarnings("ignore:.*no longer small")
+    def test_point_is_a_batch_row(self):
+        # evaluate_point reads one row of the evaluator's correlator kernel,
+        # so at the same unit vectors the two agree bit for bit
+        rng = np.random.default_rng(17)
+        for cfg in random_configs(rng, 2):
+            if cfg.scenario == "s2":  # reported as qm + 2 beta cross
+                continue
+            ev = BatchEvaluator(cfg)
+            for _ in range(5):
+                theta = rng.uniform(0.0, math.pi, 4)
+                phi = rng.uniform(0.0, 2.0 * math.pi, 4)
+                s = ChshSettings(*(Direction(t, p) for t, p in zip(theta, phi)))
+                n = [d.unit_vector() for d in (s.a, s.a_prime, s.b, s.b_prime)]
+                assert evaluate_point(cfg, s).value == ev.values(*n)[0]
+
     def test_sphere_directions_match(self):
         rng = np.random.default_rng(5)
         theta = rng.uniform(0.0, math.pi, size=(8, 4))
@@ -206,7 +222,7 @@ class TestBetaSweep:
     def test_custom_rule_accepted(self):
         jp = np.array([[0.3, 0.2j], [-0.2j, -0.3]])
         curves = beta_sweep(betas=(0.1,), theta_axis=np.linspace(0, 1, 9),
-                            scenarios=("s1",), rule="custom", jp=jp)
+                            rule="custom", jp=jp)
         assert np.all(np.isfinite(curves[0].series["s1"]))
 
     def test_rejects_negative_beta(self):

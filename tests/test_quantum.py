@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dense_oracle import bell_operator, chsh_value
-from gupbell import quantum
 from gupbell.errors import DimensionError, HermiticityError
 from gupbell.quantum import (
     ChshSettings, DensityMatrix, Direction, PureState, bell_state,
@@ -84,8 +83,8 @@ class TestObservables:
         # [KNOWN] E(a, b) = cos(theta_a - theta_b) on PhiPlus in the x-z plane
         psi = bell_state().amplitudes
         for ta, tb in ((0.0, 0.9), (1.3, -0.4), (2.0, 2.0)):
-            op = quantum.tensor.kron(spin_observable(Direction(ta)),
-                                     spin_observable(Direction(tb)))
+            op = np.kron(spin_observable(Direction(ta)),
+                         spin_observable(Direction(tb)))
             val = (psi.conj() @ op @ psi).real
             assert val == pytest.approx(math.cos(ta - tb), abs=1e-12)
 

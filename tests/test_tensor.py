@@ -24,18 +24,6 @@ class TestIsHermitian:
         assert not tensor.is_hermitian(np.zeros((2, 3)))
 
 
-class TestKron:
-    def test_alice_factor_first(self):
-        # [TRIVIAL] sz (x) I is diag(1, 1, -1, -1) in the computational basis
-        sz = np.diag([1.0, -1.0])
-        out = tensor.kron(sz, np.eye(2))
-        assert np.array_equal(np.diag(out).real, [1.0, 1.0, -1.0, -1.0])
-
-    def test_rejects_non_square(self):
-        with pytest.raises(DimensionError):
-            tensor.kron(np.zeros((2, 3)), np.eye(2))
-
-
 class TestEigHermitian:
     @given(st.integers(min_value=0, max_value=500))
     @settings(max_examples=40, deadline=None)
@@ -47,16 +35,6 @@ class TestEigHermitian:
         assert np.max(np.abs(recon - m)) < 1e-10
         gram = eig.vectors.conj().T @ eig.vectors
         assert np.max(np.abs(gram - np.eye(4))) < 1e-12
-
-    @given(st.integers(min_value=0, max_value=500))
-    @settings(max_examples=40, deadline=None)
-    def test_phase_convention(self, seed):
-        eig = tensor.eig_hermitian(random_hermitian(seed))
-        for k in range(4):
-            col = eig.vectors[:, k]
-            lead = col[int(np.argmax(np.abs(col)))]
-            assert abs(lead.imag) < 1e-12
-            assert lead.real > 0
 
     def test_deterministic(self):
         m = random_hermitian(7)
