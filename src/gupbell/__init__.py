@@ -6,7 +6,7 @@ from .errors import (
     ValidationError,
 )
 from .gup import (
-    ChshResult, GupModel, GupObservable, PerturbedState, default_hamiltonian,
+    ChshResult, GupModel, PerturbedState, default_hamiltonian,
     default_perturbation, gup_correct_observable, perturb_state,
 )
 from .lab import (
@@ -15,8 +15,8 @@ from .lab import (
     superclassical_components,
 )
 from .quantum import (
-    ChshSettings, DensityMatrix, Direction, PureState, bell_state,
-    canonical_settings, correlation_tensor, spin_observable,
+    ChshSettings, Direction, PureState, bell_state, canonical_settings,
+    correlation_tensor, spin_observable,
 )
 from .security import (
     SecurityReport, build_report, eavesdrop_test, minentropy_bound,
@@ -25,6 +25,6 @@ from .security import (
 from .shots import (
     ChshEstimate, CountsTable, ShotPlan, depolarize, estimate_chsh, lhv_max,
 )
-from .tensor import EigenSystem, eig_hermitian
+from .tensor import eig_hermitian
 
 __version__ = "0.1.0"

@@ -49,7 +49,7 @@ class RunConfig:
     scenario: str = "qm"
     beta: float = 0.1
     model_rule: str = "tilt"
-    m: list = field(default_factory=lambda: [0.0, 0.0, 1.0])
+    m: list | None = None
     jp: np.ndarray | None = None
     settings_pi: dict = field(default_factory=lambda: dict(DEFAULT_SETTINGS_PI))
     grid_min_pi: float = 0.0
@@ -325,11 +325,15 @@ def _scenario_config(cfg: RunConfig) -> ScenarioConfig:
     input the physics rejects exits 2 in every command and scenario."""
     if cfg.model_rule == "custom" and cfg.jp is None:
         _fail("jp", "custom model requires a 2x2 Hermitian jp")
+    for key, rule in (("m", "tilt"), ("jp", "custom")):
+        if getattr(cfg, key) is not None and cfg.model_rule != rule:
+            _fail(key, f"applies to the {rule} rule only, not {cfg.model_rule}")
     # a sweep builds a model at each beta in betas, and the identity-part
     # check of a custom jp grows with beta: check its model at the largest
     beta = max(cfg.betas) if cfg.command == "sweep" else cfg.beta
     try:
-        model = GupModel(beta=beta, rule=cfg.model_rule, m=cfg.m, jp=cfg.jp)
+        model = GupModel(beta=beta, rule=cfg.model_rule, jp=cfg.jp,
+                         **({} if cfg.m is None else {"m": cfg.m}))
     except (HermiticityError, AmbiguousBranchError) as exc:
         _fail("jp", str(exc))
     scenario = ScenarioConfig(scenario=cfg.scenario, state=bell_state(),

@@ -19,9 +19,7 @@ from . import tensor
 from .errors import (
     AmbiguousBranchError, DegeneracyError, HermiticityError, OutOfRangeError,
 )
-from .quantum import (
-    SIGMA_X, SIGMA_Z, Direction, PureState, pauli_parts, spin, spin_observable,
-)
+from .quantum import SIGMA_X, SIGMA_Z, Direction, PureState, pauli_parts, spin
 
 RULES = ("self-cubic", "tilt", "custom")
 
@@ -125,25 +123,15 @@ class GupModel:
 
 @dataclass(frozen=True)
 class GupObservable:
-    """A single-party observable together with its corrected version.
+    """``j_gup = w.sigma``, the normalized, exactly dichotomic corrected
+    spin used in Bell measurements."""
 
-    ``j_qm`` is the unperturbed spin, ``j_gup = w.sigma`` the normalized,
-    exactly dichotomic corrected operator used in Bell measurements,
-    ``lambda_gup_abs`` the eigenvalue magnitude of J + beta*J_p before
-    normalization and ``beta_prime`` the first-order coupling.
-    """
-
-    j_qm: np.ndarray
     j_gup: np.ndarray
-    lambda_gup_abs: float
-    beta_prime: float
 
 
 def gup_correct_observable(n: Direction, model: GupModel) -> GupObservable:
     """Apply the first-order correction to the spin observable along n."""
-    w, lam, beta_prime = model.corrected(n.unit_vector())
-    return GupObservable(j_qm=spin_observable(n), j_gup=spin(w),
-                         lambda_gup_abs=float(lam), beta_prime=float(beta_prime))
+    return GupObservable(j_gup=spin(model.corrected(n.unit_vector())[0]))
 
 
 @dataclass(frozen=True)
@@ -191,10 +179,9 @@ def perturb_state(h0: np.ndarray, hp: np.ndarray, level_index: int,
     The selected level must be non-degenerate (gap >= 1e-8); there is
     no meaningful single-level correction through a degeneracy.
     """
-    eig0 = tensor.eig_hermitian(np.asarray(h0, dtype=complex))
+    energies, vectors = tensor.eig_hermitian(np.asarray(h0, dtype=complex))
     if not tensor.is_hermitian(np.asarray(hp, dtype=complex), tol=1e-10):
         raise HermiticityError("hp must be Hermitian")
-    energies = eig0.values
     nlev = len(energies)
     if not 0 <= level_index < nlev:
         raise IndexError(f"level_index {level_index} out of range")
@@ -202,12 +189,12 @@ def perturb_state(h0: np.ndarray, hp: np.ndarray, level_index: int,
     if gaps.min() < 1e-8:
         raise DegeneracyError(
             f"level {level_index} is degenerate within 1e-8 (gap {gaps.min():.3g})")
-    xi = eig0.vectors[:, level_index]
+    xi = vectors[:, level_index]
     xi_p = np.zeros(nlev, dtype=complex)
     for k in range(nlev):
         if k == level_index:
             continue
-        vk = eig0.vectors[:, k]
+        vk = vectors[:, k]
         xi_p += (vk.conj() @ (np.asarray(hp, dtype=complex) @ xi)) \
             / (energies[level_index] - energies[k]) * vk
     return PerturbedState(xi=PureState(xi), xi_p=xi_p, beta=float(beta))

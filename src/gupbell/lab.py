@@ -155,16 +155,16 @@ def evaluate_point(cfg: ScenarioConfig, s: ChshSettings) -> ChshResult:
     def correlators(t, w):  # the kernel's single row, at the four rows of w
         return [float(e[0]) for e in _correlators(t, w[:, None])]
 
+    t = correlation_tensor(cfg.effective_density())[2]
     if cfg.scenario == "s2":
         ps = cfg.perturbed()
         xi = ps.xi.amplitudes
         sym = 0.5 * (np.outer(ps.xi_p, xi.conj()) + np.outer(xi, ps.xi_p.conj()))
         qm = _chsh(correlators(correlation_tensor(np.outer(xi, xi.conj()))[2], n))
         cross = _chsh(correlators(correlation_tensor(sym)[2], n))
-        return ChshResult("s2", qm + 2.0 * ps.beta * cross,
+        return ChshResult("s2", _chsh(correlators(t, n)),
                           2.0 * (1.0 + ps.beta * cross),
                           {"qm": qm, "cross": cross}, ps.beta)
-    t = correlation_tensor(cfg.effective_density())[2]
     model = cfg.operator_model()
     if model is None:
         return ChshResult("qm", _chsh(correlators(t, n)), 2.0, {}, 0.0)
@@ -468,18 +468,16 @@ def optimize_angles(cfg: ScenarioConfig, restarts: int = 1, seed: int = 42,
 
     rng = np.random.default_rng(seed)
     ndim = 8 if eight_angles else 4
-    starts = [x0]
-    for _ in range(restarts - 1):
-        starts.append(rng.uniform(0.0, TWO_PI, ndim))
-
     best_value = coarse_best
-    best_x = x0
+    best_x = x_start = x0
     converged = True
     budget = max_evals
-    for x_start in starts:
+    for restart in range(restarts):
         if budget <= 4:
             converged = False
             break
+        if restart:  # drawn only once the budget allows another start
+            x_start = rng.uniform(0.0, TWO_PI, ndim)
         x, fun, nfev, ok = _nelder_mead(objective, x_start, xatol=1e-9,
                                         fatol=1e-12, maxfev=budget)
         evaluations += nfev

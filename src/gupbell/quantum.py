@@ -7,8 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor
-from .errors import DimensionError, HermiticityError
+from .errors import DimensionError
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -93,30 +92,6 @@ class PureState:
             raise ValueError(f"state norm {norm} is not 1 within 1e-12")
         amp.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)
-
-    def density(self) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """4x4 density operator: Hermitian, unit trace, positive semidefinite."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (4, 4):
-            raise DimensionError("density matrix must be 4x4")
-        if not tensor.is_hermitian(m, tol=1e-10):
-            raise HermiticityError("density matrix must be Hermitian")
-        tr = complex(np.trace(m)).real
-        if abs(tr - 1.0) > 1e-12:
-            raise ValueError(f"density matrix trace {tr} is not 1 within 1e-12")
-        if float(np.linalg.eigvalsh(m).min()) < -1e-10:
-            raise ValueError("density matrix has a negative eigenvalue")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
 
 
 def bell_state(kind: str = "phi_plus") -> PureState:

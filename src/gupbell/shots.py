@@ -12,8 +12,8 @@ import numpy as np
 from . import kernels, tensor
 from .errors import DimensionError, HermiticityError, NotDichotomicError
 from .quantum import (
-    CHSH_PAIRS, CHSH_SIGNS, ChshSettings, DensityMatrix, PureState,
-    correlation_tensor, pauli_parts, spin_observable,
+    CHSH_PAIRS, CHSH_SIGNS, ChshSettings, PureState, correlation_tensor,
+    pauli_parts, spin_observable,
 )
 
 #: the labels of the four correlator pairs, in ``CHSH_PAIRS`` order
@@ -64,13 +64,14 @@ class ChshEstimate:
     correlators: dict
 
 
-def depolarize(state: PureState, p: float) -> DensityMatrix:
-    """Depolarizing channel rho = (1-p) |psi><psi| + p I/4."""
+def depolarize(state: PureState, p: float):
+    """``correlation_tensor`` (r_A, r_B, T) of the depolarized state
+    rho = (1-p) |psi><psi| + p I/4: those of |psi><psi| times (1-p), as
+    I/4 has none."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("depolarizing probability must lie in [0, 1]")
     psi = state.amplitudes
-    rho = (1.0 - p) * np.outer(psi, psi.conj()) + p * np.eye(4) / 4.0
-    return DensityMatrix(rho)
+    return tuple((1.0 - p) * x for x in correlation_tensor(np.outer(psi, psi.conj())))
 
 
 def _pauli_parts(obs: np.ndarray) -> tuple[float, np.ndarray]:
@@ -83,15 +84,16 @@ def _pauli_parts(obs: np.ndarray) -> tuple[float, np.ndarray]:
     return pauli_parts(obs)
 
 
-def joint_probabilities(rho: DensityMatrix, obs_a: np.ndarray, obs_b: np.ndarray):
+def joint_probabilities(rho, obs_a: np.ndarray, obs_b: np.ndarray):
     """Born probabilities for the four joint outcomes, ordered
-    (+,+), (+,-), (-,+), (-,-), with the actual outcome eigenvalues.
+    (+,+), (+,-), (-,+), (-,-), with the actual outcome eigenvalues, in
+    the state whose ``correlation_tensor`` is rho = (r_A, r_B, T).
 
     With each observable c0 I + c . sigma, outcomes c0 +- |c| and
     u = c/|c| its unit Bloch direction,
     P(s, t) = (1 + s u_a.r_A + t u_b.r_B + s t u_a.T.u_b) / 4.
     """
-    r_a, r_b, t = correlation_tensor(rho.matrix)
+    r_a, r_b, t = rho
     a0, a = _pauli_parts(obs_a)
     b0, b = _pauli_parts(obs_b)
     norm_a, norm_b = np.linalg.norm(a), np.linalg.norm(b)

@@ -7,8 +7,6 @@ tiny, so clarity wins over cleverness throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionError, HermiticityError, NumericError
@@ -23,21 +21,12 @@ def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
         np.max(np.abs(m - m.conj().T)) <= tol
 
 
-@dataclass(frozen=True)
-class EigenSystem:
-    """Eigenvalues in ascending order with orthonormal eigenvectors.
-
-    ``vectors[:, k]`` is the eigenvector for ``values[k]``, with the phase
-    ``np.linalg.eigh`` gives it: a phase carries over to the first-order
-    correction and cancels in every density operator built from them.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def eig_hermitian(m: np.ndarray) -> EigenSystem:
-    """Diagonalize a Hermitian matrix.
+def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonalize a Hermitian matrix: ``(values, vectors)`` as
+    ``np.linalg.eigh`` returns them, eigenvalues ascending and
+    ``vectors[:, k]`` the eigenvector for ``values[k]``.  Its phase is the
+    one ``eigh`` gives: a phase carries over to the first-order correction
+    and cancels in every density operator built from them.
 
     Raises
     ------
@@ -52,8 +41,7 @@ def eig_hermitian(m: np.ndarray) -> EigenSystem:
     if not is_hermitian(m, tol=EIG_HERMITIAN_TOL):
         raise HermiticityError("eig_hermitian requires a Hermitian matrix")
     try:
-        values, vectors = np.linalg.eigh(m)
+        return np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
-    return EigenSystem(values=values, vectors=vectors)
 

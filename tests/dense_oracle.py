@@ -70,11 +70,10 @@ def correct_observable(n: Direction, model: GupModel) -> DenseObservable:
     normalization the exact eigenvalue magnitude of J + beta*J_p."""
     j = spin_observable(n)
     jp = model.perturbation_of(j)
-    eig = tensor.eig_hermitian(j)
-    lam = eig.values  # (-1, +1) ascending
-    lam_p = (eig.vectors[:, 1].conj() @ jp @ eig.vectors[:, 1]).real
+    lam, vectors = tensor.eig_hermitian(j)  # (-1, +1) ascending
+    lam_p = (vectors[:, 1].conj() @ jp @ vectors[:, 1]).real
     j_gup_unnorm = j + model.beta * jp
-    lambda_gup_abs = float(np.abs(tensor.eig_hermitian(j_gup_unnorm).values[1]))
+    lambda_gup_abs = float(np.abs(tensor.eig_hermitian(j_gup_unnorm)[0][1]))
     return DenseObservable(
         j_gup_unnorm=j_gup_unnorm,
         lambda_gup_abs=lambda_gup_abs,

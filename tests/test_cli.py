@@ -356,8 +356,10 @@ def test_estimate_without_shots_is_2(tmp_path, capsys):
     ({"h0": _pairs(_NON_HERMITIAN_4 + 0j)}, "h0"),
     ({"h0": _pairs(np.diag([0.0, 0.0, 1.0, 2.0]) + 0j)}, "h0"),
     ({"model": "custom"}, "jp"),
+    ({"model": {"rule": "tilt", "jp": _pairs(np.array([[1, 5], [0, 0]]) + 0j)}}, "jp"),
+    ({"model": {"rule": "self-cubic", "m": [1, 0, 0]}}, "m"),
 ], ids=["traceful-jp", "non-hermitian-jp", "non-hermitian-hp", "non-hermitian-h0",
-        "degenerate-h0", "custom-without-jp"])
+        "degenerate-h0", "custom-without-jp", "jp-under-tilt", "m-under-self-cubic"])
 def test_rejected_matrix_exits_2_in_every_command(tmp_path, capsys, doc, key):
     # the model and the perturbed state are built for every run, so the
     # physics rejects an input before any command evaluates a scenario
@@ -419,7 +421,8 @@ def _check_estimate(cfg, s_hat: float, noise_p: float):
     obs = shots.default_observables(settings_) if model is None else [
         gup_correct_observable(d, model).j_gup
         for d in (settings_.a, settings_.a_prime, settings_.b, settings_.b_prime)]
-    rho = scenario.sampled_state().density().matrix
+    psi = scenario.sampled_state().amplitudes
+    rho = np.outer(psi, psi.conj())
     e = [(1.0 - noise_p) * correlator(rho, obs[i], obs[j])
          for i, j in ((0, 2), (0, 3), (1, 2), (1, 3))]
     sigma = math.sqrt(sum(1.0 - x * x for x in e) / cfg.shots)

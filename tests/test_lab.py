@@ -107,8 +107,6 @@ class TestBatchConsistency:
         # so at the same unit vectors the two agree bit for bit
         rng = np.random.default_rng(17)
         for cfg in random_configs(rng, 2):
-            if cfg.scenario == "s2":  # reported as qm + 2 beta cross
-                continue
             ev = BatchEvaluator(cfg)
             for _ in range(5):
                 theta = rng.uniform(0.0, math.pi, 4)
@@ -247,6 +245,31 @@ class TestOptimize:
         opt = optimize_angles(ScenarioConfig(), eight_angles=True,
                               max_evals=30_000)
         assert opt.value == pytest.approx(TSIRELSON, abs=1e-6)
+
+    def test_restart_draws_bounded_by_budget(self, monkeypatch):
+        # every refinement spends at least 5 evaluations, so the budget
+        # ends the loop long before 10**5 starts; none is drawn beyond it
+        draws = []
+        make_rng = np.random.default_rng
+
+        class CountingRng:
+            def __init__(self, seed):
+                self.rng = make_rng(seed)
+
+            def uniform(self, *args):
+                draws.append(args)
+                return self.rng.uniform(*args)
+
+        monkeypatch.setattr(np.random, "default_rng", CountingRng)
+        many = optimize_angles(ScenarioConfig(), restarts=10**5, coarse_steps=3,
+                               max_evals=2000)
+        drawn = len(draws)
+        assert 0 < drawn <= 2000 // 5
+        # the same starts in the same order as a run that asks for just these
+        few = optimize_angles(ScenarioConfig(), restarts=drawn + 1, coarse_steps=3,
+                              max_evals=2000)
+        assert (few.value, few.settings, few.evaluations) == \
+            (many.value, many.settings, many.evaluations)
 
     def test_restart_validation(self):
         with pytest.raises(ValueError):

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dense_oracle import bell_operator, chsh_value
-from gupbell.errors import DimensionError, HermiticityError
+from gupbell.errors import DimensionError
 from gupbell.quantum import (
-    ChshSettings, DensityMatrix, Direction, PureState, bell_state,
-    canonical_settings, spin_observable,
+    ChshSettings, Direction, PureState, bell_state, canonical_settings,
+    spin_observable,
 )
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -57,20 +57,6 @@ class TestStates:
     def test_pure_state_dimension(self):
         with pytest.raises(DimensionError):
             PureState(np.array([1.0, 0.0]))
-
-    def test_density_of_pure_state(self):
-        rho = bell_state().density()
-        assert np.trace(rho.matrix).real == pytest.approx(1.0)
-
-    def test_density_validation(self):
-        with pytest.raises(ValueError):
-            DensityMatrix(np.eye(4) / 2.0)  # trace 2
-        with pytest.raises(HermiticityError):
-            m = np.eye(4, dtype=complex) / 4.0
-            m[0, 1] = 1e-3
-            DensityMatrix(m)
-        with pytest.raises(ValueError):
-            DensityMatrix(np.diag([1.5, -0.5, 0.0, 0.0]))  # negative eigenvalue
 
 
 class TestObservables:

@@ -6,7 +6,8 @@ import pytest
 from dense_oracle import chsh_value, correlator
 from gupbell.errors import NotDichotomicError
 from gupbell.quantum import (
-    Direction, PureState, bell_state, canonical_settings, spin_observable,
+    Direction, PureState, bell_state, canonical_settings, correlation_tensor,
+    spin_observable,
 )
 from gupbell.shots import (
     ChshEstimate, CountsTable, ShotPlan, depolarize, estimate_chsh,
@@ -31,16 +32,32 @@ class TestPlansAndTables:
             CountsTable(counts=bad, shots_per_pair=10)
 
 
+def dense(state: PureState, p: float = 0.0) -> np.ndarray:
+    """The depolarized state (1-p) |psi><psi| + p I/4 as a 4x4 matrix."""
+    psi = state.amplitudes
+    return (1.0 - p) * np.outer(psi, psi.conj()) + p * np.eye(4) / 4.0
+
+
+def random_state(rng) -> PureState:
+    psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+    return PureState(psi / np.linalg.norm(psi))
+
+
 class TestDepolarize:
     def test_channel_form(self):
-        rho = depolarize(bell_state(), 0.4)
-        pure = bell_state().density().matrix
-        want = 0.6 * pure + 0.4 * np.eye(4) / 4.0
-        assert np.max(np.abs(rho.matrix - want)) < 1e-12
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            state, p = random_state(rng), rng.uniform()
+            oracle = correlation_tensor(dense(state, p))
+            for got, want in zip(depolarize(state, p), oracle):
+                assert np.max(np.abs(got - want)) < 1e-12
+        state = random_state(rng)
+        for got, want in zip(depolarize(state, 0.0), correlation_tensor(dense(state))):
+            assert np.array_equal(got, want)
 
     def test_full_noise_is_maximally_mixed(self):
-        rho = depolarize(bell_state(), 1.0)
-        assert np.max(np.abs(rho.matrix - np.eye(4) / 4.0)) < 1e-12
+        for x in depolarize(bell_state(), 1.0):
+            assert np.all(x == 0.0)
 
     def test_probability_range(self):
         with pytest.raises(ValueError):
@@ -51,7 +68,7 @@ class TestJointProbabilities:
     def test_phi_plus_quarter_turn(self):
         # [DERIVED] aligned-outcome probability cos^2(pi/8) for a 45 degree
         # relative angle on PhiPlus
-        rho = bell_state().density()
+        rho = depolarize(bell_state(), 0.0)
         obs_a = spin_observable(Direction(0.0))
         obs_b = spin_observable(Direction(math.pi / 4))
         probs, outcomes = joint_probabilities(rho, obs_a, obs_b)
@@ -71,7 +88,7 @@ class TestJointProbabilities:
             assert e == pytest.approx((1.0 - p) * math.cos(0.8), abs=1e-12)
 
     def test_rejects_degenerate_observable(self):
-        rho = bell_state().density()
+        rho = depolarize(bell_state(), 0.0)
         with pytest.raises(NotDichotomicError):
             joint_probabilities(rho, np.eye(2, dtype=complex),
                                 spin_observable(Direction(0.0)))
@@ -79,7 +96,7 @@ class TestJointProbabilities:
 
 class TestMeasurePair:
     def test_draw_selects_ordered_outcomes(self):
-        rho = bell_state().density()
+        rho = depolarize(bell_state(), 0.0)
         obs = spin_observable(Direction(0.0))
         # parallel z measurements on PhiPlus: only (+,+) and (-,-) occur,
         # first and last in the order the sampler's thresholds follow
@@ -89,7 +106,7 @@ class TestMeasurePair:
         assert tuple(outcomes[3]) == (-1.0, -1.0)
 
     def test_outcomes_carry_eigenvalues(self):
-        rho = bell_state().density()
+        rho = depolarize(bell_state(), 0.0)
         scaled = 2.0 * spin_observable(Direction(0.0))
         _, outcomes = joint_probabilities(rho, scaled, scaled)
         assert tuple(outcomes[0]) == (2.0, 2.0)
@@ -107,15 +124,15 @@ class TestBornRule:
         # non-zero local Bloch vectors and observables with an identity part
         rng = np.random.default_rng(8)
         for _ in range(20):
-            psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-            rho = depolarize(PureState(psi / np.linalg.norm(psi)), rng.uniform())
+            state, p = random_state(rng), rng.uniform()
             h = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
             obs_a, obs_b = h + h.conj().transpose(0, 2, 1)
-            probs, outcomes = joint_probabilities(rho, obs_a, obs_b)
+            probs, outcomes = joint_probabilities(depolarize(state, p), obs_a, obs_b)
             (va, pa), (vb, pb) = eigen_branches(obs_a), eigen_branches(obs_b)
             pairs = ((0, 0), (0, 1), (1, 0), (1, 1))
+            rho = dense(state, p)
             assert probs == pytest.approx(
-                [correlator(rho.matrix, pa[i], pb[j]) for i, j in pairs], abs=1e-12)
+                [correlator(rho, pa[i], pb[j]) for i, j in pairs], abs=1e-12)
             assert outcomes == pytest.approx(
                 np.array([[va[i], vb[j]] for i, j in pairs]), abs=1e-12)
 
