@@ -606,6 +606,9 @@ def main(argv=None) -> int:
     except GupBellError as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:
+        print(f"evaluation error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 4
     print(f"{cfg.command} S={_fmt9(value)} region={classify(value)}")
     return 0
 

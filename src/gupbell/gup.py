@@ -37,10 +37,11 @@ class GupModel:
     rule "self-cubic" uses the cube of the observable (a no-op for spin
     components, kept as a consistency anchor), "tilt" adds a fixed spin
     component along the unit axis ``m``, and "custom" uses the supplied
-    2x2 Hermitian ``jp`` verbatim.  ``axis`` is the Bloch vector of the
-    perturbation for tilt and custom (zero for self-cubic).  A custom jp
-    with an identity part at non-zero beta raises AmbiguousBranchError:
-    the eigenvalue branches of J + beta*J_p then differ in magnitude.
+    2x2 Hermitian ``jp`` verbatim; no other rule takes a ``jp``.  ``axis``
+    is the Bloch vector of the perturbation for tilt and custom (zero for
+    self-cubic).  A custom jp with an identity part at non-zero beta raises
+    AmbiguousBranchError: the eigenvalue branches of J + beta*J_p then
+    differ in magnitude.
     """
 
     beta: float
@@ -55,6 +56,8 @@ class GupModel:
         rule = self.rule.replace("_", "-")
         if rule not in RULES:
             raise ValueError(f"unknown rule {self.rule!r}; expected one of {RULES}")
+        if self.jp is not None and rule != "custom":
+            raise ValueError(f"jp applies to the custom rule only, not {rule}")
         object.__setattr__(self, "rule", rule)
         m = np.asarray(self.m, dtype=float).reshape(-1)
         axis = np.zeros(3)

@@ -21,7 +21,7 @@ from .errors import GupBellError, OutOfRangeError
 from .gup import ChshResult, GupModel, PerturbedState
 from .quantum import (
     CHSH_PAIRS, CHSH_SIGNS, TSIRELSON, TWO_PI, ChshSettings, Direction, PureState,
-    bell_state, correlation_tensor,
+    bell_state, correlation_tensor, directions,
 )
 
 BOXWORLD = 4.0
@@ -69,16 +69,13 @@ class ScenarioConfig:
             raise ValueError(f"scenario {self.scenario} requires a GupModel")
         self._perturbed = None
 
-    @property
-    def beta(self) -> float:
-        return 0.0 if self.model is None else self.model.beta
-
     def perturbed(self) -> PerturbedState:
         """Perturbed ground state for scenarios 2 and 3 (defaults filled in)."""
         if self._perturbed is None:
             h0 = self.h0 if self.h0 is not None else gup.default_hamiltonian()
             hp = self.hp if self.hp is not None else gup.default_perturbation(self.model)
-            self._perturbed = gup.perturb_state(h0, hp, 0, self.beta)
+            self._perturbed = gup.perturb_state(
+                h0, hp, 0, 0.0 if self.model is None else self.model.beta)
         return self._perturbed
 
     def effective_density(self) -> np.ndarray:
@@ -195,19 +192,6 @@ def evaluate_point(cfg: ScenarioConfig, s: ChshSettings) -> ChshResult:
     return ChshResult("s1", _chsh(e), 2.0 + terms["correction_sum"], terms, beta)
 
 
-def planar_directions(theta: np.ndarray) -> np.ndarray:
-    """Unit vectors in the x-z plane for an array of polar angles."""
-    theta = np.asarray(theta, dtype=float)
-    return np.stack([np.sin(theta), np.zeros_like(theta), np.cos(theta)], axis=-1)
-
-
-def sphere_directions(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    st = np.sin(theta)
-    return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
-
-
 class BatchEvaluator:
     """Vectorized CHSH evaluation over arrays of measurement directions."""
 
@@ -232,8 +216,6 @@ class ScanGrid:
     theta1_axis: np.ndarray
     theta2_axis: np.ndarray
     values: np.ndarray
-    scenario: str
-    beta: float
 
     def __post_init__(self):
         if self.values.shape != (len(self.theta1_axis), len(self.theta2_axis)):
@@ -264,13 +246,9 @@ def grid_scan(cfg: ScenarioConfig, resolution: int = 201,
     t1 = t1.ravel()
     t2 = t2.ravel()
     ev = BatchEvaluator(cfg)
-    values = ev.values(
-        planar_directions(np.zeros_like(t1)),
-        planar_directions(t1),
-        planar_directions(t2),
-        planar_directions(-t2),
-    ).reshape(resolution, resolution)
-    return ScanGrid(axis1, axis2, values, cfg.scenario, cfg.beta)
+    values = ev.values(directions(np.zeros_like(t1)), directions(t1),
+                       directions(t2), directions(-t2))
+    return ScanGrid(axis1, axis2, values.reshape(resolution, resolution))
 
 
 def superclassical_components(grid: ScanGrid, threshold: float = 2.0) -> int:
@@ -328,8 +306,8 @@ def beta_sweep(betas=DEFAULT_SWEEP_BETAS, theta_axis=None, rule: str = "tilt",
     if theta_axis is None:
         theta_axis = np.linspace(0.0, TWO_PI, DEFAULT_SWEEP_POINTS)
     theta_axis = np.asarray(theta_axis, dtype=float)
-    dirs = [planar_directions(t) for t in (np.zeros_like(theta_axis), 2.0 * theta_axis,
-                                           theta_axis, -theta_axis)]
+    dirs = [directions(t) for t in (np.zeros_like(theta_axis), 2.0 * theta_axis,
+                                    theta_axis, -theta_axis)]
     qm = BatchEvaluator(ScenarioConfig()).values(*dirs)  # the same at every beta
     curves = []
     for beta in betas:
@@ -451,7 +429,7 @@ def optimize_angles(cfg: ScenarioConfig, restarts: int = 1, seed: int = 42,
     axis = np.linspace(0.0, TWO_PI, coarse_steps)
     grids = np.meshgrid(axis, axis, axis, axis, indexing="ij")
     flat = np.stack([g.ravel() for g in grids], axis=-1)
-    coarse_vals = ev.values(*(planar_directions(flat[:, i]) for i in range(4)))
+    coarse_vals = ev.values(*(directions(flat[:, i]) for i in range(4)))
     evaluations += flat.shape[0]
     best_idx = int(np.argmax(coarse_vals))
     coarse_best = float(coarse_vals[best_idx])
@@ -459,15 +437,13 @@ def optimize_angles(cfg: ScenarioConfig, restarts: int = 1, seed: int = 42,
     if eight_angles:
         x0 = np.concatenate([x0, np.zeros(4)])
 
+    def angles(x):  # the polar angles and azimuths of a, a', b, b'
+        return x[:4], x[4:] if eight_angles else np.zeros(4)
+
     def objective(x):
-        if eight_angles:
-            dirs = [sphere_directions(x[i:i + 1], x[4 + i:5 + i]) for i in range(4)]
-        else:
-            dirs = [planar_directions(x[i:i + 1]) for i in range(4)]
-        return -float(ev.values(*dirs)[0])
+        return -float(ev.values(*directions(*angles(x)))[0])
 
     rng = np.random.default_rng(seed)
-    ndim = 8 if eight_angles else 4
     best_value = coarse_best
     best_x = x_start = x0
     converged = True
@@ -477,7 +453,7 @@ def optimize_angles(cfg: ScenarioConfig, restarts: int = 1, seed: int = 42,
             converged = False
             break
         if restart:  # drawn only once the budget allows another start
-            x_start = rng.uniform(0.0, TWO_PI, ndim)
+            x_start = rng.uniform(0.0, TWO_PI, x0.size)
         x, fun, nfev, ok = _nelder_mead(objective, x_start, xatol=1e-9,
                                         fatol=1e-12, maxfev=budget)
         evaluations += nfev
@@ -488,9 +464,6 @@ def optimize_angles(cfg: ScenarioConfig, restarts: int = 1, seed: int = 42,
             best_value = -fun
             best_x = x
 
-    if eight_angles:
-        settings = ChshSettings(*(Direction(best_x[i], best_x[4 + i]) for i in range(4)))
-    else:
-        settings = ChshSettings.planar(*best_x[:4])
+    settings = ChshSettings(*map(Direction, *angles(best_x)))
     return Optimum(settings=settings, value=float(best_value),
                    evaluations=evaluations, converged=converged)

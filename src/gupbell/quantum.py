@@ -51,10 +51,15 @@ class Direction:
         object.__setattr__(self, "phi", ph)
 
     def unit_vector(self) -> np.ndarray:
-        st = math.sin(self.theta)
-        return np.array([st * math.cos(self.phi),
-                         st * math.sin(self.phi),
-                         math.cos(self.theta)])
+        return directions(self.theta, self.phi)
+
+
+def directions(theta, phi=0.0) -> np.ndarray:
+    """Unit vectors (sin t cos p, sin t sin p, cos t) for polar angles t and
+    azimuths p, broadcast together; shape (..., 3).  The only map from
+    angles to directions: every setting enters S through it."""
+    st = np.sin(theta)
+    return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
 
 
 @dataclass(frozen=True)

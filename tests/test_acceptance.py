@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 
 from dense_oracle import chsh_value
-from gupbell import lab, security, shots
+from gupbell import security, shots
 from gupbell.gup import (
     GupModel, default_hamiltonian, default_perturbation,
     gup_correct_observable, perturb_state,
@@ -19,7 +19,7 @@ from gupbell.lab import (
     BatchEvaluator, ScenarioConfig, beta_sweep, evaluate_point, grid_scan,
     optimize_angles, superclassical_components,
 )
-from gupbell.quantum import bell_state, canonical_settings
+from gupbell.quantum import bell_state, canonical_settings, directions
 from gupbell.shots import ShotPlan, estimate_chsh, lhv_max
 from gupbell.tensor import eig_hermitian
 
@@ -95,7 +95,7 @@ def test_criterion_06_scenario3_invariance():
     rng = np.random.default_rng(2026)
     theta = rng.uniform(0.0, math.pi, size=(1000, 4))
     phi = rng.uniform(0.0, 2.0 * math.pi, size=(1000, 4))
-    dirs = [lab.sphere_directions(theta[:, i], phi[:, i]) for i in range(4)]
+    dirs = [directions(theta[:, i], phi[:, i]) for i in range(4)]
     gap = float(np.max(np.abs(s3_ev.values(*dirs) - qm_ev.values(*dirs))))
     assert gap < 1e-10
 

@@ -217,6 +217,37 @@ class TestExitCodes:
         assert run_main(["audit", "--config", path, "--out", tmp_path / "out"]) == 2
         assert "non-finite" in capsys.readouterr().err
 
+    def test_unwritable_output_is_3(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert run_main(["sample", "--shots", 1000, "--out", blocker / "sub"]) == 3
+        assert "Not a directory" in capsys.readouterr().err
+
+    def test_zero_stderr_estimates_are_4(self, tmp_path, capsys):
+        # S = 4 from ten shots per pair, so neither estimate has any spread
+        estimate = tmp_path / "estimate.json"
+        estimate.write_text(json.dumps({
+            "s_hat": 4.0, "stderr": 0.0, "shots_per_pair": 10,
+            "correlators": {"ab": 1.0, "abp": 1.0, "apb": 1.0, "apbp": -1.0},
+            "counts": dict.fromkeys(("ab", "abp", "apb"), [10, 0, 0, 0])
+            | {"apbp": [0, 10, 0, 0]}}))
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps({"baseline_estimate": str(estimate),
+                                       "observed_estimate": str(estimate)}))
+        assert run_main(["audit", "--config", cfgfile, "--out", tmp_path / "out"]) == 4
+        assert "both estimates have zero stderr" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError("Unable to allocate 74.5 GiB"), "Unable to allocate 74.5 GiB"),
+        (MemoryError(), "out of memory")])
+    def test_out_of_memory_is_4(self, tmp_path, capsys, monkeypatch, exc, message):
+        # a grid too large to allocate; none is allocated here
+        def scan(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr(cli.lab, "grid_scan", scan)
+        assert run_main(["scan", "--out", tmp_path / "out"]) == 4
+        assert f"evaluation error: {message}" in capsys.readouterr().err
+
     def test_binary_contract(self, tmp_path):
         # the installed entry point behaves like main()
         out = tmp_path / "out"

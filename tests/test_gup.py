@@ -38,6 +38,12 @@ class TestGupModel:
         with pytest.raises(HermiticityError):
             GupModel(beta=0.1, rule="custom", jp=np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("rule", ["tilt", "self-cubic"])
+    def test_jp_only_under_custom(self, rule):
+        # a jp the rule would not read, here not even Hermitian
+        with pytest.raises(ValueError, match="custom rule only"):
+            GupModel(beta=0.1, rule=rule, jp=np.array([[1, 5], [0, 0]]))
+
     def test_self_cubic_is_identity_on_spin(self):
         model = GupModel(beta=0.2, rule="self-cubic")
         j = spin_observable(Direction(0.8, 1.1))

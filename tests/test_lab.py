@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import dense_oracle
-from gupbell import lab
 from gupbell.errors import GupBellError
 from gupbell.gup import GupModel
 from gupbell.lab import (
@@ -14,6 +13,7 @@ from gupbell.lab import (
 )
 from gupbell.quantum import (
     SIGMA_X, SIGMA_Y, SIGMA_Z, ChshSettings, Direction, correlation_tensor,
+    directions,
 )
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -75,8 +75,7 @@ class TestBatchConsistency:
         angles = rng.uniform(0.0, 2.0 * math.pi, size=(20, 4))
         for cfg in self._configs(custom_hp):
             ev = BatchEvaluator(cfg)
-            batch = ev.values(*(lab.planar_directions(angles[:, i])
-                                for i in range(4)))
+            batch = ev.values(*(directions(angles[:, i]) for i in range(4)))
             for row, want in zip(angles, batch):
                 s = ChshSettings.planar(*row)
                 assert evaluate_point(cfg, s).value == pytest.approx(
@@ -97,8 +96,7 @@ class TestBatchConsistency:
                 assert set(got.terms) == set(want.terms)
                 for key in want.terms:
                     assert got.terms[key] == pytest.approx(want.terms[key], abs=1e-12)
-                batch = ev.values(*(lab.sphere_directions(theta[i], phi[i])
-                                    for i in range(4)))
+                batch = ev.values(*directions(theta, phi))
                 assert batch[0] == pytest.approx(want.value, abs=1e-12)
 
     @pytest.mark.filterwarnings("ignore:.*no longer small")
@@ -121,8 +119,7 @@ class TestBatchConsistency:
         phi = rng.uniform(0.0, 2.0 * math.pi, size=(8, 4))
         cfg = ScenarioConfig()
         ev = BatchEvaluator(cfg)
-        batch = ev.values(*(lab.sphere_directions(theta[:, i], phi[:, i])
-                            for i in range(4)))
+        batch = ev.values(*(directions(theta[:, i], phi[:, i]) for i in range(4)))
         for k in range(8):
             s = ChshSettings(*(Direction(theta[k, i], phi[k, i])
                                for i in range(4)))
@@ -192,11 +189,11 @@ class TestGridScan:
 
     def test_shape_validation(self):
         with pytest.raises(GupBellError):
-            ScanGrid(np.zeros(3), np.zeros(3), np.zeros((3, 4)), "qm", 0.0)
+            ScanGrid(np.zeros(3), np.zeros(3), np.zeros((3, 4)))
 
     def test_ceiling_validation(self):
         with pytest.raises(GupBellError):
-            ScanGrid(np.zeros(2), np.zeros(2), np.full((2, 2), 5.0), "qm", 0.0)
+            ScanGrid(np.zeros(2), np.zeros(2), np.full((2, 2), 5.0))
 
     def test_resolution_minimum(self):
         with pytest.raises(ValueError):

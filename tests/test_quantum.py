@@ -8,7 +8,7 @@ from dense_oracle import bell_operator, chsh_value
 from gupbell.errors import DimensionError
 from gupbell.quantum import (
     ChshSettings, Direction, PureState, bell_state, canonical_settings,
-    spin_observable,
+    directions, spin_observable,
 )
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -37,6 +37,16 @@ class TestDirection:
 
     def test_unit_vector_normalized(self):
         assert np.linalg.norm(Direction(1.2, 3.4).unit_vector()) == pytest.approx(1.0)
+
+    def test_unit_vector_is_a_row_of_directions(self):
+        # one map from angles to directions, for one direction or an array
+        rng = np.random.default_rng(3)
+        ds = [Direction(t, p) for t, p in rng.uniform(-7.0, 7.0, size=(200, 2))]
+        theta = np.array([d.theta for d in ds])
+        phi = np.array([d.phi for d in ds])
+        for d, row, planar in zip(ds, directions(theta, phi), directions(theta)):
+            assert d.unit_vector().tobytes() == row.tobytes()
+            assert Direction(d.theta).unit_vector().tobytes() == planar.tobytes()
 
 
 class TestStates:

@@ -12,9 +12,9 @@ import pytest
 from gupbell import lab
 from gupbell.gup import GupModel
 from gupbell.lab import (
-    BatchEvaluator, ScenarioConfig, _nelder_mead, planar_directions,
-    sphere_directions, superclassical_components,
+    BatchEvaluator, ScenarioConfig, _nelder_mead, superclassical_components,
 )
+from gupbell.quantum import directions
 
 optimize = pytest.importorskip("scipy.optimize")
 ndimage = pytest.importorskip("scipy.ndimage")
@@ -25,11 +25,7 @@ def chsh_objective(cfg, eight_angles):
     ev = BatchEvaluator(cfg)
 
     def objective(x):
-        if eight_angles:
-            dirs = [sphere_directions(x[i:i + 1], x[4 + i:5 + i]) for i in range(4)]
-        else:
-            dirs = [planar_directions(x[i:i + 1]) for i in range(4)]
-        return -float(ev.values(*dirs)[0])
+        return -float(ev.values(*directions(x[:4], x[4:] if eight_angles else 0.0))[0])
     return objective
 
 

@@ -74,7 +74,7 @@ def _synthetic_grid(values, n2):
     values = np.concatenate([values, np.zeros(-len(values) % n2)]).reshape(-1, n2)
     n1 = values.shape[0]
     return lab.ScanGrid(np.linspace(-0.3, 2.7, n1) ** 3, np.geomspace(1e-7, 5e3, n2),
-                        values, "s1", 0.1)
+                        values)
 
 
 def test_colour_rounding_ties_outline_and_clamps(tmp_path, monkeypatch):
