@@ -12,7 +12,6 @@ from .gup import (
 from .lab import (
     BatchEvaluator, Optimum, ScanGrid, ScenarioConfig, SweepCurve, beta_sweep,
     classify, evaluate_point, grid_scan, optimize_angles,
-    superclassical_components,
 )
 from .quantum import (
     ChshSettings, Direction, PureState, bell_state, canonical_settings,
@@ -23,7 +22,7 @@ from .security import (
     violation_margin,
 )
 from .shots import (
-    ChshEstimate, CountsTable, ShotPlan, depolarize, estimate_chsh, lhv_max,
+    ChshEstimate, CountsTable, ShotPlan, depolarize, estimate_chsh,
 )
 from .tensor import eig_hermitian
 

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .gup import GupModel
 from .lab import ScenarioConfig, classify
-from .quantum import ChshSettings, Direction, bell_state
+from .quantum import CLASSICAL_BOUND, ChshSettings, Direction, bell_state
 from .shots import ChshEstimate, CountsTable, ShotPlan
 
 PI = math.pi
@@ -342,8 +342,9 @@ def _scenario_config(cfg: RunConfig) -> ScenarioConfig:
         scenario.perturbed()
     except DegeneracyError as exc:
         _fail("h0", str(exc))
-    except HermiticityError as exc:
-        # the default h0 and hp are Hermitian, so a given one failed
+    except (HermiticityError, OutOfRangeError) as exc:
+        # the default h0 and hp are Hermitian and keep the perturbed state
+        # finite, so a given one failed
         _fail(", ".join(k for k in ("h0", "hp") if getattr(cfg, k) is not None),
               str(exc))
     return scenario
@@ -392,13 +393,13 @@ def render_heatmap(grid: lab.ScanGrid, path) -> None:
     # linear blue -> white -> red map over [vmin, vmax]: colour k is
     # (k, k, 255) below the midpoint and 256 + k is (255, k, k) from it
     # on, k = 255 * (1 - |t|) rounded half to even like round; 512 on
-    # adds the S > 2 outline
+    # adds the S > CLASSICAL_BOUND outline
     mid = 0.5 * (vmin + vmax)
     half = 0.5 * (vmax - vmin)
     t = np.clip((values - mid) / half, -1.0, 1.0)
     colors = np.round(255 * (1.0 - np.abs(t))).astype(np.int64) + 256 * (t >= 0)
     if not degenerate:
-        colors += 512 * (values > 2.0)
+        colors += 512 * (values > CLASSICAL_BOUND)
     hexes = [f"{k:02x}" for k in range(256)]
     fills = [color + '"' + stroke + "/>"
              for stroke in ("", ' stroke="#000" stroke-width="0.4"')

@@ -32,8 +32,9 @@ class NotDichotomicError(GupBellError):
 
 class OutOfRangeError(GupBellError, ValueError):
     """An input lies outside the domain the first-order treatment covers:
-    |beta * lambda_p / lambda| >= 1 for a corrected observable, or a
-    scenario whose effective operator is not a state is asked for shots."""
+    |beta * lambda_p / lambda| >= 1 for a corrected observable, a
+    perturbed state whose squared norm overflows, or a scenario whose
+    effective operator is not a state asked for shots."""
 
 
 class ValidationError(GupBellError):

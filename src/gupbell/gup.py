@@ -10,6 +10,7 @@ scenarios from both.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -155,7 +156,6 @@ class ChshResult:
 
     scenario: str
     value: float
-    bound: float
     terms: dict
     beta: float
 
@@ -180,7 +180,8 @@ def perturb_state(h0: np.ndarray, hp: np.ndarray, level_index: int,
     """Rayleigh-Schrodinger first-order state correction for one level.
 
     The selected level must be non-degenerate (gap >= 1e-8); there is
-    no meaningful single-level correction through a degeneracy.
+    no meaningful single-level correction through a degeneracy.  Raises
+    OutOfRangeError when the squared norm of xi + beta*xi_p is not finite.
     """
     energies, vectors = tensor.eig_hermitian(np.asarray(h0, dtype=complex))
     if not tensor.is_hermitian(np.asarray(hp, dtype=complex), tol=1e-10):
@@ -200,4 +201,11 @@ def perturb_state(h0: np.ndarray, hp: np.ndarray, level_index: int,
         vk = vectors[:, k]
         xi_p += (vk.conj() @ (np.asarray(hp, dtype=complex) @ xi)) \
             / (energies[level_index] - energies[k]) * vk
-    return PerturbedState(xi=PureState(xi), xi_p=xi_p, beta=float(beta))
+    ps = PerturbedState(xi=PureState(xi), xi_p=xi_p, beta=float(beta))
+    xg = ps.corrected_vector()
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        norm_sq = float((xg.conj() @ xg).real)
+    if not math.isfinite(norm_sq):
+        raise OutOfRangeError(
+            f"|xi + beta * xi_p|^2 = {norm_sq}: the perturbed state overflows")
+    return ps

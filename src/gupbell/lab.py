@@ -20,8 +20,8 @@ from . import gup
 from .errors import GupBellError, OutOfRangeError
 from .gup import ChshResult, GupModel, PerturbedState
 from .quantum import (
-    CHSH_PAIRS, CHSH_SIGNS, TSIRELSON, TWO_PI, ChshSettings, Direction, PureState,
-    bell_state, correlation_tensor, directions,
+    CHSH_PAIRS, CHSH_SIGNS, CLASSICAL_BOUND, TSIRELSON, TWO_PI, ChshSettings,
+    Direction, PureState, bell_state, correlation_tensor, directions,
 )
 
 BOXWORLD = 4.0
@@ -43,7 +43,7 @@ def classify(s: float) -> str:
     for rounding, belongs to the lower region."""
     if not math.isfinite(s):
         raise ValueError("CHSH value must be finite")
-    if s <= 2.0 + CLASSIFY_TOL:
+    if s <= CLASSICAL_BOUND + CLASSIFY_TOL:
         return REGION_CLASSICAL
     if s <= TSIRELSON + CLASSIFY_TOL:
         return REGION_QUANTUM
@@ -138,13 +138,15 @@ def _chsh(correlators):
 
 
 def evaluate_point(cfg: ScenarioConfig, s: ChshSettings) -> ChshResult:
-    """One settings tuple, with the scenario's bound and diagnostic terms.
+    """One settings tuple, with the scenario's diagnostic terms.
 
-    s1 reports 2 plus the four correction brackets of the first-order
-    expansion; each is a weighted sum of the correlators, with weights
-    beta' (the first-order couplings) or beta * lambda (the mixed brackets
-    use the unnormalized corrected operators lambda * w.sigma on one
-    side).  s2 reports the unperturbed value ``qm`` and the cross term
+    s1 reports the four correction brackets of the paper's first-order
+    expansion and their signed sum ``correction_sum``: first-order terms,
+    not a bound, as the measured unit spins keep every local model at or
+    below ``CLASSICAL_BOUND``.  Each is a weighted sum of the correlators,
+    with weights beta' (the first-order couplings) or beta * lambda (the
+    mixed brackets use the unnormalized corrected operators lambda * w.sigma
+    on one side).  s2 reports the unperturbed value ``qm`` and the cross term
     Re<xi|B|xi_p>; s3 the squared norm of the corrected state.
     """
     n = np.array([d.unit_vector() for d in (s.a, s.a_prime, s.b, s.b_prime)])
@@ -160,15 +162,14 @@ def evaluate_point(cfg: ScenarioConfig, s: ChshSettings) -> ChshResult:
         qm = _chsh(correlators(correlation_tensor(np.outer(xi, xi.conj()))[2], n))
         cross = _chsh(correlators(correlation_tensor(sym)[2], n))
         return ChshResult("s2", _chsh(correlators(t, n)),
-                          2.0 * (1.0 + ps.beta * cross),
                           {"qm": qm, "cross": cross}, ps.beta)
     model = cfg.operator_model()
     if model is None:
-        return ChshResult("qm", _chsh(correlators(t, n)), 2.0, {}, 0.0)
+        return ChshResult("qm", _chsh(correlators(t, n)), {}, 0.0)
     w, lam, beta_prime = model.corrected(n)
     if cfg.scenario == "s3":
         xg = cfg.perturbed().corrected_vector()
-        return ChshResult("s3", _chsh(correlators(t, w)), 2.0,
+        return ChshResult("s3", _chsh(correlators(t, w)),
                           {"norm_sq": float((xg.conj() @ xg).real)}, model.beta)
     e = correlators(t, w)
 
@@ -189,7 +190,7 @@ def evaluate_point(cfg: ScenarioConfig, s: ChshSettings) -> ChshResult:
                                - terms["bracket_beta_prime_bob"]
                                + terms["bracket_beta_dprime_alice"]
                                + terms["bracket_beta_dprime_bob"])
-    return ChshResult("s1", _chsh(e), 2.0 + terms["correction_sum"], terms, beta)
+    return ChshResult("s1", _chsh(e), terms, beta)
 
 
 class BatchEvaluator:
@@ -249,28 +250,6 @@ def grid_scan(cfg: ScenarioConfig, resolution: int = 201,
     values = ev.values(directions(np.zeros_like(t1)), directions(t1),
                        directions(t2), directions(-t2))
     return ScanGrid(axis1, axis2, values.reshape(resolution, resolution))
-
-
-def superclassical_components(grid: ScanGrid, threshold: float = 2.0) -> int:
-    """Number of 4-connected components with S strictly above threshold."""
-    mask = (grid.values > threshold).tolist()
-    rows = len(mask)
-    cols = len(mask[0]) if rows else 0
-    count = 0
-    for i in range(rows):
-        for j in range(cols):
-            if not mask[i][j]:
-                continue
-            count += 1
-            mask[i][j] = False
-            stack = [(i, j)]
-            while stack:
-                a, b = stack.pop()
-                for p, q in ((a - 1, b), (a + 1, b), (a, b - 1), (a, b + 1)):
-                    if 0 <= p < rows and 0 <= q < cols and mask[p][q]:
-                        mask[p][q] = False
-                        stack.append((p, q))
-    return count
 
 
 @dataclass(frozen=True)

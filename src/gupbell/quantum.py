@@ -16,6 +16,9 @@ PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 I2 = np.eye(2, dtype=complex)
 
 TWO_PI = 2.0 * math.pi
+#: the classical bound: the largest S of any local deterministic strategy
+#: with outcomes +-1, which every measured observable (a unit spin) has
+CLASSICAL_BOUND = 2.0
 TSIRELSON = 2.0 * math.sqrt(2.0)
 #: the correlator pairs (Alice, Bob) of S, indices into (a, a', b, b'), and their signs
 CHSH_PAIRS = ((0, 2), (0, 3), (1, 2), (1, 3))

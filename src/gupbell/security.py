@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import GupBellError
-from .quantum import TSIRELSON
+from .quantum import CLASSICAL_BOUND, TSIRELSON
 from .shots import ChshEstimate
 
 
@@ -30,7 +30,7 @@ def violation_margin(s: float) -> float:
     """Distance of the observed S above the classical bound."""
     if not math.isfinite(s):
         raise ValueError("S must be finite")
-    return s - 2.0
+    return s - CLASSICAL_BOUND
 
 
 def minentropy_bound(s: float) -> tuple[float, bool]:
@@ -38,7 +38,7 @@ def minentropy_bound(s: float) -> tuple[float, bool]:
     exceeds the quantum maximum (where the bound is clamped)."""
     if not math.isfinite(s):
         raise ValueError("S must be finite")
-    if s <= 2.0:
+    if s <= CLASSICAL_BOUND:
         return 0.0, False
     if s > TSIRELSON:
         return 1.0, True

@@ -1,9 +1,7 @@
-"""Finite-shot Monte Carlo CHSH experiments with depolarizing noise,
-plus the exhaustive local-hidden-variable bound."""
+"""Finite-shot Monte Carlo CHSH experiments with depolarizing noise."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -149,18 +147,3 @@ def estimate_chsh(state: PureState, s: ChshSettings, plan: ShotPlan,
         cumulative = np.minimum(np.cumsum(probs)[:3], 1.0)
         counts[label] = kernels.sample_counts(plan.seed, j * n, n, cumulative)
     return estimate_from_counts(CountsTable(counts=counts, shots_per_pair=n))
-
-
-def lhv_max():
-    """Exhaust all 16 deterministic strategies of the CHSH game.
-
-    Returns the maximum S and the full strategy table
-    [(a, a', b, b', S), ...].
-    """
-    strategies = []
-    best = -math.inf
-    for a, ap, b, bp in itertools.product((1, -1), repeat=4):
-        s = a * (b + bp) + ap * (b - bp)
-        strategies.append((a, ap, b, bp, float(s)))
-        best = max(best, float(s))
-    return best, strategies

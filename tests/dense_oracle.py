@@ -8,11 +8,14 @@ and the tests compare the two.
 
 It also keeps the per-cell artifact writers: one format call, colour
 and rect per cell of ``scan.csv``, ``scan.svg`` and ``sweep.csv``, which
-the CLI's column-at-a-time writers must match byte for byte.
+the CLI's column-at-a-time writers must match byte for byte, and two
+checks against the classical bound: the exhaustive local-hidden-variable
+maximum and the count of super-classical islands of a scan.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,7 +24,9 @@ import numpy as np
 from gupbell import cli, tensor
 from gupbell.errors import DimensionError, HermiticityError
 from gupbell.gup import ChshResult, GupModel, PerturbedState
-from gupbell.quantum import ChshSettings, Direction, PureState, spin_observable
+from gupbell.quantum import (
+    CLASSICAL_BOUND, ChshSettings, Direction, PureState, spin_observable,
+)
 
 
 def expect(state: np.ndarray, op: np.ndarray) -> float:
@@ -84,8 +89,8 @@ def correct_observable(n: Direction, model: GupModel) -> DenseObservable:
 
 
 def qm_chsh(state: PureState, s: ChshSettings) -> ChshResult:
-    """Uncorrected CHSH expectation with the classical bound 2."""
-    return ChshResult("qm", chsh_value(state, s), 2.0, {}, 0.0)
+    """Uncorrected CHSH expectation."""
+    return ChshResult("qm", chsh_value(state, s), {}, 0.0)
 
 
 def _bell_combination(alice: np.ndarray, alice_prime: np.ndarray,
@@ -96,9 +101,9 @@ def _bell_combination(alice: np.ndarray, alice_prime: np.ndarray,
 def scenario1_chsh(state: PureState, s: ChshSettings, model: GupModel) -> ChshResult:
     """Corrected operators on an ordinary state.
 
-    The reported bound is 2 plus the four correction brackets with their
-    signs; the mixed brackets deliberately use the unnormalized corrected
-    operators on one side, exactly as the expansion is written.
+    The terms are the four first-order correction brackets and their
+    signed sum; the mixed brackets deliberately use the unnormalized
+    corrected operators on one side, exactly as the expansion is written.
     """
     oa = correct_observable(s.a, model)
     oap = correct_observable(s.a_prime, model)
@@ -132,7 +137,7 @@ def scenario1_chsh(state: PureState, s: ChshSettings, model: GupModel) -> ChshRe
         "bracket_beta_dprime_bob": t4,
         "correction_sum": correction,
     }
-    return ChshResult("s1", value, 2.0 + correction, terms, model.beta)
+    return ChshResult("s1", value, terms, model.beta)
 
 
 def scenario2_chsh(ps: PerturbedState, s: ChshSettings) -> ChshResult:
@@ -146,7 +151,7 @@ def scenario2_chsh(ps: PerturbedState, s: ChshSettings) -> ChshResult:
     cross = float((ps.xi.amplitudes.conj() @ (b @ ps.xi_p)).real)
     value = qm + 2.0 * ps.beta * cross
     terms = {"qm": qm, "cross": cross}
-    return ChshResult("s2", value, 2.0 * (1.0 + ps.beta * cross), terms, ps.beta)
+    return ChshResult("s2", value, terms, ps.beta)
 
 
 def scenario3_chsh(ps: PerturbedState, s: ChshSettings, model: GupModel) -> ChshResult:
@@ -162,7 +167,7 @@ def scenario3_chsh(ps: PerturbedState, s: ChshSettings, model: GupModel) -> Chsh
     norm_sq = float((xg.conj() @ xg).real)
     value = float((xg.conj() @ (b_gup @ xg)).real) / norm_sq
     terms = {"norm_sq": norm_sq}
-    return ChshResult("s3", value, 2.0, terms, model.beta)
+    return ChshResult("s3", value, terms, model.beta)
 
 
 def scenario_chsh(cfg, s: ChshSettings) -> ChshResult:
@@ -179,6 +184,44 @@ def scenario_chsh(cfg, s: ChshSettings) -> ChshResult:
 def correlator(rho: np.ndarray, obs_a: np.ndarray, obs_b: np.ndarray) -> float:
     """tr(rho A (x) B)."""
     return float(np.trace(np.asarray(rho) @ np.kron(obs_a, obs_b)).real)
+
+
+def lhv_max():
+    """Exhaust all 16 deterministic strategies of the CHSH game.
+
+    Returns the maximum S and the full strategy table
+    [(a, a', b, b', S), ...].
+    """
+    strategies = []
+    best = -math.inf
+    for a, ap, b, bp in itertools.product((1, -1), repeat=4):
+        s = a * (b + bp) + ap * (b - bp)
+        strategies.append((a, ap, b, bp, float(s)))
+        best = max(best, float(s))
+    return best, strategies
+
+
+def superclassical_components(grid, threshold: float = CLASSICAL_BOUND) -> int:
+    """Number of 4-connected components of a scan grid with S strictly
+    above threshold."""
+    mask = (grid.values > threshold).tolist()
+    rows = len(mask)
+    cols = len(mask[0]) if rows else 0
+    count = 0
+    for i in range(rows):
+        for j in range(cols):
+            if not mask[i][j]:
+                continue
+            count += 1
+            mask[i][j] = False
+            stack = [(i, j)]
+            while stack:
+                a, b = stack.pop()
+                for p, q in ((a - 1, b), (a + 1, b), (a, b - 1), (a, b + 1)):
+                    if 0 <= p < rows and 0 <= q < cols and mask[p][q]:
+                        mask[p][q] = False
+                        stack.append((p, q))
+    return count
 
 
 def _fmt9(x: float) -> str:

@@ -307,6 +307,9 @@ def _hermitian(seed: int, dim: int, scale: float) -> np.ndarray:
 
 
 _NON_HERMITIAN_4 = np.diag([-1.0, 0.0, 1.0, 2.0]) + np.diag([0.5, 0.0, 0.0], 1)
+# finite entries whose first-order state correction overflows |xi + beta xi_p|^2
+_HUGE_HP = np.zeros((4, 4))
+_HUGE_HP[0, 0] = _HUGE_HP[0, 1] = _HUGE_HP[1, 0] = 1e300
 # s_hat, stderr and correlators as the counts give them
 _ESTIMATE = {"s_hat": 2.4, "stderr": 0.05059644256269407, "shots_per_pair": 1000,
              "correlators": {"ab": 0.6, "abp": 0.6, "apb": 0.6, "apbp": -0.6},
@@ -389,8 +392,10 @@ def test_estimate_without_shots_is_2(tmp_path, capsys):
     ({"model": "custom"}, "jp"),
     ({"model": {"rule": "tilt", "jp": _pairs(np.array([[1, 5], [0, 0]]) + 0j)}}, "jp"),
     ({"model": {"rule": "self-cubic", "m": [1, 0, 0]}}, "m"),
+    ({"hp": _pairs(_HUGE_HP + 0j)}, "hp"),
 ], ids=["traceful-jp", "non-hermitian-jp", "non-hermitian-hp", "non-hermitian-h0",
-        "degenerate-h0", "custom-without-jp", "jp-under-tilt", "m-under-self-cubic"])
+        "degenerate-h0", "custom-without-jp", "jp-under-tilt", "m-under-self-cubic",
+        "overflowing-hp"])
 def test_rejected_matrix_exits_2_in_every_command(tmp_path, capsys, doc, key):
     # the model and the perturbed state are built for every run, so the
     # physics rejects an input before any command evaluates a scenario

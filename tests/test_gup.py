@@ -159,7 +159,6 @@ class TestScenario1:
         res = evaluate_point(ScenarioConfig("s1", model=GupModel(beta=0.1, rule="tilt")),
                              canonical_settings())
         assert res.value == pytest.approx(2.815738559973453, abs=1e-12)
-        assert res.bound == pytest.approx(2.249876080898522, abs=1e-12)
         expected = {
             "bracket_beta_prime_alice": 0.150433254662443,
             "bracket_beta_prime_bob": 0.199102782980567,
@@ -179,7 +178,6 @@ class TestScenario1:
         res = evaluate_point(ScenarioConfig("s1", model=GupModel(beta=0.0)), asym_settings)
         qm = evaluate_point(ScenarioConfig(), asym_settings)
         assert res.value == pytest.approx(qm.value, abs=1e-14)
-        assert res.bound == pytest.approx(2.0, abs=1e-14)
 
 
 class TestScenario2:
@@ -190,7 +188,6 @@ class TestScenario2:
         assert res.terms["qm"] == pytest.approx(2.546011150452553, abs=1e-12)
         assert res.terms["cross"] == pytest.approx(0.009670946549880, abs=1e-12)
         assert res.value == pytest.approx(2.547945339762529, abs=1e-12)
-        assert res.bound == pytest.approx(2.001934189309976, abs=1e-12)
 
     def test_value_and_bound_identities(self, asym_settings, custom_hp):
         cfg = ScenarioConfig("s2", model=GupModel(beta=0.25), hp=custom_hp)
@@ -198,7 +195,6 @@ class TestScenario2:
         cross = res.terms["cross"]
         assert res.value - res.terms["qm"] == pytest.approx(2.0 * 0.25 * cross,
                                                             abs=1e-14)
-        assert res.bound == pytest.approx(2.0 * (1.0 + 0.25 * cross), abs=1e-14)
 
 
 class TestScenario3:

@@ -9,11 +9,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from dense_oracle import superclassical_components
 from gupbell import lab
 from gupbell.gup import GupModel
-from gupbell.lab import (
-    BatchEvaluator, ScenarioConfig, _nelder_mead, superclassical_components,
-)
+from gupbell.lab import BatchEvaluator, ScenarioConfig, _nelder_mead
 from gupbell.quantum import directions
 
 optimize = pytest.importorskip("scipy.optimize")

@@ -11,7 +11,7 @@ from gupbell.quantum import (
 )
 from gupbell.shots import (
     ChshEstimate, CountsTable, ShotPlan, depolarize, estimate_chsh,
-    joint_probabilities, lhv_max,
+    joint_probabilities,
 )
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -168,16 +168,3 @@ class TestEstimateChsh:
         est = estimate_chsh(bell_state(), canonical_settings(), plan)
         assert isinstance(est, ChshEstimate)
         assert set(est.correlators) == {"ab", "abp", "apb", "apbp"}
-
-
-class TestLhvMax:
-    def test_classical_bound_exact(self):
-        best, strategies = lhv_max()
-        assert best == 2.0
-        assert len(strategies) == 16
-
-    def test_strategy_values_consistent(self):
-        _, strategies = lhv_max()
-        for a, ap, b, bp, s in strategies:
-            assert s == a * (b + bp) + ap * (b - bp)
-            assert abs(s) == 2.0
