@@ -284,7 +284,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     for name, text in (
         ("scan", "two-angle grid scan with CSV and SVG heatmap output"),
         ("sweep", "beta sweep over a one-parameter settings family"),
-        ("optimize", "search the measurement angles for the maximal S"),
+        ("optimize", "find the measurement angles with the maximal S"),
         ("sample", "finite-shot Monte Carlo CHSH estimate"),
         ("audit", "device-independent security report"),
     ):
@@ -489,6 +489,7 @@ def _run_optimize(cfg: RunConfig, scenario: ScenarioConfig, out: Path) -> float:
         "value": opt.value,
         "evaluations": opt.evaluations,
         "converged": opt.converged,
+        "method": opt.method,
         "region": classify(opt.value),
         "settings": {
             name: {"theta": d.theta, "phi": d.phi,

@@ -301,12 +301,15 @@ def beta_sweep(betas=DEFAULT_SWEEP_BETAS, theta_axis=None, rule: str = "tilt",
 
 @dataclass(frozen=True)
 class Optimum:
-    """Best settings found by the angle search."""
+    """Best settings found, and how: ``method`` is "closed_form" (the
+    settings built from the SVD of T, one evaluation) or "search" (coarse
+    grid plus simplex refinement)."""
 
     settings: ChshSettings
     value: float
     evaluations: int
     converged: bool
+    method: str
 
 
 class _BudgetSpent(Exception):
@@ -390,19 +393,72 @@ def _nelder_mead(fun, x0, xatol: float, fatol: float, maxfev: int):
     return sim[0], np.min(fsim), nfev, nfev < maxfev
 
 
+def _horodecki_directions(t: np.ndarray) -> np.ndarray:
+    """Unit directions w_a, w_a', w_b, w_b' (rows) at which
+    sum(+-) w_A . T . w_B reaches its maximum over unit vectors,
+    2 sqrt(t1^2 + t2^2) (Horodecki et al., Phys. Lett. A 200, 340 (1995)):
+    with T = U diag(t) V^T, w_a = u1, w_a' = u2 and
+    w_b, w_b' = cos(phi) v1 +- sin(phi) v2, tan(phi) = t2/t1."""
+    u, sv, vt = np.linalg.svd(t)
+    phi = math.atan2(sv[1], sv[0])
+    c, s = math.cos(phi) * vt[0], math.sin(phi) * vt[1]
+    return np.array([u[:, 0], u[:, 1], c + s, c - s])
+
+
+def _inverse_corrected(w: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """The unit directions n whose corrected directions are the rows of w,
+    inverting ``GupModel.corrected``: n = lambda w - shift, with
+    lambda = w.shift + sqrt(1 - |shift|^2 + (w.shift)^2) > 0 for |shift| < 1."""
+    ws = w @ shift
+    lam = ws + np.sqrt(1.0 - shift @ shift + ws * ws)
+    return lam[:, None] * w - shift
+
+
+def _closed_form_optimum(ev: BatchEvaluator, shift: np.ndarray,
+                         eight_angles: bool) -> Optimum:
+    """The exact optimum: the Horodecki directions of T (of its x-z block
+    for planar settings, whose corrected directions are exactly the x-z
+    unit vectors when the shift has no y part), mapped back to settings.
+    ``value`` is S evaluated once at those settings, so the corrected map
+    checks and warns as for any other settings."""
+    if eight_angles:
+        w = _horodecki_directions(ev.moments)
+    else:
+        xz = [0, 2]
+        w = np.zeros((4, 3))
+        w[:, xz] = _horodecki_directions(ev.moments[np.ix_(xz, xz)])
+    n = _inverse_corrected(w, shift)
+    dirs = [Direction(theta, phi) for theta, phi in zip(
+        np.arctan2(np.hypot(n[:, 0], n[:, 1]), n[:, 2]), np.arctan2(n[:, 1], n[:, 0]))]
+    value = float(ev.values(*(d.unit_vector() for d in dirs))[0])
+    return Optimum(settings=ChshSettings(*dirs), value=value, evaluations=1,
+                   converged=True, method="closed_form")
+
+
 def optimize_angles(cfg: ScenarioConfig, restarts: int = 1, seed: int = 42,
                     coarse_steps: int = 17, max_evals: int = 10_000,
                     eight_angles: bool = False) -> Optimum:
-    """Coarse grid over the planar angles followed by simplex refinement.
+    """The settings with the largest S, over planar angles or, with
+    ``eight_angles``, over full-sphere directions.
 
-    ``max_evals`` budgets the refinement stage; the coarse grid is
-    reported in ``evaluations`` but not charged against it.  Deterministic
-    given the seed: restarts beyond the first start from seeded uniform
-    draws, and ties are broken by restart index.
+    Where the Horodecki maximum is reachable, the optimum is built in
+    closed form from the SVD of T (``_closed_form_optimum``): for every
+    eight-angle optimum and for a planar one whose shift has no y part.
+    The search remains where it is not: planar settings under an
+    out-of-plane shift, or |shift| >= 1, where some corrected directions
+    have no setting.  It is a coarse grid over the planar angles followed
+    by simplex refinement.  ``max_evals`` budgets the refinement stage;
+    the coarse grid is reported in ``evaluations`` but not charged against
+    it.  Deterministic given the seed: restarts beyond the first start
+    from seeded uniform draws, and ties are broken by restart index.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     ev = BatchEvaluator(cfg)
+    # every corrected direction is w = (n + shift)/|n + shift|
+    shift = np.zeros(3) if ev.model is None else ev.model.beta * ev.model.axis
+    if shift @ shift < 1.0 and (eight_angles or shift[1] == 0.0):
+        return _closed_form_optimum(ev, shift, eight_angles)
     evaluations = 0
 
     axis = np.linspace(0.0, TWO_PI, coarse_steps)
@@ -445,4 +501,4 @@ def optimize_angles(cfg: ScenarioConfig, restarts: int = 1, seed: int = 42,
 
     settings = ChshSettings(*map(Direction, *angles(best_x)))
     return Optimum(settings=settings, value=float(best_value),
-                   evaluations=evaluations, converged=converged)
+                   evaluations=evaluations, converged=converged, method="search")

@@ -128,6 +128,26 @@ class TestOptimize:
         assert doc["converged"]
         assert doc["region"] == "quantum"
         assert set(doc["settings"]) == {"a", "a_prime", "b", "b_prime"}
+        assert (doc["method"], doc["evaluations"]) == ("closed_form", 1)
+
+    def test_search_recorded(self, tmp_path, capsys):
+        # planar settings under an out-of-plane tilt: no closed form
+        out = tmp_path / "out"
+        assert run_main(["optimize", "--scenario", "s1", "--m", "0.48,0.6,0.64",
+                         "--out", out]) == 0
+        doc = json.loads((out / "optimum.json").read_text())
+        assert doc["method"] == "search"
+        assert doc["evaluations"] > 17 ** 4
+
+    @pytest.mark.parametrize("eight_angles", [False, True])
+    @pytest.mark.parametrize("scenario", ["s1", "s3"])
+    def test_beta_a_at_least_one_exits_2(self, tmp_path, capsys, scenario, eight_angles):
+        # |beta a| >= 1 keeps the search, which meets |beta'| >= 1 as before
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps({"scenario": scenario, "beta": 1.2,
+                                       "eight_angles": eight_angles}))
+        assert run_main(["optimize", "--config", cfgfile, "--out", tmp_path / "out"]) == 2
+        assert "first-order treatment invalid" in capsys.readouterr().err
 
 
 class TestSample:

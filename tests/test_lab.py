@@ -125,18 +125,23 @@ class TestBatchConsistency:
                 batch[k], abs=1e-12)
 
 
-def random_configs(rng, per_combination: int = 1):
+def random_configs(rng, per_combination: int = 1, in_plane: bool = False):
     """Seeded ScenarioConfigs over every scenario and rule, with the
-    default or a random perturbation hp, beta in [0, 0.9)."""
+    default or a random perturbation hp, beta in [0, 0.9).  ``in_plane``
+    zeroes the y part of the tilt and custom axes (the same draws)."""
     for scenario in ("qm", "s1", "s2", "s3"):
         for rule in ("tilt", "self-cubic", "custom"):
             for k in range(per_combination):
                 beta = rng.uniform(0.0, 0.9)
                 if rule == "tilt":
                     m = rng.normal(size=3)
+                    if in_plane:
+                        m[1] = 0.0
                     model = GupModel(beta=beta, rule="tilt", m=m / np.linalg.norm(m))
                 elif rule == "custom":
                     v = rng.normal(size=3)
+                    if in_plane:
+                        v[1] = 0.0
                     v *= rng.uniform(0.0, 1.0) / np.linalg.norm(v)
                     jp = v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z
                     model = GupModel(beta=beta, rule="custom", jp=jp)
@@ -150,13 +155,26 @@ def random_configs(rng, per_combination: int = 1):
                                      model=None if scenario == "qm" else model, hp=hp)
 
 
-def horodecki_bound(cfg: ScenarioConfig) -> float:
-    """2 sqrt(t1^2 + t2^2) from the two largest singular values of T: the
-    maximum of S over all unit directions (Horodecki et al., Phys. Lett.
-    A 200, 340 (1995)), which bounds every corrected value as well."""
+def horodecki_bound(cfg: ScenarioConfig, planar: bool = False) -> float:
+    """2 sqrt(t1^2 + t2^2) from the two largest singular values of T (of
+    its x-z block with ``planar``): the maximum of S over all unit (x-z)
+    directions (Horodecki et al., Phys. Lett. A 200, 340 (1995)), which
+    bounds every corrected value as well."""
     t = correlation_tensor(cfg.effective_density())[2]
+    if planar:
+        t = t[np.ix_([0, 2], [0, 2])]
     sv = np.linalg.svd(t, compute_uv=False)
     return 2.0 * math.sqrt(sv[0] ** 2 + sv[1] ** 2)
+
+
+def is_exact_case(cfg: ScenarioConfig, eight_angles: bool) -> bool:
+    """Whether the optimum is the Horodecki value: every corrected
+    direction w = (n + beta a)/|n + beta a| has a setting n when
+    |beta a| < 1, and the planar settings reach every x-z direction w when
+    beta a has no y part."""
+    model = cfg.operator_model()
+    shift = np.zeros(3) if model is None else model.beta * model.axis
+    return shift @ shift < 1.0 and (eight_angles or shift[1] == 0.0)
 
 
 @pytest.mark.filterwarnings("ignore:.*no longer small")
@@ -168,7 +186,73 @@ def test_horodecki_bound_holds(eight_angles):
         opt = optimize_angles(cfg, coarse_steps=9, max_evals=2000,
                               eight_angles=eight_angles)
         assert opt.value <= bound
+        if is_exact_case(cfg, eight_angles):
+            assert opt.value == pytest.approx(
+                horodecki_bound(cfg, planar=not eight_angles), abs=1e-12)
         assert float(grid_scan(cfg, resolution=41).values.max()) <= bound
+
+
+class TestClosedForm:
+    """Every exact case takes the closed form, which reaches the Horodecki
+    value at the settings it reports."""
+
+    @pytest.mark.filterwarnings("ignore:.*no longer small")
+    @pytest.mark.parametrize("eight_angles", [False, True])
+    def test_matches_horodecki_and_own_settings(self, eight_angles):
+        # in-plane axes for planar settings, so that every config is exact
+        rng = np.random.default_rng(41 + eight_angles)
+        for cfg in random_configs(rng, 4, in_plane=not eight_angles):
+            assert is_exact_case(cfg, eight_angles)
+            opt = optimize_angles(cfg, eight_angles=eight_angles)
+            assert (opt.method, opt.evaluations, opt.converged) == \
+                ("closed_form", 1, True)
+            assert opt.value == pytest.approx(
+                evaluate_point(cfg, opt.settings).value, abs=1e-12)
+            assert opt.value == pytest.approx(
+                horodecki_bound(cfg, planar=not eight_angles), abs=1e-12)
+
+    def test_reaches_the_maximum_where_the_search_stopped_short(self):
+        # the eight-angle search ended at 2.91058, 1.58e-3 below the
+        # maximum 2.91216, and reported convergence
+        rng = np.random.default_rng(1)
+        beta = rng.uniform(0.0, 0.9)
+        m = rng.normal(size=3)
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        hp = (a + a.conj().T) / (2.0 * np.linalg.norm(a, 2))
+        cfg = ScenarioConfig(scenario="s2", hp=hp,
+                             model=GupModel(beta=beta, m=m / np.linalg.norm(m)))
+        opt = optimize_angles(cfg, eight_angles=True)
+        assert opt.value == pytest.approx(horodecki_bound(cfg), abs=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:.*no longer small")
+    def test_search_only_where_the_formula_is_not_exact(self):
+        out_of_plane = GupModel(beta=0.2, m=[0.48, 0.6, 0.64])
+        y_custom = GupModel(beta=0.2, rule="custom", jp=0.3 * SIGMA_Y + 0.4 * SIGMA_Z)
+        unit_shift = GupModel(beta=1.0, rule="custom", jp=SIGMA_Y)
+        cases = [
+            (ScenarioConfig(), False, "closed_form"),
+            (ScenarioConfig(), True, "closed_form"),
+            (ScenarioConfig("s1", model=GupModel(beta=0.8, m=[0.6, 0.0, 0.8])),
+             False, "closed_form"),
+            (ScenarioConfig("s1", model=GupModel(beta=0.9, rule="self-cubic")),
+             False, "closed_form"),
+            # the state carries the correction; the observables are uncorrected
+            (ScenarioConfig("s2", model=out_of_plane), False, "closed_form"),
+            (ScenarioConfig("s1", model=out_of_plane), True, "closed_form"),
+            (ScenarioConfig("s3", model=y_custom), True, "closed_form"),
+            # an out-of-plane shift, planar settings
+            (ScenarioConfig("s1", model=out_of_plane), False, "search"),
+            (ScenarioConfig("s3", model=out_of_plane), False, "search"),
+            (ScenarioConfig("s1", model=y_custom), False, "search"),
+            # |beta a| = 1: the direction -a has no setting
+            (ScenarioConfig("s1", model=unit_shift), True, "search"),
+        ]
+        for cfg, eight_angles, method in cases:
+            assert is_exact_case(cfg, eight_angles) == (method == "closed_form")
+            opt = optimize_angles(cfg, coarse_steps=5, max_evals=500,
+                                  eight_angles=eight_angles)
+            assert opt.method == method, (cfg, eight_angles)
+            assert (opt.evaluations == 1) == (method == "closed_form")
 
 
 class TestGridScan:
@@ -223,6 +307,12 @@ class TestBetaSweep:
             beta_sweep(betas=(-0.1,), theta_axis=np.linspace(0, 1, 5))
 
 
+def searching_config() -> ScenarioConfig:
+    """Planar s1 settings under an out-of-plane tilt: an optimum found by
+    the search, not in closed form."""
+    return ScenarioConfig(scenario="s1", model=GupModel(beta=0.2, m=[0.48, 0.6, 0.64]))
+
+
 class TestOptimize:
     def test_qm_reaches_tsirelson(self):
         opt = optimize_angles(ScenarioConfig())
@@ -230,8 +320,8 @@ class TestOptimize:
         assert opt.converged
 
     def test_deterministic_across_runs(self):
-        first = optimize_angles(ScenarioConfig(), restarts=3, seed=7)
-        second = optimize_angles(ScenarioConfig(), restarts=3, seed=7)
+        first = optimize_angles(searching_config(), restarts=3, seed=7)
+        second = optimize_angles(searching_config(), restarts=3, seed=7)
         assert first.value == second.value
         assert first.settings == second.settings
         assert first.evaluations == second.evaluations
@@ -256,12 +346,12 @@ class TestOptimize:
                 return self.rng.uniform(*args)
 
         monkeypatch.setattr(np.random, "default_rng", CountingRng)
-        many = optimize_angles(ScenarioConfig(), restarts=10**5, coarse_steps=3,
+        many = optimize_angles(searching_config(), restarts=10**5, coarse_steps=3,
                                max_evals=2000)
         drawn = len(draws)
         assert 0 < drawn <= 2000 // 5
         # the same starts in the same order as a run that asks for just these
-        few = optimize_angles(ScenarioConfig(), restarts=drawn + 1, coarse_steps=3,
+        few = optimize_angles(searching_config(), restarts=drawn + 1, coarse_steps=3,
                               max_evals=2000)
         assert (few.value, few.settings, few.evaluations) == \
             (many.value, many.settings, many.evaluations)
