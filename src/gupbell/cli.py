@@ -328,14 +328,16 @@ def _scenario_config(cfg: RunConfig) -> ScenarioConfig:
     for key, rule in (("m", "tilt"), ("jp", "custom")):
         if getattr(cfg, key) is not None and cfg.model_rule != rule:
             _fail(key, f"applies to the {rule} rule only, not {cfg.model_rule}")
-    # a sweep builds a model at each beta in betas, and the identity-part
-    # check of a custom jp grows with beta: check its model at the largest
-    beta = max(cfg.betas) if cfg.command == "sweep" else cfg.beta
+    # a sweep builds a model at each beta in betas; the identity-part check
+    # of a custom jp and the reach grow with beta, so check it at the largest
+    key, beta = ("betas", max(cfg.betas)) if cfg.command == "sweep" else ("beta", cfg.beta)
     try:
         model = GupModel(beta=beta, rule=cfg.model_rule, jp=cfg.jp,
                          **({} if cfg.m is None else {"m": cfg.m}))
     except (HermiticityError, AmbiguousBranchError) as exc:
         _fail("jp", str(exc))
+    except OutOfRangeError as exc:
+        _fail(key, str(exc))
     scenario = ScenarioConfig(scenario=cfg.scenario, state=bell_state(),
                               model=model, h0=cfg.h0, hp=cfg.hp)
     try:

@@ -32,9 +32,10 @@ class NotDichotomicError(GupBellError):
 
 class OutOfRangeError(GupBellError, ValueError):
     """An input lies outside the domain the first-order treatment covers:
-    |beta * lambda_p / lambda| >= 1 for a corrected observable, a
-    perturbed state whose squared norm overflows, or a scenario whose
-    effective operator is not a state asked for shots."""
+    a model whose reach beta * |a| (beta for self-cubic) is 1 or more, a
+    corrected operator J + beta*J_p that is zero, a perturbed state whose
+    squared norm overflows, or a scenario whose effective operator is not
+    a state asked for shots."""
 
 
 class ValidationError(GupBellError):

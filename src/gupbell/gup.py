@@ -2,10 +2,11 @@
 
 A corrected observable is a unit spin along a corrected direction: the
 direction map n -> w(n) = (n + beta*a)/|n + beta*a| of ``GupModel.corrected``
-is the only place where observables are corrected, checked for validity
-and warned about.  The perturbed state of scenarios 2 and 3 comes from
-first-order perturbation theory (``perturb_state``); ``lab`` evaluates the
-scenarios from both.
+is the only place where observables are corrected and warned about, and
+a ``GupModel`` outside the first-order domain is rejected when it is built.
+The perturbed state of scenarios 2 and 3 comes from first-order
+perturbation theory (``perturb_state``); ``lab`` evaluates the scenarios
+from both.
 """
 
 from __future__ import annotations
@@ -42,7 +43,10 @@ class GupModel:
     is the Bloch vector of the perturbation for tilt and custom (zero for
     self-cubic).  A custom jp with an identity part at non-zero beta raises
     AmbiguousBranchError: the eigenvalue branches of J + beta*J_p then
-    differ in magnitude.
+    differ in magnitude.  A model whose reach beta * |a| (beta for
+    self-cubic) is 1 or more raises OutOfRangeError: the first-order
+    treatment needs |beta'| < 1 along every direction, and then
+    n -> w(n) maps the sphere onto itself.
     """
 
     beta: float
@@ -78,6 +82,10 @@ class GupModel:
                     f"custom jp has identity part {shift:.12g}: the eigenvalue "
                     "branch magnitudes differ; normalization undefined")
         object.__setattr__(self, "axis", axis)
+        reach = self.beta * (1.0 if rule == "self-cubic" else np.linalg.norm(axis))
+        if reach >= 1.0:
+            raise OutOfRangeError(f"|beta'| reaches beta * |a| = {reach:.12g} >= 1; "
+                                  "first-order treatment invalid")
 
     def perturbation_of(self, j: np.ndarray) -> np.ndarray:
         """The perturbation operator J_p for an unperturbed observable."""
@@ -96,12 +104,9 @@ class GupModel:
         first-order coupling, lambda_p = n.a (1 for self-cubic) being the
         shift of the +1 eigenvalue.  Returns (w, lambda, beta').
 
-        Raises
-        ------
-        OutOfRangeError
-            if |beta'| >= 1 for any direction.
-
-        Warns when |beta'| exceeds ``SMALLNESS_WARN`` for any direction.
+        Raises OutOfRangeError where lambda = 0, as J + beta*J_p is then
+        zero; only rounding at a reach next to 1 gets there.  Warns when
+        |beta'| exceeds ``SMALLNESS_WARN`` for any direction.
         """
         n = np.asarray(n, dtype=float)
         if self.rule == "self-cubic" or self.beta == 0.0:
@@ -111,14 +116,13 @@ class GupModel:
         else:
             v = n + self.beta * self.axis
             lam = np.linalg.norm(v, axis=-1)
+            if np.any(lam == 0.0):
+                raise OutOfRangeError(
+                    "J + beta * J_p is the zero operator along n = -beta * a; "
+                    "first-order treatment invalid")
             w = v / lam[..., None]
             beta_prime = self.beta * (n @ self.axis)
-        worst = float(np.max(np.abs(beta_prime), initial=0.0))
-        if worst >= 1.0:
-            raise OutOfRangeError(
-                f"|beta * lambda_p / lambda| = {worst:.3g} >= 1; "
-                "first-order treatment invalid")
-        if worst > SMALLNESS_WARN:
+        if float(np.max(np.abs(beta_prime), initial=0.0)) > SMALLNESS_WARN:
             warnings.warn(
                 f"|beta * lambda_p / lambda| > {SMALLNESS_WARN}; "
                 "perturbative correction is no longer small", stacklevel=2)

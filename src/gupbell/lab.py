@@ -223,8 +223,6 @@ class ScanGrid:
             raise GupBellError("grid shape does not match axes")
         if not np.all(np.isfinite(self.values)):
             raise GupBellError("grid contains non-finite values")
-        if float(self.values.max()) > BOXWORLD + 1e-9:
-            raise GupBellError("grid exceeds the no-signalling ceiling of 4")
 
 
 def scan_settings(theta1: float, theta2: float) -> ChshSettings:
@@ -264,8 +262,8 @@ class SweepCurve:
         for tag, vals in self.series.items():
             if len(vals) != len(self.theta_axis):
                 raise GupBellError(f"series {tag} length mismatch")
-            if not np.all(np.isfinite(vals)) or float(np.max(vals)) > BOXWORLD + 1e-9:
-                raise GupBellError(f"series {tag} violates the ceiling of 4")
+            if not np.all(np.isfinite(vals)):
+                raise GupBellError(f"series {tag} contains non-finite values")
 
 
 def sweep_settings(theta: float) -> ChshSettings:
@@ -393,16 +391,21 @@ def _nelder_mead(fun, x0, xatol: float, fatol: float, maxfev: int):
     return sim[0], np.min(fsim), nfev, nfev < maxfev
 
 
-def _horodecki_directions(t: np.ndarray) -> np.ndarray:
+#: the search's coarse grid steps per angle, and its refinement budget
+COARSE_STEPS = 17
+MAX_EVALS = 10_000
+
+
+def _horodecki_directions(t: np.ndarray) -> tuple[np.ndarray, float]:
     """Unit directions w_a, w_a', w_b, w_b' (rows) at which
     sum(+-) w_A . T . w_B reaches its maximum over unit vectors,
-    2 sqrt(t1^2 + t2^2) (Horodecki et al., Phys. Lett. A 200, 340 (1995)):
-    with T = U diag(t) V^T, w_a = u1, w_a' = u2 and
+    2 sqrt(t1^2 + t2^2) (Horodecki et al., Phys. Lett. A 200, 340 (1995)),
+    and that maximum: with T = U diag(t) V^T, w_a = u1, w_a' = u2 and
     w_b, w_b' = cos(phi) v1 +- sin(phi) v2, tan(phi) = t2/t1."""
     u, sv, vt = np.linalg.svd(t)
     phi = math.atan2(sv[1], sv[0])
     c, s = math.cos(phi) * vt[0], math.sin(phi) * vt[1]
-    return np.array([u[:, 0], u[:, 1], c + s, c - s])
+    return np.array([u[:, 0], u[:, 1], c + s, c - s]), 2.0 * math.hypot(sv[0], sv[1])
 
 
 def _inverse_corrected(w: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -420,75 +423,66 @@ def _closed_form_optimum(ev: BatchEvaluator, shift: np.ndarray,
     for planar settings, whose corrected directions are exactly the x-z
     unit vectors when the shift has no y part), mapped back to settings.
     ``value`` is S evaluated once at those settings, so the corrected map
-    checks and warns as for any other settings."""
+    warns as for any other settings; ``converged`` is False when rounding
+    at a reach next to 1 left it more than 1e-9 below the maximum."""
     if eight_angles:
-        w = _horodecki_directions(ev.moments)
+        w, maximum = _horodecki_directions(ev.moments)
     else:
         xz = [0, 2]
         w = np.zeros((4, 3))
-        w[:, xz] = _horodecki_directions(ev.moments[np.ix_(xz, xz)])
+        w[:, xz], maximum = _horodecki_directions(ev.moments[np.ix_(xz, xz)])
     n = _inverse_corrected(w, shift)
     dirs = [Direction(theta, phi) for theta, phi in zip(
         np.arctan2(np.hypot(n[:, 0], n[:, 1]), n[:, 2]), np.arctan2(n[:, 1], n[:, 0]))]
     value = float(ev.values(*(d.unit_vector() for d in dirs))[0])
     return Optimum(settings=ChshSettings(*dirs), value=value, evaluations=1,
-                   converged=True, method="closed_form")
+                   converged=value >= maximum - 1e-9, method="closed_form")
 
 
 def optimize_angles(cfg: ScenarioConfig, restarts: int = 1, seed: int = 42,
-                    coarse_steps: int = 17, max_evals: int = 10_000,
                     eight_angles: bool = False) -> Optimum:
     """The settings with the largest S, over planar angles or, with
     ``eight_angles``, over full-sphere directions.
 
     Where the Horodecki maximum is reachable, the optimum is built in
     closed form from the SVD of T (``_closed_form_optimum``): for every
-    eight-angle optimum and for a planar one whose shift has no y part.
-    The search remains where it is not: planar settings under an
-    out-of-plane shift, or |shift| >= 1, where some corrected directions
-    have no setting.  It is a coarse grid over the planar angles followed
-    by simplex refinement.  ``max_evals`` budgets the refinement stage;
-    the coarse grid is reported in ``evaluations`` but not charged against
-    it.  Deterministic given the seed: restarts beyond the first start
-    from seeded uniform draws, and ties are broken by restart index.
+    eight-angle optimum, as every model maps the sphere onto itself, and
+    for a planar one whose shift has no y part.  Planar settings under an
+    out-of-plane shift are searched: a grid of ``COARSE_STEPS`` per angle,
+    then simplex refinement on a budget of ``MAX_EVALS`` evaluations
+    beyond the grid.  Deterministic given the seed: restarts beyond the
+    first start from seeded uniform draws, and ties are broken by restart
+    index.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     ev = BatchEvaluator(cfg)
     # every corrected direction is w = (n + shift)/|n + shift|
     shift = np.zeros(3) if ev.model is None else ev.model.beta * ev.model.axis
-    if shift @ shift < 1.0 and (eight_angles or shift[1] == 0.0):
+    if eight_angles or shift[1] == 0.0:
         return _closed_form_optimum(ev, shift, eight_angles)
-    evaluations = 0
 
-    axis = np.linspace(0.0, TWO_PI, coarse_steps)
+    axis = np.linspace(0.0, TWO_PI, COARSE_STEPS)
     grids = np.meshgrid(axis, axis, axis, axis, indexing="ij")
     flat = np.stack([g.ravel() for g in grids], axis=-1)
     coarse_vals = ev.values(*(directions(flat[:, i]) for i in range(4)))
-    evaluations += flat.shape[0]
+    evaluations = flat.shape[0]
     best_idx = int(np.argmax(coarse_vals))
-    coarse_best = float(coarse_vals[best_idx])
-    x0 = flat[best_idx]
-    if eight_angles:
-        x0 = np.concatenate([x0, np.zeros(4)])
+    best_value = float(coarse_vals[best_idx])
+    best_x = x_start = flat[best_idx]
 
-    def angles(x):  # the polar angles and azimuths of a, a', b, b'
-        return x[:4], x[4:] if eight_angles else np.zeros(4)
-
-    def objective(x):
-        return -float(ev.values(*directions(*angles(x)))[0])
+    def objective(x):  # x holds the polar angles of a, a', b, b'
+        return -float(ev.values(*directions(x))[0])
 
     rng = np.random.default_rng(seed)
-    best_value = coarse_best
-    best_x = x_start = x0
     converged = True
-    budget = max_evals
+    budget = MAX_EVALS
     for restart in range(restarts):
         if budget <= 4:
             converged = False
             break
         if restart:  # drawn only once the budget allows another start
-            x_start = rng.uniform(0.0, TWO_PI, x0.size)
+            x_start = rng.uniform(0.0, TWO_PI, 4)
         x, fun, nfev, ok = _nelder_mead(objective, x_start, xatol=1e-9,
                                         fatol=1e-12, maxfev=budget)
         evaluations += nfev
@@ -499,6 +493,5 @@ def optimize_angles(cfg: ScenarioConfig, restarts: int = 1, seed: int = 42,
             best_value = -fun
             best_x = x
 
-    settings = ChshSettings(*map(Direction, *angles(best_x)))
-    return Optimum(settings=settings, value=float(best_value),
+    return Optimum(settings=ChshSettings.planar(*best_x), value=float(best_value),
                    evaluations=evaluations, converged=converged, method="search")

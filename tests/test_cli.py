@@ -142,7 +142,7 @@ class TestOptimize:
     @pytest.mark.parametrize("eight_angles", [False, True])
     @pytest.mark.parametrize("scenario", ["s1", "s3"])
     def test_beta_a_at_least_one_exits_2(self, tmp_path, capsys, scenario, eight_angles):
-        # |beta a| >= 1 keeps the search, which meets |beta'| >= 1 as before
+        # a model with |beta a| >= 1 is rejected when it is built
         cfgfile = tmp_path / "run.json"
         cfgfile.write_text(json.dumps({"scenario": scenario, "beta": 1.2,
                                        "eight_angles": eight_angles}))
@@ -485,7 +485,7 @@ def _check_estimate(cfg, s_hat: float, noise_p: float):
     assert abs(s_hat - (1.0 - noise_p) * exact) <= 5.0 * sigma + 8.0 / cfg.shots
 
 
-@pytest.mark.filterwarnings("ignore")
+@pytest.mark.filterwarnings("ignore::UserWarning")
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(command=st.sampled_from(cli.COMMANDS), doc=fuzz_configs)
 def test_fuzz_exit_codes(command, doc):
@@ -513,3 +513,70 @@ def test_import_loads_no_scipy():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+class TestFirstOrderDomain:
+    """A model whose reach beta * |a| (beta for self-cubic), the largest
+    |beta'| over all directions, is 1 or more is rejected when it is built:
+    the same inputs exit 2 whatever directions a command would evaluate."""
+
+    @pytest.mark.parametrize("doc", [
+        {"beta": 1.0001, "m": [0.6, 0.0, 0.8]},
+        {"beta": 1.0, "model": "self-cubic"},
+        {"beta": 0.5, "model": {"rule": "custom",
+                                "jp": _pairs(2.0 * np.array([[0, -1j], [1j, 0]]))}},
+    ], ids=["tilt", "self-cubic", "custom"])
+    def test_exits_2_in_every_command_and_scenario(self, tmp_path, capsys, doc):
+        cfgfile = tmp_path / "run.json"
+        for command in cli.COMMANDS:
+            key = "betas" if command == "sweep" else "beta"
+            for scenario in cli.SCENARIOS:
+                cfgfile.write_text(json.dumps(
+                    dict(doc, scenario=scenario, betas=[0.1, doc["beta"]])))
+                assert run_main([command, "--config", cfgfile,
+                                 "--out", tmp_path / "out"]) == 2, (command, scenario)
+                err = capsys.readouterr().err
+                assert f" {key}: " in err and "first-order treatment invalid" in err
+
+    @pytest.mark.parametrize("steps", [9, 201, 2001])
+    def test_scan_at_any_resolution(self, tmp_path, capsys, steps):
+        # the grid's directions reach |beta'| >= 1 only from 2001 steps on
+        assert run_main(["scan", "--scenario", "s1", "--beta", 1.0001, "--m", "0.6,0,0.8",
+                         "--grid-steps", steps, "--out", tmp_path]) == 2
+        assert not (tmp_path / "scan.csv").exists()
+
+    def test_settings_that_miss_the_axis(self, tmp_path, capsys):
+        # planar settings are orthogonal to m, so every beta' they meet is 0
+        assert run_main(["sample", "--scenario", "s1", "--beta", 1.2, "--m", "0,1,0",
+                         "--shots", 1000, "--out", tmp_path]) == 2
+        assert " beta: " in capsys.readouterr().err
+
+
+def test_zero_corrected_operator_is_2(tmp_path, capsys):
+    # beta |a| = 0.9999999999999999: at one setting of the closed-form
+    # optimum lambda = |n + beta a| rounds to 0, where J + beta J_p is zero
+    v = [-0.5875089970062646, -0.5816553750586216, -0.7423463506589595]
+    jp = np.array([[v[2], v[0] - 1j * v[1]], [v[0] + 1j * v[1], -v[2]]])
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text(json.dumps({"scenario": "s1", "beta": 0.9, "eight_angles": True,
+                                   "model": {"rule": "custom", "jp": _pairs(jp)}}))
+    assert run_main(["optimize", "--config", cfgfile, "--out", tmp_path / "out"]) == 2
+    assert "zero operator" in capsys.readouterr().err
+
+
+# s2 is not a state: these entries take its sphere maximum far above 4
+_LARGE_HP = np.zeros((4, 4))
+_LARGE_HP[0, 0] = _LARGE_HP[0, 1] = _LARGE_HP[1, 0] = 1e3
+
+
+@pytest.mark.filterwarnings("ignore:.*no longer small")
+@pytest.mark.parametrize("command, scenario", [
+    ("scan", "s2"), ("sweep", "s2"), ("sweep", "qm"), ("optimize", "s2")])
+def test_s2_beyond_4_is_unphysical_in_every_command(tmp_path, capsys, command, scenario):
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text(json.dumps({"scenario": scenario, "hp": _pairs(_LARGE_HP + 0j),
+                                   "grid": {"steps": 21}, "theta_steps": 61}))
+    assert run_main([command, "--config", cfgfile, "--out", tmp_path / "out"]) == 0
+    summary = capsys.readouterr().out.strip()
+    assert float(summary.split("S=")[1].split()[0]) > 4.0
+    assert summary.endswith("region=unphysical")

@@ -6,7 +6,7 @@ import pytest
 import dense_oracle
 from gupbell import tensor
 from gupbell.errors import (
-    AmbiguousBranchError, DegeneracyError, HermiticityError,
+    AmbiguousBranchError, DegeneracyError, HermiticityError, OutOfRangeError,
 )
 from gupbell.gup import (
     GupModel, default_hamiltonian, default_perturbation,
@@ -71,9 +71,9 @@ class TestCorrectObservable:
             GupModel(beta=0.2, rule="custom", jp=np.eye(2, dtype=complex))
 
     def test_large_coupling_raises(self):
-        model = GupModel(beta=1.0, rule="tilt")
-        with pytest.raises(ValueError):
-            gup_correct_observable(Direction(0.0), model)
+        # the reach beta * |m| = 1 is decided when the model is built
+        with pytest.raises(OutOfRangeError, match="first-order treatment invalid"):
+            GupModel(beta=1.0, rule="tilt")
 
     def test_matches_dense_oracle(self):
         # the direction map against eigendecompositions of J + beta*J_p

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import dense_oracle
-from gupbell.errors import GupBellError
+from gupbell import lab
+from gupbell.errors import GupBellError, OutOfRangeError
 from gupbell.gup import GupModel
 from gupbell.lab import (
     BatchEvaluator, ScanGrid, ScenarioConfig, beta_sweep, classify,
@@ -169,27 +170,30 @@ def horodecki_bound(cfg: ScenarioConfig, planar: bool = False) -> float:
 
 def is_exact_case(cfg: ScenarioConfig, eight_angles: bool) -> bool:
     """Whether the optimum is the Horodecki value: every corrected
-    direction w = (n + beta a)/|n + beta a| has a setting n when
-    |beta a| < 1, and the planar settings reach every x-z direction w when
-    beta a has no y part."""
+    direction w = (n + beta a)/|n + beta a| has a setting n, as every model
+    has |beta a| < 1, and the planar settings reach every x-z direction w
+    when beta a has no y part."""
     model = cfg.operator_model()
-    shift = np.zeros(3) if model is None else model.beta * model.axis
-    return shift @ shift < 1.0 and (eight_angles or shift[1] == 0.0)
+    return eight_angles or model is None or model.beta * model.axis[1] == 0.0
 
 
 @pytest.mark.filterwarnings("ignore:.*no longer small")
 @pytest.mark.parametrize("eight_angles", [False, True])
-def test_horodecki_bound_holds(eight_angles):
+def test_horodecki_bound_holds(eight_angles, monkeypatch):
+    monkeypatch.setattr(lab, "COARSE_STEPS", 9)
+    monkeypatch.setattr(lab, "MAX_EVALS", 2000)
     rng = np.random.default_rng(31 + eight_angles)
     for cfg in random_configs(rng, 2):
         bound = horodecki_bound(cfg) + 1e-12
-        opt = optimize_angles(cfg, coarse_steps=9, max_evals=2000,
-                              eight_angles=eight_angles)
+        opt = optimize_angles(cfg, eight_angles=eight_angles)
         assert opt.value <= bound
         if is_exact_case(cfg, eight_angles):
             assert opt.value == pytest.approx(
                 horodecki_bound(cfg, planar=not eight_angles), abs=1e-12)
-        assert float(grid_scan(cfg, resolution=41).values.max()) <= bound
+        scan_max = float(grid_scan(cfg, resolution=41).values.max())
+        assert scan_max <= bound
+        if cfg.scenario != "s2":  # unit spins on a state
+            assert scan_max <= TSIRELSON + 1e-12
 
 
 class TestClosedForm:
@@ -225,10 +229,25 @@ class TestClosedForm:
         assert opt.value == pytest.approx(horodecki_bound(cfg), abs=1e-12)
 
     @pytest.mark.filterwarnings("ignore:.*no longer small")
-    def test_search_only_where_the_formula_is_not_exact(self):
+    def test_not_converged_next_to_reach_1(self):
+        # beta |a| = 0.9999999999999999: the settings of the corrected
+        # directions w with w . a < 0 all round to about -a, so S falls short
+        model = GupModel(beta=0.9999999999999999, m=[0.48, 0.6, 0.64])
+        opt = optimize_angles(ScenarioConfig("s1", model=model), eight_angles=True)
+        assert opt.method == "closed_form"
+        assert opt.value == pytest.approx(2.78835906, abs=1e-8)
+        assert not opt.converged
+
+    @pytest.mark.filterwarnings("ignore:.*no longer small")
+    def test_search_only_where_the_formula_is_not_exact(self, monkeypatch):
+        monkeypatch.setattr(lab, "COARSE_STEPS", 5)
+        monkeypatch.setattr(lab, "MAX_EVALS", 500)
         out_of_plane = GupModel(beta=0.2, m=[0.48, 0.6, 0.64])
         y_custom = GupModel(beta=0.2, rule="custom", jp=0.3 * SIGMA_Y + 0.4 * SIGMA_Z)
-        unit_shift = GupModel(beta=1.0, rule="custom", jp=SIGMA_Y)
+        # |beta a| = 1: the direction -a would have no setting, so no such
+        # model is built and every eight-angle optimum has a closed form
+        with pytest.raises(OutOfRangeError, match="first-order treatment invalid"):
+            GupModel(beta=1.0, rule="custom", jp=SIGMA_Y)
         cases = [
             (ScenarioConfig(), False, "closed_form"),
             (ScenarioConfig(), True, "closed_form"),
@@ -244,13 +263,10 @@ class TestClosedForm:
             (ScenarioConfig("s1", model=out_of_plane), False, "search"),
             (ScenarioConfig("s3", model=out_of_plane), False, "search"),
             (ScenarioConfig("s1", model=y_custom), False, "search"),
-            # |beta a| = 1: the direction -a has no setting
-            (ScenarioConfig("s1", model=unit_shift), True, "search"),
         ]
         for cfg, eight_angles, method in cases:
             assert is_exact_case(cfg, eight_angles) == (method == "closed_form")
-            opt = optimize_angles(cfg, coarse_steps=5, max_evals=500,
-                                  eight_angles=eight_angles)
+            opt = optimize_angles(cfg, eight_angles=eight_angles)
             assert opt.method == method, (cfg, eight_angles)
             assert (opt.evaluations == 1) == (method == "closed_form")
 
@@ -273,9 +289,11 @@ class TestGridScan:
         with pytest.raises(GupBellError):
             ScanGrid(np.zeros(3), np.zeros(3), np.zeros((3, 4)))
 
-    def test_ceiling_validation(self):
-        with pytest.raises(GupBellError):
-            ScanGrid(np.zeros(2), np.zeros(2), np.full((2, 2), 5.0))
+    def test_finite_validation_without_ceiling(self):
+        # s2 is not a state, so a value above 4 is labelled, not rejected
+        assert ScanGrid(np.zeros(2), np.zeros(2), np.full((2, 2), 5.0)).values.max() == 5.0
+        with pytest.raises(GupBellError, match="non-finite"):
+            ScanGrid(np.zeros(2), np.zeros(2), np.full((2, 2), math.nan))
 
     def test_resolution_minimum(self):
         with pytest.raises(ValueError):
@@ -295,6 +313,8 @@ class TestBetaSweep:
         for curve in curves:
             for tag in ("qm", "s1", "s2", "s3"):
                 assert float(np.max(curve.series[tag])) <= 4.0
+            for tag in ("qm", "s1", "s3"):  # unit spins on a state
+                assert float(np.max(curve.series[tag])) <= TSIRELSON + 1e-12
 
     def test_custom_rule_accepted(self):
         jp = np.array([[0.3, 0.2j], [-0.2j, -0.3]])
@@ -327,8 +347,7 @@ class TestOptimize:
         assert first.evaluations == second.evaluations
 
     def test_eight_angle_search(self):
-        opt = optimize_angles(ScenarioConfig(), eight_angles=True,
-                              max_evals=30_000)
+        opt = optimize_angles(ScenarioConfig(), eight_angles=True)
         assert opt.value == pytest.approx(TSIRELSON, abs=1e-6)
 
     def test_restart_draws_bounded_by_budget(self, monkeypatch):
@@ -346,13 +365,13 @@ class TestOptimize:
                 return self.rng.uniform(*args)
 
         monkeypatch.setattr(np.random, "default_rng", CountingRng)
-        many = optimize_angles(searching_config(), restarts=10**5, coarse_steps=3,
-                               max_evals=2000)
+        monkeypatch.setattr(lab, "COARSE_STEPS", 3)
+        monkeypatch.setattr(lab, "MAX_EVALS", 2000)
+        many = optimize_angles(searching_config(), restarts=10**5)
         drawn = len(draws)
         assert 0 < drawn <= 2000 // 5
         # the same starts in the same order as a run that asks for just these
-        few = optimize_angles(searching_config(), restarts=drawn + 1, coarse_steps=3,
-                              max_evals=2000)
+        few = optimize_angles(searching_config(), restarts=drawn + 1)
         assert (few.value, few.settings, few.evaluations) == \
             (many.value, many.settings, many.evaluations)
 
