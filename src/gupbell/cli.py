@@ -30,7 +30,6 @@ from .shots import ChshEstimate, CountsTable, ShotPlan
 
 PI = math.pi
 
-COMMANDS = ("scan", "sweep", "optimize", "sample", "audit")
 SCENARIOS = lab.SCENARIOS
 MODEL_RULES = gup.RULES
 
@@ -104,11 +103,6 @@ def _check_choice(value, path, choices) -> str:
     if value not in choices:
         _fail(path, f"must be one of {choices}")
     return value
-
-
-def _check_rule(value, path) -> str:
-    rule = value.replace("_", "-") if isinstance(value, str) else value
-    return _check_choice(rule, path, MODEL_RULES)
 
 
 def _check_beta(value, path) -> float:
@@ -185,7 +179,7 @@ def _validate_axis(raw, path) -> list:
 _CONFIG = {
     "scenario": ("scenario", partial(_check_choice, choices=SCENARIOS)),
     "beta": ("beta", _check_beta),
-    "model.rule": ("model_rule", _check_rule),
+    "model.rule": ("model_rule", partial(_check_choice, choices=MODEL_RULES)),
     "model.m": ("m", _validate_axis),
     "model.jp": ("jp", partial(_check_matrix, dim=2)),
     "m": ("m", _validate_axis),
@@ -256,11 +250,12 @@ def _csv_numbers(path: str, message: str):
     return parse
 
 
-#: command-line flag -> (config key it overrides, argparse keywords)
+#: command-line flag -> (config key it overrides, argparse keywords); each
+#: value is checked by its key's ``_CONFIG`` checker, as a file value is
 _FLAGS = {
-    "--scenario": ("scenario", {"choices": SCENARIOS}),
+    "--scenario": ("scenario", {"help": f"one of {', '.join(SCENARIOS)}"}),
     "--beta": ("beta", {"type": float}),
-    "--model": ("model.rule", {"choices": MODEL_RULES}),
+    "--model": ("model.rule", {"help": f"one of {', '.join(MODEL_RULES)}"}),
     "--m": ("m", {"type": _csv_numbers("m", "expected x,y,z numbers"),
                   "help": "tilt axis as x,y,z"}),
     "--grid-steps": ("grid.steps", {"type": int}),
@@ -281,13 +276,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
         prog="gupbell",
         description="CHSH laboratory with minimal-length corrections")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-        ("scan", "two-angle grid scan with CSV and SVG heatmap output"),
-        ("sweep", "beta sweep over a one-parameter settings family"),
-        ("optimize", "find the measurement angles with the maximal S"),
-        ("sample", "finite-shot Monte Carlo CHSH estimate"),
-        ("audit", "device-independent security report"),
-    ):
+    for name, (_, text) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", help="JSON configuration file")
         for flag, (_, kwargs) in _FLAGS.items():
@@ -323,8 +312,6 @@ def _chsh_settings(cfg: RunConfig) -> ChshSettings:
 def _scenario_config(cfg: RunConfig) -> ScenarioConfig:
     """The run's scenario with its model and perturbed state built, so an
     input the physics rejects exits 2 in every command and scenario."""
-    if cfg.model_rule == "custom" and cfg.jp is None:
-        _fail("jp", "custom model requires a 2x2 Hermitian jp")
     for key, rule in (("m", "tilt"), ("jp", "custom")):
         if getattr(cfg, key) is not None and cfg.model_rule != rule:
             _fail(key, f"applies to the {rule} rule only, not {cfg.model_rule}")
@@ -474,14 +461,14 @@ def _run_sweep(cfg: RunConfig, scenario: ScenarioConfig, out: Path) -> float:
     curves = lab.beta_sweep(cfg.betas, theta_axis, rule=model.rule, m=model.m,
                             jp=model.jp, h0=scenario.h0, hp=scenario.hp)
     thetas = [_fmt9(theta) for theta in theta_axis]
-    lines = ["beta,theta,S_qm,S_s1,S_s2,S_s3"]
+    lines = ["beta,theta," + ",".join(f"S_{tag}" for tag in SCENARIOS)]
     for curve in curves:
         # "%.9g" formats a float as _fmt9 does
         row = _fmt9(curve.beta) + ",%s" + ",%.9g" * len(SCENARIOS)
         series = [curve.series[tag].tolist() for tag in SCENARIOS]
         lines += [row % values for values in zip(thetas, *series)]
     _write_text(out / "sweep.csv", "\n".join(lines) + "\n")
-    return max(float(curve.series[tag].max()) for curve in curves for tag in SCENARIOS)
+    return max(float(curve.series[cfg.scenario].max()) for curve in curves)
 
 
 def _run_optimize(cfg: RunConfig, scenario: ScenarioConfig, out: Path) -> float:
@@ -589,12 +576,21 @@ def _run_audit(cfg: RunConfig, scenario: ScenarioConfig, out: Path) -> float:
     return report.s_observed
 
 
+#: command -> (runner writing its artifacts and returning the summary S, help)
+_COMMANDS = {
+    "scan": (_run_scan, "two-angle grid scan with CSV and SVG heatmap output"),
+    "sweep": (_run_sweep, "beta sweep over a one-parameter settings family"),
+    "optimize": (_run_optimize, "find the measurement angles with the maximal S"),
+    "sample": (_run_sample, "finite-shot Monte Carlo CHSH estimate"),
+    "audit": (_run_audit, "device-independent security report"),
+}
+COMMANDS = tuple(_COMMANDS)
+
+
 def execute(cfg: RunConfig) -> float:
     """Run the configured command, write artifacts, return the summary S."""
     scenario = _scenario_config(cfg)
-    runner = {"scan": _run_scan, "sweep": _run_sweep, "optimize": _run_optimize,
-              "sample": _run_sample, "audit": _run_audit}[cfg.command]
-    return runner(cfg, scenario, Path(cfg.out))
+    return _COMMANDS[cfg.command][0](cfg, scenario, Path(cfg.out))
 
 
 def main(argv=None) -> int:

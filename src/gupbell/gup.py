@@ -58,23 +58,21 @@ class GupModel:
     def __post_init__(self):
         if self.beta < 0:
             raise ValueError("negative beta models are out of scope")
-        rule = self.rule.replace("_", "-")
-        if rule not in RULES:
+        if self.rule not in RULES:
             raise ValueError(f"unknown rule {self.rule!r}; expected one of {RULES}")
-        if self.jp is not None and rule != "custom":
-            raise ValueError(f"jp applies to the custom rule only, not {rule}")
-        object.__setattr__(self, "rule", rule)
+        if self.jp is not None and self.rule != "custom":
+            raise ValueError(f"jp applies to the custom rule only, not {self.rule}")
         m = np.asarray(self.m, dtype=float).reshape(-1)
         axis = np.zeros(3)
-        if rule == "tilt":
+        if self.rule == "tilt":
             if m.shape[0] != 3 or abs(np.linalg.norm(m) - 1.0) > 1e-12:
                 raise ValueError("tilt axis m must be a unit 3-vector")
             axis = m
         object.__setattr__(self, "m", m)
-        if rule == "custom":
+        if self.rule == "custom":
             jp = np.asarray(self.jp, dtype=complex)
             if jp.shape != (2, 2) or not tensor.is_hermitian(jp):
-                raise HermiticityError("custom jp must be 2x2 Hermitian")
+                raise HermiticityError("custom rule needs a 2x2 Hermitian jp")
             object.__setattr__(self, "jp", jp)
             shift, axis = pauli_parts(jp)
             if 2.0 * abs(self.beta * shift) > BRANCH_MISMATCH_TOL:
@@ -82,7 +80,7 @@ class GupModel:
                     f"custom jp has identity part {shift:.12g}: the eigenvalue "
                     "branch magnitudes differ; normalization undefined")
         object.__setattr__(self, "axis", axis)
-        reach = self.beta * (1.0 if rule == "self-cubic" else np.linalg.norm(axis))
+        reach = self.beta * (1.0 if self.rule == "self-cubic" else np.linalg.norm(axis))
         if reach >= 1.0:
             raise OutOfRangeError(f"|beta'| reaches beta * |a| = {reach:.12g} >= 1; "
                                   "first-order treatment invalid")
@@ -158,10 +156,8 @@ class PerturbedState:
 class ChshResult:
     """CHSH evaluation outcome for one scenario at one settings tuple."""
 
-    scenario: str
     value: float
     terms: dict
-    beta: float
 
 
 def default_hamiltonian() -> np.ndarray:

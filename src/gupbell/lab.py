@@ -161,16 +161,15 @@ def evaluate_point(cfg: ScenarioConfig, s: ChshSettings) -> ChshResult:
         sym = 0.5 * (np.outer(ps.xi_p, xi.conj()) + np.outer(xi, ps.xi_p.conj()))
         qm = _chsh(correlators(correlation_tensor(np.outer(xi, xi.conj()))[2], n))
         cross = _chsh(correlators(correlation_tensor(sym)[2], n))
-        return ChshResult("s2", _chsh(correlators(t, n)),
-                          {"qm": qm, "cross": cross}, ps.beta)
+        return ChshResult(_chsh(correlators(t, n)), {"qm": qm, "cross": cross})
     model = cfg.operator_model()
     if model is None:
-        return ChshResult("qm", _chsh(correlators(t, n)), {}, 0.0)
+        return ChshResult(_chsh(correlators(t, n)), {})
     w, lam, beta_prime = model.corrected(n)
     if cfg.scenario == "s3":
         xg = cfg.perturbed().corrected_vector()
-        return ChshResult("s3", _chsh(correlators(t, w)),
-                          {"norm_sq": float((xg.conj() @ xg).real)}, model.beta)
+        return ChshResult(_chsh(correlators(t, w)),
+                          {"norm_sq": float((xg.conj() @ xg).real)})
     e = correlators(t, w)
 
     def alice(k):  # weights k on A, A' against B + B' and B - B'
@@ -190,7 +189,7 @@ def evaluate_point(cfg: ScenarioConfig, s: ChshSettings) -> ChshResult:
                                - terms["bracket_beta_prime_bob"]
                                + terms["bracket_beta_dprime_alice"]
                                + terms["bracket_beta_dprime_bob"])
-    return ChshResult("s1", _chsh(e), terms, beta)
+    return ChshResult(_chsh(e), terms)
 
 
 class BatchEvaluator:

@@ -29,6 +29,9 @@ class ShotPlan:
     def __post_init__(self):
         if self.shots_per_pair < 1:
             raise ValueError("shots_per_pair must be at least 1")
+        # the stream seed is a uint64: any other seed would wrap onto one
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must lie in [0, 2**64)")
         if not 0.0 <= self.noise_p <= 1.0:
             raise ValueError("noise_p must lie in [0, 1]")
 

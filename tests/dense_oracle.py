@@ -90,7 +90,7 @@ def correct_observable(n: Direction, model: GupModel) -> DenseObservable:
 
 def qm_chsh(state: PureState, s: ChshSettings) -> ChshResult:
     """Uncorrected CHSH expectation."""
-    return ChshResult("qm", chsh_value(state, s), {}, 0.0)
+    return ChshResult(chsh_value(state, s), {})
 
 
 def _bell_combination(alice: np.ndarray, alice_prime: np.ndarray,
@@ -137,7 +137,7 @@ def scenario1_chsh(state: PureState, s: ChshSettings, model: GupModel) -> ChshRe
         "bracket_beta_dprime_bob": t4,
         "correction_sum": correction,
     }
-    return ChshResult("s1", value, terms, model.beta)
+    return ChshResult(value, terms)
 
 
 def scenario2_chsh(ps: PerturbedState, s: ChshSettings) -> ChshResult:
@@ -151,7 +151,7 @@ def scenario2_chsh(ps: PerturbedState, s: ChshSettings) -> ChshResult:
     cross = float((ps.xi.amplitudes.conj() @ (b @ ps.xi_p)).real)
     value = qm + 2.0 * ps.beta * cross
     terms = {"qm": qm, "cross": cross}
-    return ChshResult("s2", value, terms, ps.beta)
+    return ChshResult(value, terms)
 
 
 def scenario3_chsh(ps: PerturbedState, s: ChshSettings, model: GupModel) -> ChshResult:
@@ -167,7 +167,7 @@ def scenario3_chsh(ps: PerturbedState, s: ChshSettings, model: GupModel) -> Chsh
     norm_sq = float((xg.conj() @ xg).real)
     value = float((xg.conj() @ (b_gup @ xg)).real) / norm_sq
     terms = {"norm_sq": norm_sq}
-    return ChshResult("s3", value, terms, model.beta)
+    return ChshResult(value, terms)
 
 
 def scenario_chsh(cfg, s: ChshSettings) -> ChshResult:
@@ -273,9 +273,9 @@ def scan_csv(grid) -> str:
     return "\n".join(lines) + "\n"
 
 
-def sweep_csv(curves) -> tuple:
+def sweep_csv(curves, scenario: str) -> tuple:
     """``sweep.csv`` of ``lab.beta_sweep`` curves, formatted cell by cell,
-    and the largest S in it."""
+    and the largest S of the given scenario's series in it."""
     lines = ["beta,theta,S_qm,S_s1,S_s2,S_s3"]
     best = -math.inf
     for curve in curves:
@@ -283,7 +283,8 @@ def sweep_csv(curves) -> tuple:
             row = [_fmt9(curve.beta), _fmt9(theta)]
             for tag in ("qm", "s1", "s2", "s3"):
                 value = float(curve.series[tag][k])
-                best = max(best, value)
+                if tag == scenario:
+                    best = max(best, value)
                 row.append(_fmt9(value))
             lines.append(",".join(row))
     return "\n".join(lines) + "\n", best

@@ -571,7 +571,7 @@ _LARGE_HP[0, 0] = _LARGE_HP[0, 1] = _LARGE_HP[1, 0] = 1e3
 
 @pytest.mark.filterwarnings("ignore:.*no longer small")
 @pytest.mark.parametrize("command, scenario", [
-    ("scan", "s2"), ("sweep", "s2"), ("sweep", "qm"), ("optimize", "s2")])
+    ("scan", "s2"), ("sweep", "s2"), ("optimize", "s2")])
 def test_s2_beyond_4_is_unphysical_in_every_command(tmp_path, capsys, command, scenario):
     cfgfile = tmp_path / "run.json"
     cfgfile.write_text(json.dumps({"scenario": scenario, "hp": _pairs(_LARGE_HP + 0j),
@@ -580,3 +580,42 @@ def test_s2_beyond_4_is_unphysical_in_every_command(tmp_path, capsys, command, s
     summary = capsys.readouterr().out.strip()
     assert float(summary.split("S=")[1].split()[0]) > 4.0
     assert summary.endswith("region=unphysical")
+
+
+@pytest.mark.filterwarnings("ignore:.*no longer small")
+@pytest.mark.parametrize("scenario, region", [("qm", "quantum"), ("s2", "unphysical")])
+def test_sweep_reports_the_tagged_scenario(tmp_path, capsys, scenario, region):
+    # sweep.csv holds all four series; the summary is the maximum of the
+    # run's own, so the s2 series beyond 4 does not reach a qm sweep's
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text(json.dumps({"scenario": scenario, "hp": _pairs(_LARGE_HP + 0j),
+                                   "betas": [0.1], "theta_steps": 61}))
+    out = tmp_path / "out"
+    assert run_main(["sweep", "--config", cfgfile, "--out", out]) == 0
+    summary = capsys.readouterr().out.strip()
+    value = float(summary.split("S=")[1].split()[0])
+    assert summary.endswith(f"region={region}")
+    lines = (out / "sweep.csv").read_text().splitlines()
+    column = 2 + cli.SCENARIOS.index(scenario)
+    assert value == max(float(line.split(",")[column]) for line in lines[1:])
+    if scenario == "qm":
+        assert value <= TSIRELSON
+
+
+@pytest.mark.parametrize("flag, key, value, code", [
+    ("--model", "model.rule", "self-cubic", 0),
+    ("--model", "model.rule", "self_cubic", 2),
+    ("--model", "model.rule", "bogus", 2),
+    ("--scenario", "scenario", "s9", 2),
+])
+def test_flag_and_file_share_one_check(tmp_path, capsys, flag, key, value, code):
+    # a flag value reaches the checker of its config key, as a file value does
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text(json.dumps({key.split(".")[0]: value}))
+    errors = []
+    for argv in ([flag, value], ["--config", cfgfile]):
+        assert run_main(["optimize", *argv, "--out", tmp_path / "out"]) == code
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    if code:
+        assert f"configuration error: {key}: must be one of" in errors[0]

@@ -20,7 +20,10 @@ from gupbell.quantum import (
 
 class TestGupModel:
     def test_rule_normalization(self):
-        assert GupModel(beta=0.1, rule="self_cubic").rule == "self-cubic"
+        # a rule has one spelling: the underscore form is an unknown rule
+        assert GupModel(beta=0.1, rule="self-cubic").rule == "self-cubic"
+        with pytest.raises(ValueError, match="self_cubic"):
+            GupModel(beta=0.1, rule="self_cubic")
 
     def test_rejects_negative_beta(self):
         with pytest.raises(ValueError):
@@ -37,6 +40,8 @@ class TestGupModel:
     def test_custom_requires_hermitian(self):
         with pytest.raises(HermiticityError):
             GupModel(beta=0.1, rule="custom", jp=np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(HermiticityError, match="needs a 2x2 Hermitian jp"):
+            GupModel(beta=0.1, rule="custom")
 
     @pytest.mark.parametrize("rule", ["tilt", "self-cubic"])
     def test_jp_only_under_custom(self, rule):

@@ -24,6 +24,13 @@ class TestPlansAndTables:
         with pytest.raises(ValueError):
             ShotPlan(shots_per_pair=10, noise_p=1.5)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_uint64_rejected(self, seed):
+        # such a seed would wrap onto the stream of 2**64 - 1 or of 0
+        with pytest.raises(ValueError, match="seed"):
+            ShotPlan(shots_per_pair=1, seed=seed)
+        ShotPlan(shots_per_pair=1, seed=seed % 2**64)
+
     def test_counts_must_sum_to_shots(self):
         good = {k: [3, 2, 2, 3] for k in ("ab", "abp", "apb", "apbp")}
         CountsTable(counts=good, shots_per_pair=10)

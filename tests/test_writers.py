@@ -108,6 +108,6 @@ def test_sweep_matches_per_cell_oracle(tmp_path, betas, theta_steps):
     cfg, best = run_cli(tmp_path, doc, "sweep")
     curves = lab.beta_sweep(betas, np.linspace(0.0, 2.0 * np.pi, theta_steps),
                             m=cfg.m)
-    text, oracle_best = dense_oracle.sweep_csv(curves)
+    text, oracle_best = dense_oracle.sweep_csv(curves, cfg.scenario)
     assert (tmp_path / "out" / "sweep.csv").read_bytes() == text.encode()
     assert best == oracle_best
