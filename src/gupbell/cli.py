@@ -138,11 +138,19 @@ def _check_type(value, path, kind, what):
     return value
 
 
-def _load_json(fh, path: str):
-    """``json.load`` that rejects NaN and +-Infinity, which are not JSON."""
+def _read_json(path: str):
+    """The JSON document in the UTF-8 file ``path``; NaN and +-Infinity,
+    which are not JSON, are rejected.  Every failure is reported under
+    the file's path."""
     def reject(name):
         _fail(path, f"non-finite number {name} is not allowed")
-    return json.load(fh, parse_constant=reject)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh, parse_constant=reject)
+    except OSError as exc:
+        _fail(path, f"cannot read: {exc}")
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, nested too deep
+        _fail(path, f"malformed JSON: {exc}")
 
 
 def _check_matrix(raw, path, dim) -> np.ndarray:
@@ -159,17 +167,12 @@ def _check_matrix(raw, path, dim) -> np.ndarray:
 
 
 def _validate_axis(raw, path) -> list:
+    """Three numbers, not all zero; ``GupModel`` checks and normalizes the norm."""
     if not isinstance(raw, list) or len(raw) != 3:
         _fail(path, "expected three numbers")
     m = [_check_number(x, f"{path}[{i}]") for i, x in enumerate(raw)]
-    norm = math.sqrt(sum(x * x for x in m))
-    if norm == 0.0:
+    if not any(m):
         _fail(path, "axis must be non-zero")
-    if abs(norm - 1.0) > 1e-6:
-        _fail(path, f"axis norm {norm:.9g} deviates from 1 by more than 1e-6")
-    if norm != 1.0:
-        warnings.warn(f"{path}: normalizing axis (norm {norm:.12g})", stacklevel=2)
-        m = [x / norm for x in m]
     return m
 
 
@@ -288,14 +291,7 @@ def parse_config(argv) -> RunConfig:
     args = _build_arg_parser().parse_args(argv)
     cfg = RunConfig(command=args.command)
     if args.config:
-        try:
-            with open(args.config) as fh:
-                doc = _load_json(fh, "config")
-        except OSError as exc:
-            _fail("config", f"cannot read {args.config}: {exc}")
-        except json.JSONDecodeError as exc:
-            _fail("config", f"malformed JSON: {exc}")
-        _apply(cfg, _flatten(doc))
+        _apply(cfg, _flatten(_read_json(args.config)))
     flags = {key: getattr(args, flag[2:].replace("-", "_"))
              for flag, (key, _) in _FLAGS.items()}
     _apply(cfg, {key: value for key, value in flags.items() if value is not None})
@@ -325,6 +321,8 @@ def _scenario_config(cfg: RunConfig) -> ScenarioConfig:
         _fail("jp", str(exc))
     except OutOfRangeError as exc:
         _fail(key, str(exc))
+    except ValueError as exc:  # the tilt axis is not a unit vector
+        _fail("m", str(exc))
     scenario = ScenarioConfig(scenario=cfg.scenario, state=bell_state(),
                               model=model, h0=cfg.h0, hp=cfg.hp)
     try:
@@ -511,9 +509,8 @@ def _sample_estimate(cfg: RunConfig, scenario: ScenarioConfig, noise_p: float,
     settings = _chsh_settings(cfg)
     state = scenario.sampled_state()
     model = scenario.operator_model()
-    observables = None if model is None else [
-        gup.gup_correct_observable(d, model).j_gup
-        for d in (settings.a, settings.a_prime, settings.b, settings.b_prime)]
+    observables = [gup.gup_correct_observable(d, model).j_gup
+                   for d in (settings.a, settings.a_prime, settings.b, settings.b_prime)]
     return shots.estimate_chsh(state, settings, plan, observables), plan
 
 
@@ -530,13 +527,7 @@ DERIVED_TOL = 1e-12
 def _load_estimate(path: str) -> ChshEstimate:
     """The estimate derived from a file's counts; the file's own ``s_hat``,
     ``stderr`` and ``correlators`` must agree with it."""
-    try:
-        with open(path) as fh:
-            doc = _load_json(fh, path)
-    except OSError as exc:
-        _fail(path, f"cannot read estimate: {exc}")
-    except json.JSONDecodeError as exc:
-        _fail(path, f"malformed JSON: {exc}")
+    doc = _read_json(path)
     try:
         table = CountsTable(
             counts={k: np.asarray([_check_int(c, f"{path}: counts.{k}[{i}]",
@@ -593,22 +584,28 @@ def execute(cfg: RunConfig) -> float:
     return _COMMANDS[cfg.command][0](cfg, scenario, Path(cfg.out))
 
 
+def _print_warning(message, *_):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
-    try:
-        cfg = parse_config(sys.argv[1:] if argv is None else argv)
-        value = execute(cfg)
-    except (ValidationError, OutOfRangeError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
-        return 3
-    except GupBellError as exc:
-        print(f"evaluation error: {exc}", file=sys.stderr)
-        return 4
-    except MemoryError as exc:
-        print(f"evaluation error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return 4
+    with warnings.catch_warnings():  # restores the warning printer on return
+        warnings.showwarning = _print_warning
+        try:
+            cfg = parse_config(sys.argv[1:] if argv is None else argv)
+            value = execute(cfg)
+        except (ValidationError, OutOfRangeError) as exc:
+            print(f"configuration error: {exc}", file=sys.stderr)
+            return 2
+        except OSError as exc:
+            print(f"output error: {exc}", file=sys.stderr)
+            return 3
+        except GupBellError as exc:
+            print(f"evaluation error: {exc}", file=sys.stderr)
+            return 4
+        except MemoryError as exc:
+            print(f"evaluation error: {str(exc) or 'out of memory'}", file=sys.stderr)
+            return 4
     print(f"{cfg.command} S={_fmt9(value)} region={classify(value)}")
     return 0
 

@@ -1,9 +1,10 @@
 """Minimal-length corrections to observables and states.
 
 A corrected observable is a unit spin along a corrected direction: the
-direction map n -> w(n) = (n + beta*a)/|n + beta*a| of ``GupModel.corrected``
-is the only place where observables are corrected and warned about, and
-a ``GupModel`` outside the first-order domain is rejected when it is built.
+direction map n -> w(n) = (n + beta*a)/|n + beta*a| of ``GupModel.corrected``,
+the identity at beta = 0 and inverted by ``GupModel.inverse``, is the only
+place where observables are corrected and warned about, and a ``GupModel``
+outside the first-order domain is rejected when it is built.
 The perturbed state of scenarios 2 and 3 comes from first-order
 perturbation theory (``perturb_state``); ``lab`` evaluates the scenarios
 from both.
@@ -39,9 +40,11 @@ class GupModel:
     rule "self-cubic" uses the cube of the observable (a no-op for spin
     components, kept as a consistency anchor), "tilt" adds a fixed spin
     component along the unit axis ``m``, and "custom" uses the supplied
-    2x2 Hermitian ``jp`` verbatim; no other rule takes a ``jp``.  ``axis``
-    is the Bloch vector of the perturbation for tilt and custom (zero for
-    self-cubic).  A custom jp with an identity part at non-zero beta raises
+    2x2 Hermitian ``jp`` verbatim; no other rule takes a ``jp``.  A tilt
+    axis ``m`` of norm within 1e-6 of 1 is normalized, with a warning
+    beyond rounding.  ``axis`` is the Bloch vector of the perturbation for
+    tilt and custom (zero for self-cubic) and ``shift`` is beta * axis.
+    A custom jp with an identity part at non-zero beta raises
     AmbiguousBranchError: the eigenvalue branches of J + beta*J_p then
     differ in magnitude.  A model whose reach beta * |a| (beta for
     self-cubic) is 1 or more raises OutOfRangeError: the first-order
@@ -54,6 +57,7 @@ class GupModel:
     m: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
     jp: np.ndarray | None = None
     axis: np.ndarray = field(init=False, repr=False, default=None)
+    shift: np.ndarray = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         if self.beta < 0:
@@ -65,21 +69,27 @@ class GupModel:
         m = np.asarray(self.m, dtype=float).reshape(-1)
         axis = np.zeros(3)
         if self.rule == "tilt":
-            if m.shape[0] != 3 or abs(np.linalg.norm(m) - 1.0) > 1e-12:
-                raise ValueError("tilt axis m must be a unit 3-vector")
-            axis = m
+            if m.shape[0] != 3:
+                raise ValueError("tilt axis m must be a 3-vector")
+            norm = math.sqrt(sum(x * x for x in m.tolist()))
+            if not abs(norm - 1.0) <= 1e-6:
+                raise ValueError(f"axis norm {norm:.9g} deviates from 1 by more than 1e-6")
+            axis = m if norm == 1.0 else m / norm
+            if abs(norm - 1.0) > 1e-12:  # beyond rounding
+                warnings.warn(f"m: normalizing axis (norm {norm:.12g})")
         object.__setattr__(self, "m", m)
         if self.rule == "custom":
             jp = np.asarray(self.jp, dtype=complex)
             if jp.shape != (2, 2) or not tensor.is_hermitian(jp):
                 raise HermiticityError("custom rule needs a 2x2 Hermitian jp")
             object.__setattr__(self, "jp", jp)
-            shift, axis = pauli_parts(jp)
-            if 2.0 * abs(self.beta * shift) > BRANCH_MISMATCH_TOL:
+            identity, axis = pauli_parts(jp)
+            if 2.0 * abs(self.beta * identity) > BRANCH_MISMATCH_TOL:
                 raise AmbiguousBranchError(
-                    f"custom jp has identity part {shift:.12g}: the eigenvalue "
+                    f"custom jp has identity part {identity:.12g}: the eigenvalue "
                     "branch magnitudes differ; normalization undefined")
         object.__setattr__(self, "axis", axis)
+        object.__setattr__(self, "shift", self.beta * axis)
         reach = self.beta * (1.0 if self.rule == "self-cubic" else np.linalg.norm(axis))
         if reach >= 1.0:
             raise OutOfRangeError(f"|beta'| reaches beta * |a| = {reach:.12g} >= 1; "
@@ -90,7 +100,7 @@ class GupModel:
         if self.rule == "self-cubic":
             return j @ j @ j
         if self.rule == "tilt":
-            return spin(self.m)
+            return spin(self.axis)
         return self.jp
 
     def corrected(self, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -98,9 +108,10 @@ class GupModel:
 
         ``n`` has shape (..., 3).  J + beta*J_p equals lambda * w.sigma
         with w = (n + beta*a)/lambda and lambda = |n + beta*a|; self-cubic
-        gives w = n and lambda = 1 + beta.  beta' = beta * lambda_p is the
-        first-order coupling, lambda_p = n.a (1 for self-cubic) being the
-        shift of the +1 eigenvalue.  Returns (w, lambda, beta').
+        gives w = n and lambda = 1 + beta; beta = 0 returns n itself.
+        beta' = beta * lambda_p is the first-order coupling, lambda_p = n.a
+        (1 for self-cubic) being the shift of the +1 eigenvalue.  Returns
+        (w, lambda, beta').
 
         Raises OutOfRangeError where lambda = 0, as J + beta*J_p is then
         zero; only rounding at a reach next to 1 gets there.  Warns when
@@ -112,7 +123,7 @@ class GupModel:
             lam = np.full(n.shape[:-1], 1.0 + self.beta)
             beta_prime = np.full(n.shape[:-1], self.beta)
         else:
-            v = n + self.beta * self.axis
+            v = n + self.shift
             lam = np.linalg.norm(v, axis=-1)
             if np.any(lam == 0.0):
                 raise OutOfRangeError(
@@ -125,6 +136,14 @@ class GupModel:
                 f"|beta * lambda_p / lambda| > {SMALLNESS_WARN}; "
                 "perturbative correction is no longer small", stacklevel=2)
         return w, lam, beta_prime
+
+    def inverse(self, w: np.ndarray) -> np.ndarray:
+        """The unit directions n whose corrected directions are w, shape
+        (..., 3): n = lambda w - s with s = ``shift`` and
+        lambda = w.s + sqrt(1 - |s|^2 + (w.s)^2) > 0, as |s| < 1."""
+        ws = w @ self.shift
+        lam = ws + np.sqrt(1.0 - self.shift @ self.shift + ws * ws)
+        return lam[..., None] * w - self.shift
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,10 @@ derivative-free angle optimization and region classification.
 Every scenario value is computed from one representation: the
 correlation matrix T of the scenario's effective two-qubit operator and
 the corrected directions w of the four observables, so that
-S = sum(+-) w_A . T . w_B.  ``evaluate_point`` adds the scenario's
-diagnostic terms at one settings tuple; ``BatchEvaluator`` evaluates S
-over arrays of directions for scans, sweeps and the optimizer.
+S = sum(+-) w_A . T . w_B, qm and s2 measuring through the identity
+map ``GupModel(beta=0.0)``.  ``BatchEvaluator`` evaluates S over arrays
+of directions for scans, sweeps and the optimizer; ``evaluate_point``
+reads its T and map at one settings tuple and adds diagnostic terms.
 """
 
 from __future__ import annotations
@@ -74,8 +75,7 @@ class ScenarioConfig:
         if self._perturbed is None:
             h0 = self.h0 if self.h0 is not None else gup.default_hamiltonian()
             hp = self.hp if self.hp is not None else gup.default_perturbation(self.model)
-            self._perturbed = gup.perturb_state(
-                h0, hp, 0, 0.0 if self.model is None else self.model.beta)
+            self._perturbed = gup.perturb_state(h0, hp, 0, self.model.beta)
         return self._perturbed
 
     def effective_density(self) -> np.ndarray:
@@ -94,9 +94,10 @@ class ScenarioConfig:
         xg = ps.corrected_vector()
         return np.outer(xg, xg.conj()) / float((xg.conj() @ xg).real)
 
-    def operator_model(self) -> GupModel | None:
-        """The correction applied to measurement operators, if any."""
-        return self.model if self.scenario in ("s1", "s3") else None
+    def operator_model(self) -> GupModel:
+        """The correction applied to measurement operators: the identity
+        map, beta = 0, for qm and s2."""
+        return self.model if self.scenario in ("s1", "s3") else GupModel(beta=0.0)
 
     def sampled_state(self) -> PureState:
         """The state shots are drawn from: the given state for qm and s1,
@@ -117,15 +118,10 @@ class ScenarioConfig:
         return PureState(xg / np.linalg.norm(xg))
 
 
-def _correlators(t: np.ndarray, w):
-    """E(a,b), E(a,b'), E(a',b), E(a',b') = w_A . T . w_B, one (K,) array
-    per pair, for the four (K, 3) direction arrays w = (w_a, w_a', w_b, w_b').
-
-    A generator, so that ``_chsh`` adds each correlator as it is made and
-    a large K never holds all four at once.
-    """
-    for i, j in CHSH_PAIRS:
-        yield np.einsum("ki,ij,kj->k", w[i], t, w[j])
+def _correlator(t: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
+    """The one correlator kernel: E = w_a . T . w_b for each row of the
+    two (K, 3) direction arrays."""
+    return np.einsum("ki,ij,kj->k", wa, t, wb)
 
 
 def _chsh(correlators):
@@ -152,25 +148,24 @@ def evaluate_point(cfg: ScenarioConfig, s: ChshSettings) -> ChshResult:
     n = np.array([d.unit_vector() for d in (s.a, s.a_prime, s.b, s.b_prime)])
 
     def correlators(t, w):  # the kernel's single row, at the four rows of w
-        return [float(e[0]) for e in _correlators(t, w[:, None])]
+        return [float(_correlator(t, w[i, None], w[j, None])[0]) for i, j in CHSH_PAIRS]
 
-    t = correlation_tensor(cfg.effective_density())[2]
+    ev = BatchEvaluator(cfg)
+    w, lam, beta_prime = ev.model.corrected(n)
+    e = correlators(ev.moments, w)
+    value = _chsh(e)
+    if cfg.scenario == "qm":
+        return ChshResult(value, {})
     if cfg.scenario == "s2":
         ps = cfg.perturbed()
         xi = ps.xi.amplitudes
         sym = 0.5 * (np.outer(ps.xi_p, xi.conj()) + np.outer(xi, ps.xi_p.conj()))
         qm = _chsh(correlators(correlation_tensor(np.outer(xi, xi.conj()))[2], n))
         cross = _chsh(correlators(correlation_tensor(sym)[2], n))
-        return ChshResult(_chsh(correlators(t, n)), {"qm": qm, "cross": cross})
-    model = cfg.operator_model()
-    if model is None:
-        return ChshResult(_chsh(correlators(t, n)), {})
-    w, lam, beta_prime = model.corrected(n)
+        return ChshResult(value, {"qm": qm, "cross": cross})
     if cfg.scenario == "s3":
         xg = cfg.perturbed().corrected_vector()
-        return ChshResult(_chsh(correlators(t, w)),
-                          {"norm_sq": float((xg.conj() @ xg).real)})
-    e = correlators(t, w)
+        return ChshResult(value, {"norm_sq": float((xg.conj() @ xg).real)})
 
     def alice(k):  # weights k on A, A' against B + B' and B - B'
         return float(k[0] * (e[0] + e[1]) + k[1] * (e[2] - e[3]))
@@ -178,7 +173,7 @@ def evaluate_point(cfg: ScenarioConfig, s: ChshSettings) -> ChshResult:
     def bob(k):  # weights k on B, B' against A and A'
         return float(k[2] * (e[0] + e[2]) + k[3] * (e[1] - e[3]))
 
-    beta = model.beta
+    beta = ev.model.beta
     terms = {
         "bracket_beta_prime_alice": alice(beta_prime),
         "bracket_beta_prime_bob": bob(beta_prime),
@@ -189,7 +184,7 @@ def evaluate_point(cfg: ScenarioConfig, s: ChshSettings) -> ChshResult:
                                - terms["bracket_beta_prime_bob"]
                                + terms["bracket_beta_dprime_alice"]
                                + terms["bracket_beta_dprime_bob"])
-    return ChshResult(_chsh(e), terms)
+    return ChshResult(value, terms)
 
 
 class BatchEvaluator:
@@ -200,13 +195,25 @@ class BatchEvaluator:
         self.model = cfg.operator_model()
 
     def _corrected(self, n: np.ndarray) -> np.ndarray:
-        n = np.atleast_2d(n)
-        return n if self.model is None else self.model.corrected(n)[0]
+        return self.model.corrected(np.atleast_2d(n))[0]
 
     def values(self, na, nap, nb, nbp) -> np.ndarray:
         """S for each row of the four (K, 3) direction arrays."""
         w = [self._corrected(n) for n in (na, nap, nb, nbp)]
-        return _chsh(_correlators(self.moments, w))
+        # one correlator at a time: a large K never holds all four at once
+        return _chsh(_correlator(self.moments, w[i], w[j]) for i, j in CHSH_PAIRS)
+
+    def grid(self, axis: np.ndarray) -> np.ndarray:
+        """S at every planar settings tuple with polar angles from ``axis``,
+        shape (n, n, n, n) indexed (a, a', b, b'): every pair reads one
+        n x n table of correlators, so each entry equals ``values`` at its
+        settings bit for bit."""
+        n = len(axis)
+        w = self._corrected(directions(axis))
+        table = _correlator(self.moments, np.repeat(w, n, axis=0),
+                            np.tile(w, (n, 1))).reshape(n, n)
+        return _chsh(table.reshape([n if k in pair else 1 for k in range(4)])
+                     for pair in CHSH_PAIRS)
 
 
 @dataclass(frozen=True)
@@ -407,17 +414,7 @@ def _horodecki_directions(t: np.ndarray) -> tuple[np.ndarray, float]:
     return np.array([u[:, 0], u[:, 1], c + s, c - s]), 2.0 * math.hypot(sv[0], sv[1])
 
 
-def _inverse_corrected(w: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """The unit directions n whose corrected directions are the rows of w,
-    inverting ``GupModel.corrected``: n = lambda w - shift, with
-    lambda = w.shift + sqrt(1 - |shift|^2 + (w.shift)^2) > 0 for |shift| < 1."""
-    ws = w @ shift
-    lam = ws + np.sqrt(1.0 - shift @ shift + ws * ws)
-    return lam[:, None] * w - shift
-
-
-def _closed_form_optimum(ev: BatchEvaluator, shift: np.ndarray,
-                         eight_angles: bool) -> Optimum:
+def _closed_form_optimum(ev: BatchEvaluator, eight_angles: bool) -> Optimum:
     """The exact optimum: the Horodecki directions of T (of its x-z block
     for planar settings, whose corrected directions are exactly the x-z
     unit vectors when the shift has no y part), mapped back to settings.
@@ -430,7 +427,7 @@ def _closed_form_optimum(ev: BatchEvaluator, shift: np.ndarray,
         xz = [0, 2]
         w = np.zeros((4, 3))
         w[:, xz], maximum = _horodecki_directions(ev.moments[np.ix_(xz, xz)])
-    n = _inverse_corrected(w, shift)
+    n = ev.model.inverse(w)
     dirs = [Direction(theta, phi) for theta, phi in zip(
         np.arctan2(np.hypot(n[:, 0], n[:, 1]), n[:, 2]), np.arctan2(n[:, 1], n[:, 0]))]
     value = float(ev.values(*(d.unit_vector() for d in dirs))[0])
@@ -456,19 +453,15 @@ def optimize_angles(cfg: ScenarioConfig, restarts: int = 1, seed: int = 42,
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     ev = BatchEvaluator(cfg)
-    # every corrected direction is w = (n + shift)/|n + shift|
-    shift = np.zeros(3) if ev.model is None else ev.model.beta * ev.model.axis
-    if eight_angles or shift[1] == 0.0:
-        return _closed_form_optimum(ev, shift, eight_angles)
+    if eight_angles or ev.model.shift[1] == 0.0:
+        return _closed_form_optimum(ev, eight_angles)
 
     axis = np.linspace(0.0, TWO_PI, COARSE_STEPS)
-    grids = np.meshgrid(axis, axis, axis, axis, indexing="ij")
-    flat = np.stack([g.ravel() for g in grids], axis=-1)
-    coarse_vals = ev.values(*(directions(flat[:, i]) for i in range(4)))
-    evaluations = flat.shape[0]
-    best_idx = int(np.argmax(coarse_vals))
-    best_value = float(coarse_vals[best_idx])
-    best_x = x_start = flat[best_idx]
+    coarse = ev.grid(axis)
+    evaluations = coarse.size
+    best = np.unravel_index(int(np.argmax(coarse)), coarse.shape)
+    best_value = float(coarse[best])
+    best_x = x_start = axis[list(best)]
 
     def objective(x):  # x holds the polar angles of a, a', b, b'
         return -float(ev.values(*directions(x))[0])

@@ -24,8 +24,6 @@ TSIRELSON = 2.0 * math.sqrt(2.0)
 CHSH_PAIRS = ((0, 2), (0, 3), (1, 2), (1, 3))
 CHSH_SIGNS = (1.0, 1.0, 1.0, -1.0)
 
-BELL_KINDS = ("phi_plus", "phi_minus", "psi_plus", "psi_minus")
-
 
 @dataclass(frozen=True)
 class Direction:
@@ -102,18 +100,10 @@ class PureState:
         object.__setattr__(self, "amplitudes", amp)
 
 
-def bell_state(kind: str = "phi_plus") -> PureState:
-    """One of the four maximally entangled Bell states."""
+def bell_state() -> PureState:
+    """The maximally entangled Bell state |Phi+> = (|00> + |11>)/sqrt(2)."""
     r = 1.0 / math.sqrt(2.0)
-    table = {
-        "phi_plus": (r, 0, 0, r),
-        "phi_minus": (r, 0, 0, -r),
-        "psi_plus": (0, r, r, 0),
-        "psi_minus": (0, r, -r, 0),
-    }
-    if kind not in table:
-        raise ValueError(f"unknown Bell state {kind!r}; expected one of {BELL_KINDS}")
-    return PureState(np.array(table[kind], dtype=complex))
+    return PureState(np.array((r, 0, 0, r), dtype=complex))
 
 
 def spin(v) -> np.ndarray:

@@ -8,6 +8,7 @@ import time
 import warnings
 
 import numpy as np
+import pytest
 
 from dense_oracle import chsh_value, lhv_max, superclassical_components
 from gupbell import security, shots
@@ -65,6 +66,7 @@ def test_criterion_03_classical_bound_exact():
     report(3, "deterministic-strategy maximum is exactly 2 = CLASSICAL_BOUND")
 
 
+@pytest.mark.filterwarnings("ignore:.*no longer small")
 def test_criterion_04_sweep_below_boxworld():
     t0 = time.perf_counter()
     curves = beta_sweep()
@@ -91,6 +93,7 @@ def test_criterion_05_qm_recovery():
     report(5, f"max |S(beta)-S(0)|/beta = {worst:.3f} <= 10")
 
 
+@pytest.mark.filterwarnings("ignore:.*no longer small")
 def test_criterion_06_scenario3_invariance():
     model = GupModel(beta=0.3, rule="self-cubic")
     qm_ev = BatchEvaluator(ScenarioConfig())

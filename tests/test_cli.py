@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dense_oracle import correlator
-from gupbell import cli, shots
+from gupbell import cli
 from gupbell.errors import ValidationError
-from gupbell.gup import gup_correct_observable
-from gupbell.lab import evaluate_point
+from gupbell.gup import GupModel, gup_correct_observable
+from gupbell.lab import beta_sweep, evaluate_point
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
@@ -54,18 +54,21 @@ class TestConfigParsing:
         assert cfg.m == [0.6, 0.0, 0.8]
 
     def test_axis_norm_validated(self, tmp_path):
+        # GupModel checks the norm, reported under m
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"m": [1.0, 1.0, 0.0]}))
-        with pytest.raises(ValidationError, match="norm"):
-            cli.parse_config(["scan", "--config", str(path)])
+        cfg = cli.parse_config(["scan", "--config", str(path)])
+        with pytest.raises(ValidationError, match="m: axis norm"):
+            cli._scenario_config(cfg)
 
     def test_axis_tiny_deviation_normalized(self, tmp_path):
         m = [0.0, 0.0, 1.0 + 5e-7]
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"m": m}))
+        cfg = cli.parse_config(["scan", "--config", str(path)])
         with pytest.warns(UserWarning, match="normalizing"):
-            cfg = cli.parse_config(["scan", "--config", str(path)])
-        assert cfg.m[2] == pytest.approx(1.0, abs=1e-12)
+            model = cli._scenario_config(cfg).model
+        assert model.axis[2] == pytest.approx(1.0, abs=1e-12)
 
     def test_grid_bounds_checked(self, tmp_path):
         path = tmp_path / "run.json"
@@ -107,6 +110,7 @@ class TestScan:
 
 
 class TestSweep:
+    @pytest.mark.filterwarnings("ignore:.*no longer small")
     def test_csv_schema_and_ceiling(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.json"
         cfgfile.write_text(json.dumps({"betas": [0.1, 0.5], "theta_steps": 61}))
@@ -205,6 +209,23 @@ class TestAudit:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read"),
+        (b'{"beta": ', "malformed JSON"),
+        (b"\xff\xfe{}", "malformed JSON: 'utf-8' codec can't decode"),
+        (b"[" * 100_000 + b"]" * 100_000, "malformed JSON: maximum recursion depth"),
+    ], ids=["missing", "malformed", "not-utf8", "nested-too-deep"])
+    def test_unreadable_json_file_is_2(self, tmp_path, capsys, content, message):
+        # a config file and an estimate file fail alike, naming the file
+        bad = tmp_path / "bad.json"
+        if content is not None:
+            bad.write_bytes(content)
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps({"baseline_estimate": str(bad)}))
+        for argv in (["scan", "--config", bad], ["audit", "--config", cfgfile]):
+            assert run_main([*argv, "--shots", 1000, "--out", tmp_path / "out"]) == 2
+            assert f"configuration error: {bad}: {message}" in capsys.readouterr().err
+
     def test_configuration_error_is_2(self, tmp_path, capsys):
         path = tmp_path / "run.json"
         path.write_text("{not json")
@@ -474,9 +495,8 @@ def _check_estimate(cfg, s_hat: float, noise_p: float):
     settings_ = cli._chsh_settings(cfg)
     exact = evaluate_point(scenario, settings_).value
     model = scenario.operator_model()
-    obs = shots.default_observables(settings_) if model is None else [
-        gup_correct_observable(d, model).j_gup
-        for d in (settings_.a, settings_.a_prime, settings_.b, settings_.b_prime)]
+    obs = [gup_correct_observable(d, model).j_gup
+           for d in (settings_.a, settings_.a_prime, settings_.b, settings_.b_prime)]
     psi = scenario.sampled_state().amplitudes
     rho = np.outer(psi, psi.conj())
     e = [(1.0 - noise_p) * correlator(rho, obs[i], obs[j])
@@ -552,6 +572,7 @@ class TestFirstOrderDomain:
         assert " beta: " in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:.*no longer small")
 def test_zero_corrected_operator_is_2(tmp_path, capsys):
     # beta |a| = 0.9999999999999999: at one setting of the closed-form
     # optimum lambda = |n + beta a| rounds to 0, where J + beta J_p is zero
@@ -619,3 +640,34 @@ def test_flag_and_file_share_one_check(tmp_path, capsys, flag, key, value, code)
     assert errors[0] == errors[1]
     if code:
         assert f"configuration error: {key}: must be one of" in errors[0]
+
+
+@pytest.mark.filterwarnings("ignore:.*no longer small", "ignore:.*normalizing axis")
+@pytest.mark.parametrize("off", [0.0, 1e-7, 1e-5], ids=["unit", "1e-7-off", "1e-5-off"])
+def test_one_tilt_axis_rule(tmp_path, capsys, off):
+    # the CLI, GupModel and beta_sweep accept (and normalize) the same axes
+    m = [0.6 * (1.0 + off), 0.0, 0.8 * (1.0 + off)]
+    accepted = off < 1e-6
+    assert run_main(["scan", "--scenario", "s1", "--beta", 0.5, "--grid-steps", 5,
+                     "--m", ",".join(repr(x) for x in m), "--out", tmp_path]) == (
+        0 if accepted else 2)
+    if not accepted:
+        assert "configuration error: m: axis norm" in capsys.readouterr().err
+    for build in (lambda: GupModel(beta=0.5, m=m), lambda: beta_sweep([0.5], [0.0], m=m)):
+        if accepted:
+            build()
+        else:
+            with pytest.raises(ValueError, match="axis norm"):
+                build()
+
+
+@pytest.mark.filterwarnings("default::UserWarning")
+def test_warnings_print_as_one_line(tmp_path, capsys):
+    assert run_main(["scan", "--scenario", "s1", "--beta", 0.5, "--m", "0.6,0,0.8000001",
+                     "--grid-steps", 21, "--out", tmp_path]) == 0
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "warning: m: normalizing axis (norm 1.00000008)",
+        "warning: |beta * lambda_p / lambda| > 0.3; perturbative correction is no longer small",
+    ]
+    assert ".py:" not in err

@@ -14,7 +14,7 @@ from gupbell.gup import (
 )
 from gupbell.lab import ScenarioConfig, evaluate_point
 from gupbell.quantum import (
-    Direction, bell_state, canonical_settings, spin_observable,
+    Direction, bell_state, canonical_settings, directions, spin_observable,
 )
 
 
@@ -36,6 +36,20 @@ class TestGupModel:
     def test_tilt_requires_unit_axis(self):
         with pytest.raises(ValueError):
             GupModel(beta=0.1, rule="tilt", m=np.array([1.0, 1.0, 0.0]))
+
+    @pytest.mark.filterwarnings("ignore:.*no longer small")
+    @pytest.mark.parametrize("model", [
+        GupModel(beta=0.0),
+        GupModel(beta=0.9, rule="self-cubic"),
+        GupModel(beta=0.7, m=[0.48, 0.6, 0.64]),
+        GupModel(beta=0.5, rule="custom", jp=np.array([[0.2, 0.1 - 0.3j], [0.1 + 0.3j, -0.2]])),
+    ], ids=["identity", "self-cubic", "tilt", "custom"])
+    def test_inverse_undoes_the_map(self, model):
+        rng = np.random.default_rng(9)
+        n = directions(rng.uniform(0.0, math.pi, 200), rng.uniform(0.0, 2.0 * math.pi, 200))
+        w = model.corrected(n)[0]
+        assert np.max(np.abs(model.inverse(w) - n)) < 1e-12
+        assert np.max(np.abs(model.corrected(model.inverse(w))[0] - w)) < 1e-12
 
     def test_custom_requires_hermitian(self):
         with pytest.raises(HermiticityError):

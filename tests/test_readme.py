@@ -41,6 +41,7 @@ def test_library_quick_start_runs():
 COMMAND_LINES = command_lines()
 
 
+@pytest.mark.filterwarnings("ignore:.*no longer small")
 @pytest.mark.parametrize("argv, artifacts", COMMAND_LINES,
                          ids=[argv[0] for argv, _ in COMMAND_LINES])
 def test_command_line_block_runs(tmp_path, capsys, argv, artifacts):

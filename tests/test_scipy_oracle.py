@@ -80,6 +80,7 @@ def test_superclassical_components_match_ndimage(shape):
             _components_reference(values > 2.0)
 
 
+@pytest.mark.filterwarnings("ignore:.*no longer small")
 def test_superclassical_components_on_scan_grid():
     cfg = ScenarioConfig(scenario="s1", model=GupModel(beta=0.4, rule="tilt"))
     grid = lab.grid_scan(cfg, resolution=61)

@@ -100,6 +100,7 @@ def test_constant_grid_takes_the_degenerate_range(tmp_path, value, monkeypatch):
     assert "stroke-width=\"0.4\"" not in (tmp_path / "scan.svg").read_text()
 
 
+@pytest.mark.filterwarnings("ignore:.*no longer small")
 @pytest.mark.parametrize("theta_steps", [2, 721])
 @pytest.mark.parametrize("betas", [[0.1], [0.1, 0.5], [0.0, 0.3, 0.9],
                                    [0.05, 0.2, 0.45, 0.7]])
