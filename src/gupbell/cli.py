@@ -269,7 +269,10 @@ _FLAGS = {
     "--seed": ("seed", {"type": int}),
     "--noise-p": ("noise_p", {"type": float}),
     "--k-sigma": ("k_sigma", {"type": float}),
-    "--restarts": ("restarts", {"type": int}),
+    "--restarts": ("restarts", {
+        "type": int, "metavar": "N",
+        "help": f"optimize search starts: the {lab.SEARCH_CELLS} best coarse grid "
+                "cells, then N - 1 seeded draws (--seed)"}),
     "--out": ("out", {"help": "output directory"}),
 }
 

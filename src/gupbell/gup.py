@@ -22,7 +22,9 @@ from . import tensor
 from .errors import (
     AmbiguousBranchError, DegeneracyError, HermiticityError, OutOfRangeError,
 )
-from .quantum import SIGMA_X, SIGMA_Z, Direction, PureState, pauli_parts, spin
+from .quantum import (
+    SIGMA_X, SIGMA_Z, Direction, PureState, directions, pauli_parts, spin,
+)
 
 RULES = ("self-cubic", "tilt", "custom")
 
@@ -132,10 +134,27 @@ class GupModel:
             w = v / lam[..., None]
             beta_prime = self.beta * (n @ self.axis)
         if float(np.max(np.abs(beta_prime), initial=0.0)) > SMALLNESS_WARN:
-            warnings.warn(
-                f"|beta * lambda_p / lambda| > {SMALLNESS_WARN}; "
-                "perturbative correction is no longer small", stacklevel=2)
+            # issued from this line whoever calls, so it shows once per run
+            warnings.warn(f"|beta * lambda_p / lambda| > {SMALLNESS_WARN}; "
+                          "perturbative correction is no longer small")
         return w, lam, beta_prime
+
+    def planar(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The map along planar directions n = (sin theta, 0, cos theta) and
+        its first two derivatives in theta: (w, w', w''), each of shape
+        (..., 3).  w is ``corrected``'s, so it warns as there.  With
+        v = n + s (s = ``shift``, zero for self-cubic and at beta = 0) and
+        lambda = |v|, w' = (n' - w (w.n'))/lambda and
+        w'' = (-n - 2 w' (w.n') - w (w'.n' - w.n))/lambda."""
+        n = directions(theta)
+        w = self.corrected(n)[0]
+        dn = np.stack([np.cos(theta), np.zeros_like(theta), -np.sin(theta)], axis=-1)
+        lam = np.linalg.norm(n + self.shift, axis=-1)[..., None]
+        w_dn = np.sum(w * dn, axis=-1, keepdims=True)
+        w1 = (dn - w * w_dn) / lam
+        w2 = (-n - 2.0 * w1 * w_dn
+              - w * np.sum(w1 * dn - w * n, axis=-1, keepdims=True)) / lam
+        return w, w1, w2
 
     def inverse(self, w: np.ndarray) -> np.ndarray:
         """The unit directions n whose corrected directions are w, shape

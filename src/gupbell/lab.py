@@ -1,5 +1,6 @@
 """Parameter-space exploration: angle-grid scans, beta sweeps,
-derivative-free angle optimization and region classification.
+angle optimization (closed form, or Newton ascent with exact
+derivatives) and region classification.
 
 Every scenario value is computed from one representation: the
 correlation matrix T of the scenario's effective two-qubit operator and
@@ -8,6 +9,8 @@ S = sum(+-) w_A . T . w_B, qm and s2 measuring through the identity
 map ``GupModel(beta=0.0)``.  ``BatchEvaluator`` evaluates S over arrays
 of directions for scans, sweeps and the optimizer; ``evaluate_point``
 reads its T and map at one settings tuple and adds diagnostic terms.
+The optimizer's search takes S, its gradient and its Hessian from the
+same correlator kernel, at the map's derivatives ``GupModel.planar``.
 """
 
 from __future__ import annotations
@@ -307,7 +310,7 @@ def beta_sweep(betas=DEFAULT_SWEEP_BETAS, theta_axis=None, rule: str = "tilt",
 class Optimum:
     """Best settings found, and how: ``method`` is "closed_form" (the
     settings built from the SVD of T, one evaluation) or "search" (coarse
-    grid plus simplex refinement)."""
+    grid plus Newton ascent from its best cells)."""
 
     settings: ChshSettings
     value: float
@@ -316,89 +319,10 @@ class Optimum:
     method: str
 
 
-class _BudgetSpent(Exception):
-    """Raised by the counted objective once ``maxfev`` calls are spent."""
-
-
-def _nelder_mead(fun, x0, xatol: float, fatol: float, maxfev: int):
-    """Minimize ``fun`` by the Nelder-Mead simplex method (Nelder & Mead,
-    Comput. J. 7, 308 (1965)).
-
-    Follows scipy's unbounded, non-adaptive ``minimize(method="Nelder-Mead")``
-    step for step, so ``x``, the minimum, ``nfev`` and convergence match it
-    bit for bit: the same initial simplex, coefficients 1/2/0.5/0.5, sort,
-    centroid and stopping test.  The budget is checked before every call;
-    reaching it abandons the current iteration.  Returns
-    ``(x, fun(x), nfev, converged)``; ``converged`` is False when the
-    budget ran out.
-    """
-    nfev = 0
-
-    def f(x):
-        nonlocal nfev
-        if nfev >= maxfev:
-            raise _BudgetSpent
-        nfev += 1
-        return fun(x)
-
-    x0 = np.array(x0, dtype=float).ravel()
-    n = x0.size
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
-    for k in range(n):
-        y = x0.copy()
-        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
-        sim[k + 1] = y
-    fsim = np.full(n + 1, np.inf)
-    try:
-        for k in range(n + 1):
-            fsim[k] = f(sim[k])
-    except _BudgetSpent:
-        pass
-    # sorted twice, as scipy does: np.argsort is not stable, so the second
-    # sort may still reorder vertices with tied values
-    for _ in range(2):
-        order = np.argsort(fsim)
-        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
-
-    while nfev < maxfev:
-        try:
-            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
-                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
-                break
-            xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = 2 * xbar - sim[-1]
-            fxr = f(xr)
-            if fxr < fsim[0]:
-                xe = 3 * xbar - 2 * sim[-1]
-                fxe = f(xe)
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            else:
-                if fxr < fsim[-1]:  # outside contraction
-                    xc = 1.5 * xbar - 0.5 * sim[-1]
-                    fxc = f(xc)
-                    accept = fxc <= fxr
-                else:  # inside contraction
-                    xc = 0.5 * xbar + 0.5 * sim[-1]
-                    fxc = f(xc)
-                    accept = fxc < fsim[-1]
-                if accept:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:  # shrink towards the best vertex
-                    for j in range(1, n + 1):
-                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                        fsim[j] = f(sim[j])
-        except _BudgetSpent:
-            pass
-        order = np.argsort(fsim)
-        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
-    return sim[0], np.min(fsim), nfev, nfev < maxfev
-
-
-#: the search's coarse grid steps per angle, and its refinement budget
+#: the search's coarse grid steps per angle, the number of its best cells
+#: the ascent starts from, and the ascent's budget of evaluations
 COARSE_STEPS = 17
+SEARCH_CELLS = 8
 MAX_EVALS = 10_000
 
 
@@ -435,6 +359,54 @@ def _closed_form_optimum(ev: BatchEvaluator, eight_angles: bool) -> Optimum:
                    converged=value >= maximum - 1e-9, method="closed_form")
 
 
+def _planar_derivatives(ev: BatchEvaluator, x: np.ndarray):
+    """S at the planar settings with polar angles x = (a, a', b, b'), its
+    gradient and its Hessian in x, from one call of the correlator kernel
+    at (w, w), (w', w), (w, w'), (w'', w), (w, w'') and (w', w') over the
+    four pairs.  Each angle enters one side of each pair, so the Hessian
+    is diagonal within Alice's angles and within Bob's."""
+    w = ev.model.planar(x)
+    alice, bob = np.array(CHSH_PAIRS).T
+    sides = ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1))  # derivative orders
+    e = _correlator(ev.moments, np.concatenate([w[i][alice] for i, _ in sides]),
+                    np.concatenate([w[j][bob] for _, j in sides]))
+    e = e.reshape(len(sides), len(CHSH_PAIRS))
+    s = _chsh(e[0])
+    e = e * CHSH_SIGNS
+    grad = np.bincount(alice, e[1], 4) + np.bincount(bob, e[2], 4)
+    hess = np.diag(np.bincount(alice, e[3], 4) + np.bincount(bob, e[4], 4))
+    hess[alice, bob] = hess[bob, alice] = e[5]
+    return s, grad, hess
+
+
+def _newton_ascent(ev: BatchEvaluator, x: np.ndarray, budget: int):
+    """Damped Newton ascent of S from the angles x (Nocedal & Wright,
+    Numerical Optimization, ch. 3): the Hessian's eigenvalues are replaced
+    by -|lambda| so that every step rises, and a step is halved until S
+    rises.  Stops once the predicted gain g . step is below the rounding of
+    S, or when ``budget`` evaluations are spent.  Returns (x, S,
+    evaluations, converged); ``converged`` means the stop was reached at a
+    negative-definite Hessian, a checked local maximum."""
+    s, grad, hess = _planar_derivatives(ev, x)
+    evaluations = 1
+    while True:
+        lam, vec = np.linalg.eigh(hess)
+        # a curvature of zero, within rounding, counts as machine epsilon
+        step = vec @ (vec.T @ grad / np.maximum(np.abs(lam), np.finfo(float).eps))
+        while grad @ step > np.spacing(s):
+            if evaluations == budget:
+                return x, s, evaluations, False
+            trial = _planar_derivatives(ev, x + step)
+            evaluations += 1
+            if trial[0] > s:
+                break
+            step = step / 2.0
+        else:
+            return x, s, evaluations, bool(np.all(lam < 0.0))
+        x = x + step
+        s, grad, hess = trial
+
+
 def optimize_angles(cfg: ScenarioConfig, restarts: int = 1, seed: int = 42,
                     eight_angles: bool = False) -> Optimum:
     """The settings with the largest S, over planar angles or, with
@@ -445,10 +417,13 @@ def optimize_angles(cfg: ScenarioConfig, restarts: int = 1, seed: int = 42,
     eight-angle optimum, as every model maps the sphere onto itself, and
     for a planar one whose shift has no y part.  Planar settings under an
     out-of-plane shift are searched: a grid of ``COARSE_STEPS`` per angle,
-    then simplex refinement on a budget of ``MAX_EVALS`` evaluations
-    beyond the grid.  Deterministic given the seed: restarts beyond the
-    first start from seeded uniform draws, and ties are broken by restart
-    index.
+    then damped Newton ascent (``_newton_ascent``) from its
+    ``SEARCH_CELLS`` best cells and from ``restarts - 1`` seeded uniform
+    draws, on a budget of ``MAX_EVALS`` evaluations beyond the grid,
+    checked before each start and each step.  ``value`` is S evaluated at
+    the best settings; ``converged`` means that every start ran and the
+    best one ended at a checked local maximum.  Deterministic given the
+    seed: ties are broken by start order.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
@@ -458,32 +433,24 @@ def optimize_angles(cfg: ScenarioConfig, restarts: int = 1, seed: int = 42,
 
     axis = np.linspace(0.0, TWO_PI, COARSE_STEPS)
     coarse = ev.grid(axis)
-    evaluations = coarse.size
-    best = np.unravel_index(int(np.argmax(coarse)), coarse.shape)
-    best_value = float(coarse[best])
-    best_x = x_start = axis[list(best)]
-
-    def objective(x):  # x holds the polar angles of a, a', b, b'
-        return -float(ev.values(*directions(x))[0])
-
+    order = np.argsort(-coarse, axis=None, kind="stable")[:SEARCH_CELLS]
+    cells = axis[np.stack(np.unravel_index(order, coarse.shape), axis=-1)]
     rng = np.random.default_rng(seed)
-    converged = True
-    budget = MAX_EVALS
-    for restart in range(restarts):
-        if budget <= 4:
-            converged = False
+    spent = 0
+    best_value = -math.inf
+    for start in range(len(cells) + restarts - 1):
+        if spent >= MAX_EVALS:
+            converged = False  # not every start ran
             break
-        if restart:  # drawn only once the budget allows another start
-            x_start = rng.uniform(0.0, TWO_PI, 4)
-        x, fun, nfev, ok = _nelder_mead(objective, x_start, xatol=1e-9,
-                                        fatol=1e-12, maxfev=budget)
-        evaluations += nfev
-        budget -= nfev
-        if not ok:
-            converged = False
-        if -fun > best_value:
-            best_value = -fun
-            best_x = x
+        # a draw is made only once the budget allows its start
+        x0 = cells[start] if start < len(cells) else rng.uniform(0.0, TWO_PI, 4)
+        x, s, evaluations, ok = _newton_ascent(ev, x0, MAX_EVALS - spent)
+        spent += evaluations
+        if s > best_value:
+            best_x, best_value, converged = x, s, ok
 
-    return Optimum(settings=ChshSettings.planar(*best_x), value=float(best_value),
-                   evaluations=evaluations, converged=converged, method="search")
+    dirs = [Direction(theta) for theta in best_x]
+    value = float(ev.values(*(d.unit_vector() for d in dirs))[0])
+    return Optimum(settings=ChshSettings(*dirs), value=value,
+                   evaluations=coarse.size + spent + 1, converged=converged,
+                   method="search")

@@ -2,7 +2,8 @@
 
 The min-entropy expression is the standard device-independent literature
 bound for 2 <= S <= 2*sqrt(2); above the quantum maximum no derivation
-exists, so the bound is conservatively clamped at one bit and flagged.
+exists, so the bound is clamped at one bit, the largest value the
+formula gives (at S = 2*sqrt(2)), and flagged.
 """
 
 from __future__ import annotations

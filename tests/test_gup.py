@@ -18,6 +18,16 @@ from gupbell.quantum import (
 )
 
 
+#: one map of each kind: the identity (beta = 0) and the three rules
+MAPS = [
+    GupModel(beta=0.0),
+    GupModel(beta=0.9, rule="self-cubic"),
+    GupModel(beta=0.7, m=[0.48, 0.6, 0.64]),
+    GupModel(beta=0.5, rule="custom", jp=np.array([[0.2, 0.1 - 0.3j], [0.1 + 0.3j, -0.2]])),
+]
+MAP_IDS = ["identity", "self-cubic", "tilt", "custom"]
+
+
 class TestGupModel:
     def test_rule_normalization(self):
         # a rule has one spelling: the underscore form is an unknown rule
@@ -38,18 +48,25 @@ class TestGupModel:
             GupModel(beta=0.1, rule="tilt", m=np.array([1.0, 1.0, 0.0]))
 
     @pytest.mark.filterwarnings("ignore:.*no longer small")
-    @pytest.mark.parametrize("model", [
-        GupModel(beta=0.0),
-        GupModel(beta=0.9, rule="self-cubic"),
-        GupModel(beta=0.7, m=[0.48, 0.6, 0.64]),
-        GupModel(beta=0.5, rule="custom", jp=np.array([[0.2, 0.1 - 0.3j], [0.1 + 0.3j, -0.2]])),
-    ], ids=["identity", "self-cubic", "tilt", "custom"])
+    @pytest.mark.parametrize("model", MAPS, ids=MAP_IDS)
     def test_inverse_undoes_the_map(self, model):
         rng = np.random.default_rng(9)
         n = directions(rng.uniform(0.0, math.pi, 200), rng.uniform(0.0, 2.0 * math.pi, 200))
         w = model.corrected(n)[0]
         assert np.max(np.abs(model.inverse(w) - n)) < 1e-12
         assert np.max(np.abs(model.corrected(model.inverse(w))[0] - w)) < 1e-12
+
+    @pytest.mark.filterwarnings("ignore:.*no longer small")
+    @pytest.mark.parametrize("model", MAPS, ids=MAP_IDS)
+    def test_planar_derivatives(self, model):
+        # w is the map's own; w' and w'' against central differences
+        theta = np.random.default_rng(10).uniform(0.0, 2.0 * math.pi, 200)
+        w, w1, w2 = model.planar(theta)
+        assert w.tobytes() == model.corrected(directions(theta))[0].tobytes()
+        h = 1e-4
+        up, down = model.planar(theta + h)[0], model.planar(theta - h)[0]
+        assert np.max(np.abs((up - down) / (2.0 * h) - w1)) < 1e-6
+        assert np.max(np.abs((up - 2.0 * w + down) / h**2 - w2)) < 1e-6
 
     def test_custom_requires_hermitian(self):
         with pytest.raises(HermiticityError):
