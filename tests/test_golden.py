@@ -54,6 +54,7 @@ RUNS = [
     ["sample", "--scenario", "s1", "--beta", "0.3", "--shots", "100000"],
     ["audit", "--noise-p", "0.2", "--shots", "100000"],
     ["audit", "--scenario", "s3", "--beta", "0.4", "--noise-p", "0.1"],
+    ["audit", "--shots", "1048577", "--seed", "7"],
     ["scan", "--config", "custom-jp.json", "--grid-steps", "41"],
     ["optimize", "--config", "custom-jp.json"],
     ["sample", "--config", "custom-jp.json", "--shots", "100000"],
