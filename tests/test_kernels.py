@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,12 +107,32 @@ def test_counts_exact_across_chunk_boundaries(monkeypatch):
 
 
 def test_chunking_does_not_change_counts(monkeypatch):
+    # more than three chunks of 2²⁰ plus an odd remainder, so every chunk
+    # size below ends on a partial chunk
+    seed, base, n = 9, 2**40 - 123, 3 * (1 << 20) + 4_321
     cumulative = (0.3, 0.6, 0.8)
-    whole = kernels.sample_counts(9, 123, 300_000, cumulative)
-    monkeypatch.setattr(kernels, "CHUNK", 1 << 16)
-    chunked = kernels.sample_counts(9, 123, 300_000, cumulative)
-    assert np.array_equal(whole, chunked)
-    assert np.array_equal(whole, _float_counts(9, 123, 300_000, cumulative))
+    default = kernels.sample_counts(seed, base, n, cumulative)
+    assert np.array_equal(default, _float_counts(seed, base, n, cumulative))
+    for chunk in (1 << 20, 12_345):
+        monkeypatch.setattr(kernels, "CHUNK", chunk)
+        assert np.array_equal(kernels.sample_counts(seed, base, n, cumulative), default)
+
+
+def _peak_bytes(n):
+    tracemalloc.start()
+    try:
+        kernels.sample_counts(5, 0, n, (0.2, 0.5, 0.9))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_bounded_by_chunk():
+    # the buffers hold one chunk (25 B/shot), whatever the shot count
+    slack = 64 * 1024
+    peak = _peak_bytes(4_000_000)
+    assert peak < 32 * kernels.CHUNK + slack
+    assert abs(peak - _peak_bytes(1_000_000)) < slack
 
 
 @pytest.mark.parametrize("cumulative", [
