@@ -60,7 +60,6 @@ class RunConfig:
     seed: int = 42
     noise_p: float = 0.0
     k_sigma: float = 5.0
-    restarts: int = 1
     eight_angles: bool = False
     h0: np.ndarray | None = None
     hp: np.ndarray | None = None
@@ -198,7 +197,6 @@ _CONFIG = {
     "seed": ("seed", partial(_check_int, minimum=0, maximum=SEED_MAX)),
     "noise_p": ("noise_p", partial(_check_number, minimum=0.0, maximum=1.0)),
     "k_sigma": ("k_sigma", partial(_check_number, minimum=0.0)),
-    "restarts": ("restarts", partial(_check_int, minimum=1)),
     "eight_angles": ("eight_angles", partial(_check_type, kind=bool, what="a boolean")),
     "h0": ("h0", partial(_check_matrix, dim=4)),
     "hp": ("hp", partial(_check_matrix, dim=4)),
@@ -266,13 +264,11 @@ _FLAGS = {
         "type": _csv_numbers("betas", "expected comma-separated numbers"),
         "help": "comma-separated beta list"}),
     "--shots": ("shots", {"type": int}),
-    "--seed": ("seed", {"type": int}),
+    "--seed": ("seed", {"type": int,
+                        "help": "shot stream seed of sample and audit; "
+                                "no other command reads it"}),
     "--noise-p": ("noise_p", {"type": float}),
     "--k-sigma": ("k_sigma", {"type": float}),
-    "--restarts": ("restarts", {
-        "type": int, "metavar": "N",
-        "help": f"optimize search starts: the {lab.SEARCH_CELLS} best coarse grid "
-                "cells, then N - 1 seeded draws (--seed)"}),
     "--out": ("out", {"help": "output directory"}),
 }
 
@@ -473,8 +469,7 @@ def _run_sweep(cfg: RunConfig, scenario: ScenarioConfig, out: Path) -> float:
 
 
 def _run_optimize(cfg: RunConfig, scenario: ScenarioConfig, out: Path) -> float:
-    opt = lab.optimize_angles(scenario, restarts=cfg.restarts,
-                              seed=cfg.seed, eight_angles=cfg.eight_angles)
+    opt = lab.optimize_angles(scenario, eight_angles=cfg.eight_angles)
     payload = {
         "value": opt.value,
         "evaluations": opt.evaluations,

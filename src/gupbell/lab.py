@@ -407,8 +407,8 @@ def _newton_ascent(ev: BatchEvaluator, x: np.ndarray, budget: int):
         s, grad, hess = trial
 
 
-def optimize_angles(cfg: ScenarioConfig, restarts: int = 1, seed: int = 42,
-                    eight_angles: bool = False) -> Optimum:
+def optimize_angles(cfg: ScenarioConfig, *, eight_angles: bool = False,
+                    seed: int | None = None) -> Optimum:
     """The settings with the largest S, over planar angles or, with
     ``eight_angles``, over full-sphere directions.
 
@@ -418,15 +418,14 @@ def optimize_angles(cfg: ScenarioConfig, restarts: int = 1, seed: int = 42,
     for a planar one whose shift has no y part.  Planar settings under an
     out-of-plane shift are searched: a grid of ``COARSE_STEPS`` per angle,
     then damped Newton ascent (``_newton_ascent``) from its
-    ``SEARCH_CELLS`` best cells and from ``restarts - 1`` seeded uniform
-    draws, on a budget of ``MAX_EVALS`` evaluations beyond the grid,
-    checked before each start and each step.  ``value`` is S evaluated at
-    the best settings; ``converged`` means that every start ran and the
-    best one ended at a checked local maximum.  Deterministic given the
-    seed: ties are broken by start order.
+    ``SEARCH_CELLS`` best cells, in order, on a budget of ``MAX_EVALS``
+    evaluations beyond the grid, checked before each start and each step.
+    ``value`` is S evaluated at the best settings; ``converged`` means that
+    every start ran and the best one ended at a checked local maximum.
+    Deterministic: ties are broken by start order.  ``seed`` changes
+    nothing, as neither method draws a random number; it is accepted so
+    that callers that still pass it keep running.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
     ev = BatchEvaluator(cfg)
     if eight_angles or ev.model.shift[1] == 0.0:
         return _closed_form_optimum(ev, eight_angles)
@@ -435,15 +434,12 @@ def optimize_angles(cfg: ScenarioConfig, restarts: int = 1, seed: int = 42,
     coarse = ev.grid(axis)
     order = np.argsort(-coarse, axis=None, kind="stable")[:SEARCH_CELLS]
     cells = axis[np.stack(np.unravel_index(order, coarse.shape), axis=-1)]
-    rng = np.random.default_rng(seed)
     spent = 0
     best_value = -math.inf
-    for start in range(len(cells) + restarts - 1):
+    for x0 in cells:
         if spent >= MAX_EVALS:
             converged = False  # not every start ran
             break
-        # a draw is made only once the budget allows its start
-        x0 = cells[start] if start < len(cells) else rng.uniform(0.0, TWO_PI, 4)
         x, s, evaluations, ok = _newton_ascent(ev, x0, MAX_EVALS - spent)
         spent += evaluations
         if s > best_value:

@@ -143,6 +143,31 @@ class TestOptimize:
         assert doc["method"] == "search"
         assert doc["evaluations"] > 17 ** 4
 
+    @pytest.mark.filterwarnings("ignore:.*no longer small")
+    def test_search_does_not_read_the_seed(self, tmp_path, capsys):
+        # the search starts from fixed grid cells only; seed is the shot stream's
+        docs = []
+        for seed in (1, 2):
+            out = tmp_path / str(seed)
+            assert run_main(["optimize", "--scenario", "s1", "--beta", 0.5,
+                             "--m", "0.48,0.6,0.64", "--seed", seed, "--out", out]) == 0
+            docs.append((out / "optimum.json").read_bytes())
+        assert docs[0] == docs[1]
+        assert json.loads(docs[0])["method"] == "search"
+
+    def test_restarts_is_not_an_input(self, tmp_path, capsys):
+        # neither a config key nor a flag: a config file fails on the
+        # unknown key, argparse on the unknown flag
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps({"restarts": 2}))
+        assert run_main(["optimize", "--config", cfgfile, "--out", tmp_path / "out"]) == 2
+        assert ("configuration error: restarts: unknown configuration key"
+                in capsys.readouterr().err)
+        with pytest.raises(SystemExit) as exc:
+            run_main(["optimize", "--restarts", 2, "--out", tmp_path / "out"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --restarts 2" in capsys.readouterr().err
+
     @pytest.mark.parametrize("eight_angles", [False, True])
     @pytest.mark.parametrize("scenario", ["s1", "s3"])
     def test_beta_a_at_least_one_exits_2(self, tmp_path, capsys, scenario, eight_angles):
@@ -482,7 +507,6 @@ fuzz_configs = st.fixed_dictionaries(
         "seed": st.integers(0, 2**64),
         "noise_p": st.floats(0.0, 1.0),
         "k_sigma": st.floats(0.0, 10.0),
-        "restarts": st.just(1),
         "eight_angles": st.booleans(),
     })
 

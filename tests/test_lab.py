@@ -386,8 +386,8 @@ class TestOptimize:
         assert opt.converged
 
     def test_deterministic_across_runs(self):
-        first = optimize_angles(searching_config(), restarts=3, seed=7)
-        second = optimize_angles(searching_config(), restarts=3, seed=7)
+        first = optimize_angles(searching_config())
+        second = optimize_angles(searching_config())
         assert first.value == second.value
         assert first.settings == second.settings
         assert first.evaluations == second.evaluations
@@ -434,32 +434,10 @@ class TestOptimize:
         opt = optimize_angles(cfg)
         assert opt.converged and opt.value == pytest.approx(2.3582277958, abs=1e-9)
 
-    def test_restart_draws_bounded_by_budget(self, monkeypatch):
-        # every start spends at least one evaluation, so the budget ends
-        # the loop long before 10**5 starts; none is drawn beyond it
-        draws = []
-        make_rng = np.random.default_rng
-
-        class CountingRng:
-            def __init__(self, seed):
-                self.rng = make_rng(seed)
-
-            def uniform(self, *args):
-                draws.append(args)
-                return self.rng.uniform(*args)
-
-        monkeypatch.setattr(np.random, "default_rng", CountingRng)
-        monkeypatch.setattr(lab, "COARSE_STEPS", 3)
-        monkeypatch.setattr(lab, "MAX_EVALS", 2000)
-        many = optimize_angles(searching_config(), restarts=10**5)
-        drawn = len(draws)
-        assert 0 < drawn <= 2000
-        assert not many.converged  # the budget ended the starts
-        # the same starts in the same order as a run that asks for just these
-        few = optimize_angles(searching_config(), restarts=drawn + 1)
-        assert (few.value, few.settings, few.evaluations) == \
-            (many.value, many.settings, many.evaluations)
-
-    def test_restart_validation(self):
-        with pytest.raises(ValueError):
-            optimize_angles(ScenarioConfig(), restarts=0)
+    def test_budget_ends_the_search(self, monkeypatch):
+        # the first ascent needs more than 3 evaluations, so a budget of 3
+        # ends it and leaves the other starts unrun
+        monkeypatch.setattr(lab, "MAX_EVALS", 3)
+        opt = optimize_angles(searching_config())
+        assert (opt.method, opt.converged) == ("search", False)
+        assert opt.evaluations <= lab.COARSE_STEPS**4 + lab.MAX_EVALS + 1
