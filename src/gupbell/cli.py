@@ -227,7 +227,7 @@ def _flatten(doc, prefix="") -> dict:
 
 
 def _apply(cfg: RunConfig, values: dict):
-    """Check and store values given by dotted key path."""
+    """Check and store the values of config keys in ``values``, ignoring other names."""
     for path, (name, check) in _CONFIG.items():
         if path in values:
             name, _, item = name.partition(".")
@@ -251,8 +251,8 @@ def _csv_numbers(path: str, message: str):
     return parse
 
 
-#: command-line flag -> (config key it overrides, argparse keywords); each
-#: value is checked by its key's ``_CONFIG`` checker, as a file value is
+#: command-line flag -> (config key it overrides and is stored under,
+#: argparse keywords); ``_apply`` checks its value as it checks a file value
 _FLAGS = {
     "--scenario": ("scenario", {"help": f"one of {', '.join(SCENARIOS)}"}),
     "--beta": ("beta", {"type": float}),
@@ -277,23 +277,20 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gupbell",
         description="CHSH laboratory with minimal-length corrections")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, text) in _COMMANDS.items():
-        p = sub.add_parser(name, help=text)
-        p.add_argument("--config", help="JSON configuration file")
-        for flag, (_, kwargs) in _FLAGS.items():
-            p.add_argument(flag, **kwargs)
+    parser.add_argument("command", choices=COMMANDS, help="; ".join(
+        f"{name}: {text}" for name, (_, text) in _COMMANDS.items()))
+    parser.add_argument("--config", help="JSON configuration file")
+    for flag, (key, kwargs) in _FLAGS.items():
+        parser.add_argument(flag, dest=key, **kwargs)
     return parser
 
 
 def parse_config(argv) -> RunConfig:
-    args = _build_arg_parser().parse_args(argv)
-    cfg = RunConfig(command=args.command)
-    if args.config:
-        _apply(cfg, _flatten(_read_json(args.config)))
-    flags = {key: getattr(args, flag[2:].replace("-", "_"))
-             for flag, (key, _) in _FLAGS.items()}
-    _apply(cfg, {key: value for key, value in flags.items() if value is not None})
+    args = vars(_build_arg_parser().parse_args(argv))
+    cfg = RunConfig(command=args["command"])
+    if args["config"]:
+        _apply(cfg, _flatten(_read_json(args["config"])))
+    _apply(cfg, {key: value for key, value in args.items() if value is not None})
     return cfg
 
 
@@ -442,11 +439,12 @@ def _run_scan(cfg: RunConfig, scenario: ScenarioConfig, out: Path) -> float:
     grid = lab.grid_scan(scenario, resolution=cfg.grid_steps,
                          theta_min=cfg.grid_min_pi * PI,
                          theta_max=cfg.grid_max_pi * PI)
-    t2s = [_fmt9(t) + "," for t in grid.theta2_axis]
+    cells = [_fmt9(t2) + ",%.9g" for t2 in grid.theta2_axis]
     lines = ["theta1,theta2,S"]
-    for t1, row in zip(grid.theta1_axis, grid.values):
+    for t1, row in zip(grid.theta1_axis, grid.values.tolist()):
+        # one template per theta1 for its lines; "%.9g" formats as _fmt9 does
         t1 = _fmt9(t1) + ","
-        lines += [t1 + t2 + format(v, ".9g") for t2, v in zip(t2s, row.tolist())]
+        lines.append(t1 + ("\n" + t1).join(cells) % tuple(row))
     _write_text(out / "scan.csv", "\n".join(lines) + "\n")
     render_heatmap(grid, out / "scan.svg")
     return float(grid.values.max())

@@ -206,15 +206,20 @@ class BatchEvaluator:
         # one correlator at a time: a large K never holds all four at once
         return _chsh(_correlator(self.moments, w[i], w[j]) for i, j in CHSH_PAIRS)
 
+    def table(self, nx, ny) -> np.ndarray:
+        """The correlator at every row pair of two direction arrays, shape
+        (len(nx), len(ny)), each side corrected once: each entry equals the
+        one ``values`` computes at that row pair bit for bit."""
+        wx, wy = self._corrected(nx), self._corrected(ny)
+        return _correlator(self.moments, np.repeat(wx, len(wy), axis=0),
+                           np.tile(wy, (len(wx), 1))).reshape(len(wx), len(wy))
+
     def grid(self, axis: np.ndarray) -> np.ndarray:
         """S at every planar settings tuple with polar angles from ``axis``,
-        shape (n, n, n, n) indexed (a, a', b, b'): every pair reads one
-        n x n table of correlators, so each entry equals ``values`` at its
-        settings bit for bit."""
-        n = len(axis)
-        w = self._corrected(directions(axis))
-        table = _correlator(self.moments, np.repeat(w, n, axis=0),
-                            np.tile(w, (n, 1))).reshape(n, n)
+        shape (n, n, n, n) indexed (a, a', b, b'): every pair reads the one
+        n x n ``table`` of the axis against itself."""
+        n, w = len(axis), directions(axis)
+        table = self.table(w, w)
         return _chsh(table.reshape([n if k in pair else 1 for k in range(4)])
                      for pair in CHSH_PAIRS)
 
@@ -244,19 +249,15 @@ def grid_scan(cfg: ScenarioConfig, resolution: int = 201,
     """Evaluate the two-angle landscape on a uniform grid.
 
     The default domain is a full period in both angles, wide enough to
-    contain both super-classical islands of the landscape.
+    contain both super-classical islands of the landscape.  Each pair
+    reads one ``BatchEvaluator.table`` of its two sides' directions.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    axis1 = np.linspace(theta_min, theta_max, resolution)
-    axis2 = np.linspace(theta_min, theta_max, resolution)
-    t1, t2 = np.meshgrid(axis1, axis2, indexing="ij")
-    t1 = t1.ravel()
-    t2 = t2.ravel()
-    ev = BatchEvaluator(cfg)
-    values = ev.values(directions(np.zeros_like(t1)), directions(t1),
-                       directions(t2), directions(-t2))
-    return ScanGrid(axis1, axis2, values.reshape(resolution, resolution))
+    axis = np.linspace(theta_min, theta_max, resolution)
+    n = (directions(np.zeros(1)), directions(axis), directions(axis), directions(-axis))
+    table = BatchEvaluator(cfg).table
+    return ScanGrid(axis, axis, _chsh(table(n[i], n[j]) for i, j in CHSH_PAIRS))
 
 
 @dataclass(frozen=True)

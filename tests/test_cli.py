@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -234,6 +235,24 @@ class TestAudit:
 
 
 class TestExitCodes:
+    def test_help_names_every_command_and_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_main(["--help"])
+        assert exc.value.code == 0
+        words = set(re.findall(r"[\w-]+", capsys.readouterr().out))
+        assert set(cli.COMMANDS) | set(cli._FLAGS) | {"--config"} <= words
+
+    @pytest.mark.parametrize("argv, message", [
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+        ([], "the following arguments are required: command"),
+    ], ids=["unknown-command", "no-command"])
+    def test_command_rejection_is_2(self, capsys, argv, message):
+        # an unknown flag: test_restarts_is_not_an_input
+        with pytest.raises(SystemExit) as exc:
+            run_main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("content, message", [
         (None, "cannot read"),
         (b'{"beta": ', "malformed JSON"),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -157,6 +158,37 @@ class TestOneMap:
             assert ev.grid(axis).tobytes() == want.tobytes()
             searched += 1
         assert searched == 8  # s1 and s3, tilt and custom, two draws each
+
+    @pytest.mark.filterwarnings("ignore:.*no longer small")
+    @pytest.mark.parametrize("window", [(0.0, 2.0 * math.pi), (-1.3, 0.7)])
+    @pytest.mark.parametrize("resolution", [2, 41])
+    def test_scan_is_the_batch_rows(self, resolution, window):
+        # the oracle evaluates the n^2 settings tuples a=0, a'=t1, b=t2, b'=-t2 as rows
+        axis = np.linspace(*window, resolution)
+        t1, t2 = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))
+        scanned = 0
+        for cfg in random_configs(np.random.default_rng(7), 2):
+            if cfg.scenario in ("s1", "s3") and cfg.model.shift[1] == 0.0:
+                continue
+            grid = grid_scan(cfg, resolution, *window)
+            want = BatchEvaluator(cfg).values(directions(np.zeros_like(t1)), directions(t1),
+                                              directions(t2), directions(-t2))
+            assert grid.theta1_axis.tobytes() == grid.theta2_axis.tobytes() == axis.tobytes()
+            assert grid.values.tobytes() == want.reshape(resolution, resolution).tobytes()
+            scanned += 1
+        assert scanned == 20  # out-of-plane s1 and s3 as above, every qm and s2 draw
+
+    def test_scan_memory_bounded(self):
+        # per-axis correlator tables: a 201-step scan builds no 201^2-row
+        # direction arrays (4 x 40,401 rows took ~10 MB)
+        cfg = ScenarioConfig("s1", model=GupModel(beta=0.1))
+        tracemalloc.start()
+        try:
+            grid_scan(cfg, 201)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
 
     @pytest.mark.filterwarnings("ignore:.*no longer small")
     @pytest.mark.parametrize("beta, m, evaluations, value", [
