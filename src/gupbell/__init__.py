@@ -15,7 +15,7 @@ from .lab import (
 )
 from .quantum import (
     ChshSettings, Direction, PureState, bell_state, canonical_settings,
-    correlation_tensor, spin_observable,
+    moments, spin_observable,
 )
 from .security import (
     SecurityReport, build_report, eavesdrop_test, minentropy_bound,

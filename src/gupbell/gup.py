@@ -189,6 +189,11 @@ class PerturbedState:
     def corrected_vector(self) -> np.ndarray:
         return self.xi.amplitudes + self.beta * self.xi_p
 
+    def norm_sq(self) -> float:
+        """|xg|^2 = Re(xg^dagger xg) of the corrected vector xg."""
+        xg = self.corrected_vector()
+        return float((xg.conj() @ xg).real)
+
 
 @dataclass(frozen=True)
 class ChshResult:
@@ -240,9 +245,8 @@ def perturb_state(h0: np.ndarray, hp: np.ndarray, level_index: int,
         xi_p += (vk.conj() @ (np.asarray(hp, dtype=complex) @ xi)) \
             / (energies[level_index] - energies[k]) * vk
     ps = PerturbedState(xi=PureState(xi), xi_p=xi_p, beta=float(beta))
-    xg = ps.corrected_vector()
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        norm_sq = float((xg.conj() @ xg).real)
+        norm_sq = ps.norm_sq()
     if not math.isfinite(norm_sq):
         raise OutOfRangeError(
             f"|xi + beta * xi_p|^2 = {norm_sq}: the perturbed state overflows")

@@ -3,12 +3,13 @@ angle optimization (closed form, or Newton ascent with exact
 derivatives) and region classification.
 
 Every scenario value is computed from one representation: the
-correlation matrix T of the scenario's effective two-qubit operator and
-the corrected directions w of the four observables, so that
-S = sum(+-) w_A . T . w_B, qm and s2 measuring through the identity
-map ``GupModel(beta=0.0)``.  ``BatchEvaluator`` evaluates S over arrays
-of directions for scans, sweeps and the optimizer; ``evaluate_point``
-reads its T and map at one settings tuple and adds diagnostic terms.
+correlation matrix T of the scenario's effective two-qubit operator,
+read off its amplitudes by ``quantum.moments``, and the corrected
+directions w of the four observables, so that S = sum(+-) w_A . T . w_B,
+qm and s2 measuring through the identity map ``GupModel(beta=0.0)``.
+``BatchEvaluator`` evaluates S over arrays of directions for scans,
+sweeps and the optimizer; ``evaluate_point`` reads its T and map at one
+settings tuple and adds diagnostic terms.
 The optimizer's search takes S, its gradient and its Hessian from the
 same correlator kernel, at the map's derivatives ``GupModel.planar``.
 """
@@ -25,7 +26,7 @@ from .errors import GupBellError, OutOfRangeError
 from .gup import ChshResult, GupModel, PerturbedState
 from .quantum import (
     CHSH_PAIRS, CHSH_SIGNS, CLASSICAL_BOUND, TSIRELSON, TWO_PI, ChshSettings,
-    Direction, PureState, bell_state, correlation_tensor, directions,
+    Direction, PureState, bell_state, directions, moments,
 )
 
 BOXWORLD = 4.0
@@ -81,21 +82,20 @@ class ScenarioConfig:
             self._perturbed = gup.perturb_state(h0, hp, 0, self.model.beta)
         return self._perturbed
 
-    def effective_density(self) -> np.ndarray:
-        """Hermitian unit-trace operator rho such that the scenario value
-        is tr(rho B) with the scenario's (possibly corrected) operators."""
+    def moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The moments (r_A, r_B, T) of the scenario's effective unit-trace
+        operator, read off amplitudes: those of the given state for qm and
+        s1, of |xi><xi| + beta(|xi_p><xi| + h.c.) for s2 and of the
+        normalized corrected state for s3."""
         if self.scenario in ("qm", "s1"):
-            psi = self.state.amplitudes
-            return np.outer(psi, psi.conj())
+            return moments(self.state.amplitudes)
         ps = self.perturbed()
         if self.scenario == "s2":
             xi = ps.xi.amplitudes
-            rho = np.outer(xi, xi.conj())
-            rho += ps.beta * (np.outer(ps.xi_p, xi.conj())
-                              + np.outer(xi, ps.xi_p.conj()))
-            return rho
-        xg = ps.corrected_vector()
-        return np.outer(xg, xg.conj()) / float((xg.conj() @ xg).real)
+            return tuple(q + 2.0 * ps.beta * c
+                         for q, c in zip(moments(xi), moments(xi, ps.xi_p)))
+        norm_sq = ps.norm_sq()
+        return tuple(x / norm_sq for x in moments(ps.corrected_vector()))
 
     def operator_model(self) -> GupModel:
         """The correction applied to measurement operators: the identity
@@ -117,8 +117,8 @@ class ScenarioConfig:
         if self.scenario == "s2":
             raise OutOfRangeError(
                 "scenario s2 cannot be sampled: its effective operator is not a state")
-        xg = self.perturbed().corrected_vector()
-        return PureState(xg / np.linalg.norm(xg))
+        ps = self.perturbed()
+        return PureState(ps.corrected_vector() / math.sqrt(ps.norm_sq()))
 
 
 def _correlator(t: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
@@ -155,20 +155,17 @@ def evaluate_point(cfg: ScenarioConfig, s: ChshSettings) -> ChshResult:
 
     ev = BatchEvaluator(cfg)
     w, lam, beta_prime = ev.model.corrected(n)
-    e = correlators(ev.moments, w)
+    e = correlators(ev.t, w)
     value = _chsh(e)
     if cfg.scenario == "qm":
         return ChshResult(value, {})
     if cfg.scenario == "s2":
         ps = cfg.perturbed()
-        xi = ps.xi.amplitudes
-        sym = 0.5 * (np.outer(ps.xi_p, xi.conj()) + np.outer(xi, ps.xi_p.conj()))
-        qm = _chsh(correlators(correlation_tensor(np.outer(xi, xi.conj()))[2], n))
-        cross = _chsh(correlators(correlation_tensor(sym)[2], n))
+        qm = _chsh(correlators(moments(ps.xi.amplitudes)[2], n))
+        cross = _chsh(correlators(moments(ps.xi.amplitudes, ps.xi_p)[2], n))
         return ChshResult(value, {"qm": qm, "cross": cross})
     if cfg.scenario == "s3":
-        xg = cfg.perturbed().corrected_vector()
-        return ChshResult(value, {"norm_sq": float((xg.conj() @ xg).real)})
+        return ChshResult(value, {"norm_sq": cfg.perturbed().norm_sq()})
 
     def alice(k):  # weights k on A, A' against B + B' and B - B'
         return float(k[0] * (e[0] + e[1]) + k[1] * (e[2] - e[3]))
@@ -194,7 +191,7 @@ class BatchEvaluator:
     """Vectorized CHSH evaluation over arrays of measurement directions."""
 
     def __init__(self, cfg: ScenarioConfig):
-        self.moments = correlation_tensor(cfg.effective_density())[2]
+        self.t = cfg.moments()[2]
         self.model = cfg.operator_model()
 
     def _corrected(self, n: np.ndarray) -> np.ndarray:
@@ -204,14 +201,14 @@ class BatchEvaluator:
         """S for each row of the four (K, 3) direction arrays."""
         w = [self._corrected(n) for n in (na, nap, nb, nbp)]
         # one correlator at a time: a large K never holds all four at once
-        return _chsh(_correlator(self.moments, w[i], w[j]) for i, j in CHSH_PAIRS)
+        return _chsh(_correlator(self.t, w[i], w[j]) for i, j in CHSH_PAIRS)
 
     def table(self, nx, ny) -> np.ndarray:
         """The correlator at every row pair of two direction arrays, shape
         (len(nx), len(ny)), each side corrected once: each entry equals the
         one ``values`` computes at that row pair bit for bit."""
         wx, wy = self._corrected(nx), self._corrected(ny)
-        return _correlator(self.moments, np.repeat(wx, len(wy), axis=0),
+        return _correlator(self.t, np.repeat(wx, len(wy), axis=0),
                            np.tile(wy, (len(wx), 1))).reshape(len(wx), len(wy))
 
     def grid(self, axis: np.ndarray) -> np.ndarray:
@@ -347,11 +344,11 @@ def _closed_form_optimum(ev: BatchEvaluator, eight_angles: bool) -> Optimum:
     warns as for any other settings; ``converged`` is False when rounding
     at a reach next to 1 left it more than 1e-9 below the maximum."""
     if eight_angles:
-        w, maximum = _horodecki_directions(ev.moments)
+        w, maximum = _horodecki_directions(ev.t)
     else:
         xz = [0, 2]
         w = np.zeros((4, 3))
-        w[:, xz], maximum = _horodecki_directions(ev.moments[np.ix_(xz, xz)])
+        w[:, xz], maximum = _horodecki_directions(ev.t[np.ix_(xz, xz)])
     n = ev.model.inverse(w)
     dirs = [Direction(theta, phi) for theta, phi in zip(
         np.arctan2(np.hypot(n[:, 0], n[:, 1]), n[:, 2]), np.arctan2(n[:, 1], n[:, 0]))]
@@ -369,7 +366,7 @@ def _planar_derivatives(ev: BatchEvaluator, x: np.ndarray):
     w = ev.model.planar(x)
     alice, bob = np.array(CHSH_PAIRS).T
     sides = ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1))  # derivative orders
-    e = _correlator(ev.moments, np.concatenate([w[i][alice] for i, _ in sides]),
+    e = _correlator(ev.t, np.concatenate([w[i][alice] for i, _ in sides]),
                     np.concatenate([w[j][bob] for _, j in sides]))
     e = e.reshape(len(sides), len(CHSH_PAIRS))
     s = _chsh(e[0])

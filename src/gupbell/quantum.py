@@ -1,4 +1,4 @@
-"""Two-qubit states, spin observables and their correlation tensor."""
+"""Two-qubit states, spin observables and their moments (r_A, r_B, T)."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-I2 = np.eye(2, dtype=complex)
+_SIGMA_0123 = np.stack((np.eye(2, dtype=complex),) + PAULIS)
 
 TWO_PI = 2.0 * math.pi
 #: the classical bound: the largest S of any local deterministic strategy
@@ -123,17 +123,16 @@ def spin_observable(n: Direction) -> np.ndarray:
     return spin(n.unit_vector())
 
 
-def correlation_tensor(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Local Bloch vectors and correlation matrix of a two-qubit operator:
-    r_A[i] = tr(rho s_i (x) I), r_B[j] = tr(rho I (x) s_j) and
-    T[i, j] = tr(rho s_i (x) s_j).
+def moments(u: np.ndarray, v: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """Local Bloch vectors and correlation matrix between two amplitude
+    vectors, r_A[i] = Re<u|s_i (x) I|v>, r_B[j] = Re<u|I (x) s_j|v> and
+    T[i, j] = Re<u|s_i (x) s_j|v>, in one contraction with no density
+    formed: those of the state |u><u| when v = u, the default, and of
+    (|v><u| + |u><v|)/2 otherwise.
 
     Every CHSH value, s1 bracket and shot probability is computed from
     these three and the corrected directions of the observables.
     """
-    rho = np.asarray(rho, dtype=complex)
-    r_a = np.array([np.trace(rho @ np.kron(sig, I2)).real for sig in PAULIS])
-    r_b = np.array([np.trace(rho @ np.kron(I2, sig)).real for sig in PAULIS])
-    t = np.array([[np.trace(rho @ np.kron(si, sj)).real for sj in PAULIS]
-                  for si in PAULIS])
-    return r_a, r_b, t
+    m = np.einsum("ab,pac,qbd,cd->pq", u.conj().reshape(2, 2), _SIGMA_0123,
+                  _SIGMA_0123, (u if v is None else v).reshape(2, 2)).real
+    return m[1:, 0], m[0, 1:], m[1:, 1:]

@@ -10,8 +10,8 @@ import numpy as np
 from . import kernels, tensor
 from .errors import DimensionError, HermiticityError, NotDichotomicError
 from .quantum import (
-    CHSH_PAIRS, CHSH_SIGNS, ChshSettings, PureState, correlation_tensor,
-    pauli_parts, spin_observable,
+    CHSH_PAIRS, CHSH_SIGNS, ChshSettings, PureState, moments, pauli_parts,
+    spin_observable,
 )
 
 #: the labels of the four correlator pairs, in ``CHSH_PAIRS`` order
@@ -66,13 +66,12 @@ class ChshEstimate:
 
 
 def depolarize(state: PureState, p: float):
-    """``correlation_tensor`` (r_A, r_B, T) of the depolarized state
+    """The ``moments`` (r_A, r_B, T) of the depolarized state
     rho = (1-p) |psi><psi| + p I/4: those of |psi><psi| times (1-p), as
     I/4 has none."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("depolarizing probability must lie in [0, 1]")
-    psi = state.amplitudes
-    return tuple((1.0 - p) * x for x in correlation_tensor(np.outer(psi, psi.conj())))
+    return tuple((1.0 - p) * x for x in moments(state.amplitudes))
 
 
 def _pauli_parts(obs: np.ndarray) -> tuple[float, np.ndarray]:
@@ -88,7 +87,7 @@ def _pauli_parts(obs: np.ndarray) -> tuple[float, np.ndarray]:
 def joint_probabilities(rho, obs_a: np.ndarray, obs_b: np.ndarray):
     """Born probabilities for the four joint outcomes, ordered
     (+,+), (+,-), (-,+), (-,-), with the actual outcome eigenvalues, in
-    the state whose ``correlation_tensor`` is rho = (r_A, r_B, T).
+    the state whose ``moments`` are rho = (r_A, r_B, T).
 
     With each observable c0 I + c . sigma, outcomes c0 +- |c| and
     u = c/|c| its unit Bloch direction,

@@ -1,10 +1,11 @@
 """Dense 4x4 reference evaluation of the CHSH scenarios.
 
-The package computes every value from the correlation tensor of the
-state and the corrected directions of the observables.  This module
-computes the same quantities the long way, as expectation values of
-dense Bell operators built from eigendecomposed corrected observables,
-and the tests compare the two.
+The package computes every value from the moments (r_A, r_B, T), read
+off the amplitudes of the state, and the corrected directions of the
+observables.  This module computes the same quantities the long way:
+the moments as traces against each scenario's effective 4x4 density,
+and the values as expectation values of dense Bell operators built from
+eigendecomposed corrected observables; the tests compare the two.
 
 It also keeps the per-cell artifact writers: one format call, colour
 and rect per cell of ``scan.csv``, ``scan.svg`` and ``sweep.csv``, which
@@ -25,7 +26,7 @@ from gupbell import cli, tensor
 from gupbell.errors import DimensionError, HermiticityError
 from gupbell.gup import ChshResult, GupModel, PerturbedState
 from gupbell.quantum import (
-    CLASSICAL_BOUND, ChshSettings, Direction, PureState, spin_observable,
+    CLASSICAL_BOUND, PAULIS, ChshSettings, Direction, PureState, spin_observable,
 )
 
 
@@ -44,6 +45,36 @@ def expect(state: np.ndarray, op: np.ndarray) -> float:
         raise HermiticityError(
             f"expectation has imaginary part {val.imag:.3e}; operator not Hermitian?")
     return val.real
+
+
+def correlation_tensor(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Local Bloch vectors and correlation matrix of a two-qubit operator
+    as traces: r_A[i] = tr(rho s_i (x) I), r_B[j] = tr(rho I (x) s_j) and
+    T[i, j] = tr(rho s_i (x) s_j)."""
+    rho = np.asarray(rho, dtype=complex)
+    i2 = np.eye(2)
+    r_a = np.array([np.trace(rho @ np.kron(sig, i2)).real for sig in PAULIS])
+    r_b = np.array([np.trace(rho @ np.kron(i2, sig)).real for sig in PAULIS])
+    t = np.array([[np.trace(rho @ np.kron(si, sj)).real for sj in PAULIS]
+                  for si in PAULIS])
+    return r_a, r_b, t
+
+
+def effective_density(cfg) -> np.ndarray:
+    """The Hermitian unit-trace 4x4 operator rho of a ``lab.ScenarioConfig``
+    whose value is tr(rho B) with the scenario's (possibly corrected)
+    operators: |psi><psi| for qm and s1, |xi><xi| + beta(|xi_p><xi| + h.c.)
+    for s2 and the normalized |xg><xg| for s3."""
+    if cfg.scenario in ("qm", "s1"):
+        psi = cfg.state.amplitudes
+        return np.outer(psi, psi.conj())
+    ps = cfg.perturbed()
+    if cfg.scenario == "s2":
+        xi = ps.xi.amplitudes
+        return np.outer(xi, xi.conj()) + ps.beta * (
+            np.outer(ps.xi_p, xi.conj()) + np.outer(xi, ps.xi_p.conj()))
+    xg = ps.corrected_vector()
+    return np.outer(xg, xg.conj()) / float((xg.conj() @ xg).real)
 
 
 def bell_operator(s: ChshSettings) -> np.ndarray:

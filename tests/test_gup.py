@@ -158,24 +158,25 @@ class TestPerturbState:
 
     def test_eigenvector_phases_cancel(self, monkeypatch, custom_hp):
         # a phase of xi carries over to xi_p, and the phases of the other
-        # levels cancel in xi_p, so no effective density depends on them
+        # levels cancel in xi_p, so no scenario's moments depend on them
         rng = np.random.default_rng(13)
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         h0 = a + a.conj().T
         model = GupModel(beta=0.2, rule="tilt", m=np.array([0.6, 0.0, 0.8]))
 
-        def densities():
-            return [ScenarioConfig(tag, model=model, h0=h, hp=custom_hp).effective_density()
+        def all_moments():
+            return [ScenarioConfig(tag, model=model, h0=h, hp=custom_hp).moments()
                     for tag in ("s2", "s3") for h in (None, h0)]
 
-        want = densities()
+        want = all_moments()
         eig = tensor.eig_hermitian
         for _ in range(5):
             phases = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 4))
             monkeypatch.setattr(tensor, "eig_hermitian", lambda m: (
                 eig(m)[0], eig(m)[1] * phases))
-            for got, rho in zip(densities(), want):
-                assert np.max(np.abs(got - rho)) < 1e-12
+            for got, expected in zip(all_moments(), want):
+                for x, y in zip(got, expected):
+                    assert np.max(np.abs(x - y)) < 1e-12
 
     def test_level_index_range(self):
         with pytest.raises(IndexError):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -14,8 +15,7 @@ from gupbell.lab import (
     evaluate_point, grid_scan, optimize_angles, scan_settings, sweep_settings,
 )
 from gupbell.quantum import (
-    SIGMA_X, SIGMA_Y, SIGMA_Z, ChshSettings, Direction, correlation_tensor,
-    directions,
+    SIGMA_X, SIGMA_Y, SIGMA_Z, ChshSettings, Direction, directions,
 )
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -54,7 +54,7 @@ class TestScenarioConfig:
                 scenario=scenario,
                 model=None if scenario == "qm" else GupModel(beta=0.1),
                 hp=None if scenario in ("qm", "s1") else custom_hp)
-            rho = cfg.effective_density()
+            rho = dense_oracle.effective_density(cfg)
             assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
             assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
 
@@ -239,11 +239,24 @@ def horodecki_bound(cfg: ScenarioConfig, planar: bool = False) -> float:
     its x-z block with ``planar``): the maximum of S over all unit (x-z)
     directions (Horodecki et al., Phys. Lett. A 200, 340 (1995)), which
     bounds every corrected value as well."""
-    t = correlation_tensor(cfg.effective_density())[2]
+    t = dense_oracle.correlation_tensor(dense_oracle.effective_density(cfg))[2]
     if planar:
         t = t[np.ix_([0, 2], [0, 2])]
     sv = np.linalg.svd(t, compute_uv=False)
     return 2.0 * math.sqrt(sv[0] ** 2 + sv[1] ** 2)
+
+
+def test_moments_match_dense_oracle():
+    # every scenario and rule, with the default or a random hp, on the
+    # default or a random h0
+    rng = np.random.default_rng(37)
+    for cfg in random_configs(rng, 2):
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        for h0 in (None, a + a.conj().T):
+            cfg = dataclasses.replace(cfg, h0=h0)
+            want = dense_oracle.correlation_tensor(dense_oracle.effective_density(cfg))
+            for got, x in zip(cfg.moments(), want):
+                assert np.max(np.abs(got - x)) < 1e-12
 
 
 def is_exact_case(cfg: ScenarioConfig, eight_angles: bool) -> bool:

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dense_oracle import bell_operator, chsh_value
+from dense_oracle import bell_operator, chsh_value, correlation_tensor
 from gupbell.errors import DimensionError
 from gupbell.quantum import (
     ChshSettings, Direction, PureState, bell_state, canonical_settings,
-    directions, spin_observable,
+    directions, moments, spin_observable,
 )
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -88,3 +88,33 @@ class TestObservables:
         s = ChshSettings.planar(0.3, 1.2, -0.5, 2.2)
         b = bell_operator(s)
         assert np.max(np.abs(b - b.conj().T)) < 1e-12
+
+
+class TestMoments:
+    """``moments`` against the traces of the dense oracle, relative to
+    the largest oracle entry."""
+
+    @staticmethod
+    def _relative_error(got, want) -> float:
+        got, want = (np.concatenate([x.ravel() for x in m]) for m in (got, want))
+        return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+    def test_pair_matches_symmetrized_operator(self):
+        rng = np.random.default_rng(17)
+        for _ in range(500):
+            u, v = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
+            sym = 0.5 * (np.outer(v, u.conj()) + np.outer(u, v.conj()))
+            assert self._relative_error(moments(u, v), correlation_tensor(sym)) <= 1e-15
+
+    def test_single_vector_matches_its_projector(self):
+        rng = np.random.default_rng(19)
+        for _ in range(500):
+            u = rng.normal(size=4) + 1j * rng.normal(size=4)
+            want = correlation_tensor(np.outer(u, u.conj()))
+            assert self._relative_error(moments(u), want) <= 1e-15
+
+    def test_bell_state(self):
+        # [KNOWN] PhiPlus: no local Bloch vectors, T = diag(1, -1, 1)
+        r_a, r_b, t = moments(bell_state().amplitudes)
+        assert np.all(r_a == 0.0) and np.all(r_b == 0.0)
+        assert np.max(np.abs(t - np.diag([1.0, -1.0, 1.0]))) < 1e-15
