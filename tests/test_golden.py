@@ -17,6 +17,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gupbell import cli
@@ -29,6 +30,13 @@ AXIS = ["--m", "0.48,0.6,0.64"]
 CUSTOM_JP = {"scenario": "s3", "beta": 0.4,
              "model": {"rule": "custom",
                        "jp": [[[0.2, 0], [0.3, -0.1]], [[0.3, 0.1], [-0.2, 0]]]}}
+
+#: the ``custom_hp`` fixture as [re, im] pairs: a state perturbation with
+#: a coupling into every excited level
+CUSTOM_HP = {"hp": [[[0.5, 0], [0.5, 0.1], [0, 0], [0, 0.3]],
+                    [[0.5, -0.1], [-0.1, 0], [0.4, 0], [0, 0]],
+                    [[0, 0], [0.4, 0], [0, 0], [0.2, 0]],
+                    [[0, -0.3], [0, 0], [0.2, 0], [-0.4, 0]]]}
 
 #: the five README commands, then runs over every command and scenario
 RUNS = [
@@ -58,6 +66,10 @@ RUNS = [
     ["scan", "--config", "custom-jp.json", "--grid-steps", "41"],
     ["optimize", "--config", "custom-jp.json"],
     ["sample", "--config", "custom-jp.json", "--shots", "100000"],
+    ["sweep", "--config", "hp.json", "--betas", "0.1,0.5"],
+    ["scan", "--config", "hp.json", "--scenario", "s2", "--grid-steps", "41"],
+    ["optimize", "--config", "hp.json", "--scenario", "s3"],
+    ["sample", "--config", "hp.json", "--scenario", "s3", "--shots", "100000"],
 ]
 
 
@@ -70,6 +82,7 @@ def run_digests(argv: list, workdir: Path) -> dict:
     artifact it wrote, by file name."""
     out = workdir / "out"
     (workdir / "custom-jp.json").write_text(json.dumps(CUSTOM_JP))
+    (workdir / "hp.json").write_text(json.dumps(CUSTOM_HP))
     argv = [str(workdir / a) if a.endswith(".json") else a for a in argv]
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
@@ -89,6 +102,11 @@ def label(argv: list) -> str:
 def test_artifacts_match_golden_digests(argv, tmp_path):
     golden = json.loads(DIGESTS.read_text())
     assert run_digests(argv, tmp_path) == golden[label(argv)]
+
+
+def test_hp_is_the_custom_hp_fixture(custom_hp):
+    pairs = np.asarray(CUSTOM_HP["hp"])
+    assert np.array_equal(pairs[..., 0] + 1j * pairs[..., 1], custom_hp)
 
 
 def test_every_run_has_digests():
