@@ -20,12 +20,12 @@ import numpy as np
 
 from . import gup, lab, security, shots
 from .errors import (
-    AmbiguousBranchError, DegeneracyError, GupBellError, HermiticityError,
-    OutOfRangeError, ValidationError,
+    AmbiguousBranchError, GupBellError, HermiticityError, OutOfRangeError,
+    ValidationError,
 )
 from .gup import GupModel
 from .lab import ScenarioConfig, classify
-from .quantum import CLASSICAL_BOUND, ChshSettings, Direction, bell_state
+from .quantum import CLASSICAL_BOUND, ChshSettings, Direction
 from .shots import ChshEstimate, CountsTable, ShotPlan
 
 PI = math.pi
@@ -61,7 +61,6 @@ class RunConfig:
     noise_p: float = 0.0
     k_sigma: float = 5.0
     eight_angles: bool = False
-    h0: np.ndarray | None = None
     hp: np.ndarray | None = None
     out: str = "out"
     baseline_estimate: str | None = None
@@ -198,7 +197,6 @@ _CONFIG = {
     "noise_p": ("noise_p", partial(_check_number, minimum=0.0, maximum=1.0)),
     "k_sigma": ("k_sigma", partial(_check_number, minimum=0.0)),
     "eight_angles": ("eight_angles", partial(_check_type, kind=bool, what="a boolean")),
-    "h0": ("h0", partial(_check_matrix, dim=4)),
     "hp": ("hp", partial(_check_matrix, dim=4)),
     **{key: (key, partial(_check_type, kind=str, what="a path string"))
        for key in ("out", "baseline_estimate", "observed_estimate")},
@@ -319,17 +317,13 @@ def _scenario_config(cfg: RunConfig) -> ScenarioConfig:
         _fail(key, str(exc))
     except ValueError as exc:  # the tilt axis is not a unit vector
         _fail("m", str(exc))
-    scenario = ScenarioConfig(scenario=cfg.scenario, state=bell_state(),
-                              model=model, h0=cfg.h0, hp=cfg.hp)
+    scenario = ScenarioConfig(scenario=cfg.scenario, model=model, hp=cfg.hp)
     try:
         scenario.perturbed()
-    except DegeneracyError as exc:
-        _fail("h0", str(exc))
     except (HermiticityError, OutOfRangeError) as exc:
-        # the default h0 and hp are Hermitian and keep the perturbed state
-        # finite, so a given one failed
-        _fail(", ".join(k for k in ("h0", "hp") if getattr(cfg, k) is not None),
-              str(exc))
+        # the default hp is Hermitian and keeps the perturbed state finite,
+        # so a given one failed
+        _fail("hp", str(exc))
     return scenario
 
 
@@ -454,7 +448,7 @@ def _run_sweep(cfg: RunConfig, scenario: ScenarioConfig, out: Path) -> float:
     theta_axis = np.linspace(0.0, 2.0 * PI, cfg.theta_steps)
     model = scenario.model
     curves = lab.beta_sweep(cfg.betas, theta_axis, rule=model.rule, m=model.m,
-                            jp=model.jp, h0=scenario.h0, hp=scenario.hp)
+                            jp=model.jp, hp=scenario.hp)
     thetas = [_fmt9(theta) for theta in theta_axis]
     lines = ["beta,theta," + ",".join(f"S_{tag}" for tag in SCENARIOS)]
     for curve in curves:

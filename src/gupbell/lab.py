@@ -64,7 +64,6 @@ class ScenarioConfig:
     scenario: str = "qm"
     state: PureState = field(default_factory=bell_state)
     model: GupModel | None = None
-    h0: np.ndarray | None = None
     hp: np.ndarray | None = None
 
     def __post_init__(self):
@@ -75,11 +74,12 @@ class ScenarioConfig:
         self._perturbed = None
 
     def perturbed(self) -> PerturbedState:
-        """Perturbed ground state for scenarios 2 and 3 (defaults filled in)."""
+        """The Bell state, ground state of ``gup.default_hamiltonian()``,
+        corrected to first order by ``hp``: the state of scenarios 2 and 3."""
         if self._perturbed is None:
-            h0 = self.h0 if self.h0 is not None else gup.default_hamiltonian()
             hp = self.hp if self.hp is not None else gup.default_perturbation(self.model)
-            self._perturbed = gup.perturb_state(h0, hp, 0, self.model.beta)
+            self._perturbed = gup.perturb_state(gup.default_hamiltonian(), hp, 0,
+                                                self.model.beta)
         return self._perturbed
 
     def moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -284,7 +284,7 @@ DEFAULT_SWEEP_POINTS = 721
 
 
 def beta_sweep(betas=DEFAULT_SWEEP_BETAS, theta_axis=None, rule: str = "tilt",
-               m=(0.0, 0.0, 1.0), jp=None, h0=None, hp=None) -> list[SweepCurve]:
+               m=(0.0, 0.0, 1.0), jp=None, hp=None) -> list[SweepCurve]:
     """One curve bundle per beta over the one-parameter settings family,
     with a series per scenario on the Bell state."""
     if theta_axis is None:
@@ -298,7 +298,7 @@ def beta_sweep(betas=DEFAULT_SWEEP_BETAS, theta_axis=None, rule: str = "tilt",
         model = GupModel(beta=beta, rule=rule, m=m, jp=jp)
         series = {"qm": qm}
         for tag in SCENARIOS[1:]:
-            cfg = ScenarioConfig(scenario=tag, model=model, h0=h0, hp=hp)
+            cfg = ScenarioConfig(scenario=tag, model=model, hp=hp)
             series[tag] = BatchEvaluator(cfg).values(*dirs)
         curves.append(SweepCurve(float(beta), theta_axis, series))
     return curves

@@ -5,7 +5,9 @@ off the amplitudes of the state, and the corrected directions of the
 observables.  This module computes the same quantities the long way:
 the moments as traces against each scenario's effective 4x4 density,
 and the values as expectation values of dense Bell operators built from
-eigendecomposed corrected observables; the tests compare the two.
+eigendecomposed corrected observables; the tests compare the two.  The
+exact ground state of the perturbed Hamiltonian checks the first-order
+state of scenarios 2 and 3.
 
 It also keeps the per-cell artifact writers: one format call, colour
 and rect per cell of ``scan.csv``, ``scan.svg`` and ``sweep.csv``, which
@@ -26,7 +28,8 @@ from gupbell import cli, tensor
 from gupbell.errors import DimensionError, HermiticityError
 from gupbell.gup import ChshResult, GupModel, PerturbedState
 from gupbell.quantum import (
-    CLASSICAL_BOUND, PAULIS, ChshSettings, Direction, PureState, spin_observable,
+    CLASSICAL_BOUND, PAULIS, SIGMA_X, SIGMA_Z, ChshSettings, Direction, PureState,
+    spin_observable,
 )
 
 
@@ -75,6 +78,13 @@ def effective_density(cfg) -> np.ndarray:
             np.outer(ps.xi_p, xi.conj()) + np.outer(xi, ps.xi_p.conj()))
     xg = ps.corrected_vector()
     return np.outer(xg, xg.conj()) / float((xg.conj() @ xg).real)
+
+
+def exact_ground_state(hp: np.ndarray, beta: float) -> np.ndarray:
+    """The ground vector of H0 + beta * hp, H0 = -(sx (x) sx + sz (x) sz):
+    the state that ``perturb_state`` expands to first order in beta."""
+    h0 = -(np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Z, SIGMA_Z))
+    return np.linalg.eigh(h0 + beta * np.asarray(hp, dtype=complex))[1][:, 0]
 
 
 def bell_operator(s: ChshSettings) -> np.ndarray:

@@ -409,8 +409,8 @@ _ESTIMATE = {"s_hat": 2.4, "stderr": 0.05059644256269407, "shots_per_pair": 1000
     ("config", {"m": "001"}, "m"),
     ("config", {"model": {"m": [0, 0, True]}}, "model.m[2]"),
     ("config", {"jp": [[["0", 0], [1, 0]], [[1, 0], [0, 0]]]}, "jp[0][0][0]"),
-    ("config", {"h0": _pairs(np.diag([-1.0, 0.0, 1.0, 2.0]) + 0j)[:3]
-                + [[[0, 0], [0, 0], [0, 0], [True, 0]]]}, "h0[3][3][0]"),
+    ("config", {"hp": _pairs(np.diag([-1.0, 0.0, 1.0, 2.0]) + 0j)[:3]
+                + [[[0, 0], [0, 0], [0, 0], [True, 0]]]}, "hp[3][3][0]"),
     ("config", {"hp": [[["0.5", 0]] * 4] * 4}, "hp[0][0][0]"),
     ("estimate", {"shots_per_pair": "1000"}, "shots_per_pair"),
     ("estimate", {"s_hat": "2.75"}, "s_hat"),
@@ -472,15 +472,15 @@ def test_estimate_without_shots_is_2(tmp_path, capsys):
     ({"model": {"rule": "custom", "jp": _pairs(np.diag([1.0, 0.0]) + 0j)}}, "jp"),
     ({"model": {"rule": "custom", "jp": _pairs(np.array([[0, 1], [0, 0]]) + 0j)}}, "jp"),
     ({"hp": _pairs(_NON_HERMITIAN_4 + 0j)}, "hp"),
-    ({"h0": _pairs(_NON_HERMITIAN_4 + 0j)}, "h0"),
-    ({"h0": _pairs(np.diag([0.0, 0.0, 1.0, 2.0]) + 0j)}, "h0"),
+    # every scenario starts from the Bell state, so no unperturbed
+    # Hamiltonian is an input, not even a valid one
+    ({"h0": _pairs(np.diag([-1.0, 0.0, 1.0, 2.0]) + 0j)}, "h0"),
     ({"model": "custom"}, "jp"),
     ({"model": {"rule": "tilt", "jp": _pairs(np.array([[1, 5], [0, 0]]) + 0j)}}, "jp"),
     ({"model": {"rule": "self-cubic", "m": [1, 0, 0]}}, "m"),
     ({"hp": _pairs(_HUGE_HP + 0j)}, "hp"),
-], ids=["traceful-jp", "non-hermitian-jp", "non-hermitian-hp", "non-hermitian-h0",
-        "degenerate-h0", "custom-without-jp", "jp-under-tilt", "m-under-self-cubic",
-        "overflowing-hp"])
+], ids=["traceful-jp", "non-hermitian-jp", "non-hermitian-hp", "h0",
+        "custom-without-jp", "jp-under-tilt", "m-under-self-cubic", "overflowing-hp"])
 def test_rejected_matrix_exits_2_in_every_command(tmp_path, capsys, doc, key):
     # the model and the perturbed state are built for every run, so the
     # physics rejects an input before any command evaluates a scenario
@@ -491,6 +491,17 @@ def test_rejected_matrix_exits_2_in_every_command(tmp_path, capsys, doc, key):
             assert run_main([command, "--config", cfgfile,
                              "--out", tmp_path / "out"]) == 2, (command, scenario)
             assert f" {key}: " in capsys.readouterr().err
+
+
+def test_h0_is_an_unknown_key(tmp_path, capsys):
+    # every scenario starts from the Bell state: an h0 with the ground
+    # state |00> is refused before any series is evaluated
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text(json.dumps({"h0": _pairs(np.diag([-2.0, 0.0, 0.0, 2.0]) + 0j),
+                                   "betas": [0.001]}))
+    assert run_main(["sweep", "--config", cfgfile, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == "configuration error: h0: unknown configuration key\n"
+    assert not (tmp_path / "out").exists()
 
 
 small = st.floats(-2.0, 2.0, allow_nan=False)
@@ -512,9 +523,6 @@ fuzz_configs = st.fixed_dictionaries(
             lambda t: _pairs(_hermitian(t[0], 2, t[1]) + t[2] * np.eye(2))),
         "hp": st.tuples(st.integers(0, 99), st.floats(0.0, 1.5)).map(
             lambda t: _pairs(_hermitian(t[0], 4, t[1]))),
-        # a degenerate and a non-degenerate ground level
-        "h0": st.sampled_from([np.diag([0.0, 0.0, 1.0, 2.0]),
-                               np.diag([-1.0, 0.0, 1.0, 2.0])]).map(_pairs),
         "settings": st.dictionaries(
             st.sampled_from(sorted(cli.DEFAULT_SETTINGS_PI)),
             st.lists(small, min_size=2, max_size=2)),

@@ -14,7 +14,7 @@ from gupbell.gup import (
 )
 from gupbell.lab import ScenarioConfig, evaluate_point
 from gupbell.quantum import (
-    Direction, bell_state, canonical_settings, directions, spin_observable,
+    Direction, bell_state, canonical_settings, directions, moments, spin_observable,
 )
 
 
@@ -165,8 +165,12 @@ class TestPerturbState:
         model = GupModel(beta=0.2, rule="tilt", m=np.array([0.6, 0.0, 0.8]))
 
         def all_moments():
-            return [ScenarioConfig(tag, model=model, h0=h, hp=custom_hp).moments()
-                    for tag in ("s2", "s3") for h in (None, h0)]
+            # s2 and s3 of the default Hamiltonian, then their two state
+            # moments, Re<xi|.|xi_p> and |xg><xg|, of the random one
+            ps = perturb_state(h0, custom_hp, 0, model.beta)
+            return [*(ScenarioConfig(tag, model=model, hp=custom_hp).moments()
+                      for tag in ("s2", "s3")),
+                    moments(ps.xi.amplitudes, ps.xi_p), moments(ps.corrected_vector())]
 
         want = all_moments()
         eig = tensor.eig_hermitian

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import dense_oracle
-from gupbell import lab
+from gupbell import gup, lab
 from gupbell.errors import GupBellError, OutOfRangeError
 from gupbell.gup import GupModel
 from gupbell.lab import (
@@ -15,10 +15,11 @@ from gupbell.lab import (
     evaluate_point, grid_scan, optimize_angles, scan_settings, sweep_settings,
 )
 from gupbell.quantum import (
-    SIGMA_X, SIGMA_Y, SIGMA_Z, ChshSettings, Direction, directions,
+    SIGMA_X, SIGMA_Y, SIGMA_Z, TWO_PI, ChshSettings, Direction, directions,
 )
 
-TSIRELSON = 2.0 * math.sqrt(2.0)
+SQRT2 = math.sqrt(2.0)
+TSIRELSON = 2.0 * SQRT2
 
 
 class TestClassify:
@@ -234,29 +235,93 @@ def random_configs(rng, per_combination: int = 1, in_plane: bool = False):
                                      model=None if scenario == "qm" else model, hp=hp)
 
 
-def horodecki_bound(cfg: ScenarioConfig, planar: bool = False) -> float:
-    """2 sqrt(t1^2 + t2^2) from the two largest singular values of T (of
-    its x-z block with ``planar``): the maximum of S over all unit (x-z)
-    directions (Horodecki et al., Phys. Lett. A 200, 340 (1995)), which
-    bounds every corrected value as well."""
-    t = dense_oracle.correlation_tensor(dense_oracle.effective_density(cfg))[2]
-    if planar:
-        t = t[np.ix_([0, 2], [0, 2])]
+def horodecki_maximum(t: np.ndarray) -> float:
+    """2 sqrt(t1^2 + t2^2) from the two largest singular values of T: the
+    maximum of S over all unit directions (Horodecki et al., Phys. Lett. A
+    200, 340 (1995))."""
     sv = np.linalg.svd(t, compute_uv=False)
     return 2.0 * math.sqrt(sv[0] ** 2 + sv[1] ** 2)
 
 
+def horodecki_bound(cfg: ScenarioConfig, planar: bool = False) -> float:
+    """The Horodecki maximum of the scenario's T (of its x-z block with
+    ``planar``): the maximum of S over all unit (x-z) directions, which
+    bounds every corrected value as well."""
+    t = dense_oracle.correlation_tensor(dense_oracle.effective_density(cfg))[2]
+    if planar:
+        t = t[np.ix_([0, 2], [0, 2])]
+    return horodecki_maximum(t)
+
+
 def test_moments_match_dense_oracle():
-    # every scenario and rule, with the default or a random hp, on the
-    # default or a random h0
+    # every scenario and rule, with the default or a random hp
     rng = np.random.default_rng(37)
-    for cfg in random_configs(rng, 2):
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        for h0 in (None, a + a.conj().T):
-            cfg = dataclasses.replace(cfg, h0=h0)
-            want = dense_oracle.correlation_tensor(dense_oracle.effective_density(cfg))
-            for got, x in zip(cfg.moments(), want):
-                assert np.max(np.abs(got - x)) < 1e-12
+    for cfg in random_configs(rng, 4):
+        want = dense_oracle.correlation_tensor(dense_oracle.effective_density(cfg))
+        for got, x in zip(cfg.moments(), want):
+            assert np.max(np.abs(got - x)) < 1e-12
+
+
+def test_every_series_tends_to_qm():
+    # 60 configs over the three rules, each model of reach |beta a| <= beta,
+    # half with a random hp of norm <= 1.  Bounds, with B the Bell
+    # operator of unit spins (norm <= 2 sqrt 2) and |T| <= 1 for a state:
+    # - the map moves each direction by |w - n| <= 2 beta/(1 - beta), so
+    #   each of the four correlators w_A.T.w_B by twice that: 16 beta/(1 - beta);
+    # - the state gains beta xi_p, |xi_p| <= |hp|/2 across the gap of 2
+    #   and xi_p orthogonal to xi, which moves <B> by 2 beta |<xi|B|xi_p>|
+    #   <= 2 sqrt 2 beta |hp| and, normalized for s3, by at most
+    #   sqrt 2 beta^2 |hp|^2 more.
+    rng = np.random.default_rng(41)
+    theta = np.linspace(0.0, TWO_PI, 181)
+    for cfg in random_configs(rng, 20):
+        if cfg.scenario != "s1":
+            continue
+        model = cfg.model
+        hp = cfg.hp if cfg.hp is not None else gup.default_perturbation(model)
+        norm = np.linalg.norm(hp, 2)
+        curves = beta_sweep((0.0, 1e-3, 1e-6, 1e-9), theta, rule=model.rule,
+                            m=model.m, jp=model.jp, hp=cfg.hp)
+        at_zero = curves[0].series
+        assert np.array_equal(at_zero["s1"], at_zero["qm"])
+        assert np.array_equal(at_zero["s2"], at_zero["qm"])
+        assert np.max(np.abs(at_zero["s3"] - at_zero["qm"])) <= 1e-14
+        for curve in curves[1:]:
+            beta, s = curve.beta, curve.series
+            bound = {"s1": 16.0 * beta / (1.0 - beta), "s2": 2.0 * SQRT2 * beta * norm}
+            bound["s3"] = (bound["s1"] + bound["s2"]
+                           + SQRT2 * beta * beta * norm * norm)
+            for tag in ("s1", "s2", "s3"):
+                assert np.max(np.abs(s[tag] - s["qm"])) <= bound[tag], (tag, beta)
+
+
+def test_first_order_state_errors():
+    # The Horodecki maximum of s2's and s3's T against that of the exact
+    # ground state of H0 + beta hp, largest gap over 30 configs (10 per
+    # rule, half with a random hp), as beta halves.  s3 normalizes
+    # xi + beta xi_p, the exact state up to O(beta^2), at a maximum of the
+    # Horodecki value, so its gap is O(beta^3) and falls 8-fold; s2 drops
+    # the beta^2 |xi_p><xi_p| term, so its gap is O(beta^2) and falls 4-fold.
+    rng = np.random.default_rng(43)
+    configs = [cfg for cfg in random_configs(rng, 10) if cfg.scenario == "s3"]
+    betas = (0.1, 0.05, 0.025, 0.0125)
+    gaps = {"s2": [], "s3": []}
+    for beta in betas:
+        worst = dict.fromkeys(gaps, 0.0)
+        for cfg in configs:
+            model = dataclasses.replace(cfg.model, beta=beta)
+            hp = cfg.hp if cfg.hp is not None else gup.default_perturbation(model)
+            psi = dense_oracle.exact_ground_state(hp, beta)
+            exact = horodecki_maximum(
+                dense_oracle.correlation_tensor(np.outer(psi, psi.conj()))[2])
+            for tag in gaps:
+                t = ScenarioConfig(tag, model=model, hp=cfg.hp).moments()[2]
+                worst[tag] = max(worst[tag], abs(horodecki_maximum(t) - exact))
+        for tag in gaps:
+            gaps[tag].append(worst[tag])
+    for tag, (low, high) in (("s3", (7.0, 9.0)), ("s2", (3.5, 4.5))):
+        ratios = [a / b for a, b in zip(gaps[tag], gaps[tag][1:])]
+        assert all(low <= r <= high for r in ratios), (tag, ratios)
 
 
 def is_exact_case(cfg: ScenarioConfig, eight_angles: bool) -> bool:
