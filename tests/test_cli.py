@@ -473,14 +473,17 @@ def test_estimate_without_shots_is_2(tmp_path, capsys):
     ({"model": {"rule": "custom", "jp": _pairs(np.array([[0, 1], [0, 0]]) + 0j)}}, "jp"),
     ({"hp": _pairs(_NON_HERMITIAN_4 + 0j)}, "hp"),
     # every scenario starts from the Bell state, so no unperturbed
-    # Hamiltonian is an input, not even a valid one
-    ({"h0": _pairs(np.diag([-1.0, 0.0, 1.0, 2.0]) + 0j)}, "h0"),
+    # Hamiltonian is an input: h0 is refused as an unknown key, whatever
+    # its matrix
+    ({"h0": _pairs(_NON_HERMITIAN_4 + 0j)}, "h0"),
+    ({"h0": _pairs(np.diag([0.0, 0.0, 1.0, 2.0]) + 0j)}, "h0"),
     ({"model": "custom"}, "jp"),
     ({"model": {"rule": "tilt", "jp": _pairs(np.array([[1, 5], [0, 0]]) + 0j)}}, "jp"),
     ({"model": {"rule": "self-cubic", "m": [1, 0, 0]}}, "m"),
     ({"hp": _pairs(_HUGE_HP + 0j)}, "hp"),
-], ids=["traceful-jp", "non-hermitian-jp", "non-hermitian-hp", "h0",
-        "custom-without-jp", "jp-under-tilt", "m-under-self-cubic", "overflowing-hp"])
+], ids=["traceful-jp", "non-hermitian-jp", "non-hermitian-hp", "non-hermitian-h0",
+        "degenerate-h0", "custom-without-jp", "jp-under-tilt", "m-under-self-cubic",
+        "overflowing-hp"])
 def test_rejected_matrix_exits_2_in_every_command(tmp_path, capsys, doc, key):
     # the model and the perturbed state are built for every run, so the
     # physics rejects an input before any command evaluates a scenario
