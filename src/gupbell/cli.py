@@ -12,7 +12,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 
@@ -37,35 +37,6 @@ MODEL_RULES = gup.RULES
 SEED_MAX = 2**64 - 2
 #: largest count an estimate file may hold: counts are stored as int64
 COUNT_MAX = 2**63 - 1
-
-DEFAULT_SETTINGS_PI = {"a": [0.0, 0.0], "a_prime": [0.5, 0.0],
-                       "b": [0.25, 0.0], "b_prime": [-0.25, 0.0]}
-
-
-@dataclass
-class RunConfig:
-    command: str = "scan"
-    scenario: str = "qm"
-    beta: float = 0.1
-    model_rule: str = "tilt"
-    m: list | None = None
-    jp: np.ndarray | None = None
-    settings_pi: dict = field(default_factory=lambda: dict(DEFAULT_SETTINGS_PI))
-    grid_min_pi: float = 0.0
-    grid_max_pi: float = 2.0
-    grid_steps: int = 201
-    betas: list = field(default_factory=lambda: list(lab.DEFAULT_SWEEP_BETAS))
-    theta_steps: int = lab.DEFAULT_SWEEP_POINTS
-    shots: int = 1_000_000
-    seed: int = 42
-    noise_p: float = 0.0
-    k_sigma: float = 5.0
-    eight_angles: bool = False
-    hp: np.ndarray | None = None
-    out: str = "out"
-    baseline_estimate: str | None = None
-    observed_estimate: str | None = None
-
 
 def _fail(path: str, message: str):
     raise ValidationError(f"{path}: {message}")
@@ -174,33 +145,60 @@ def _validate_axis(raw, path) -> list:
     return m
 
 
-#: every config key, nested keys by dotted path -> (RunConfig field,
-#: checker(value, path) returning the value to store).  Keys are applied
-#: in this order, so a top-level ``m``/``jp`` wins over ``model.m``/``model.jp``.
-_CONFIG = {
-    "scenario": ("scenario", partial(_check_choice, choices=SCENARIOS)),
-    "beta": ("beta", _check_beta),
-    "model.rule": ("model_rule", partial(_check_choice, choices=MODEL_RULES)),
-    "model.m": ("m", _validate_axis),
-    "model.jp": ("jp", partial(_check_matrix, dim=2)),
-    "m": ("m", _validate_axis),
-    "jp": ("jp", partial(_check_matrix, dim=2)),
-    **{f"settings.{name}": (f"settings_pi.{name}", _check_angles)
-       for name in DEFAULT_SETTINGS_PI},
-    "grid.min": ("grid_min_pi", _check_pi_angle),
-    "grid.max": ("grid_max_pi", _check_pi_angle),
-    "grid.steps": ("grid_steps", partial(_check_int, minimum=2)),
-    "betas": ("betas", _check_betas),
-    "theta_steps": ("theta_steps", partial(_check_int, minimum=2)),
-    "shots": ("shots", partial(_check_int, minimum=1)),
-    "seed": ("seed", partial(_check_int, minimum=0, maximum=SEED_MAX)),
-    "noise_p": ("noise_p", partial(_check_number, minimum=0.0, maximum=1.0)),
-    "k_sigma": ("k_sigma", partial(_check_number, minimum=0.0)),
-    "eight_angles": ("eight_angles", partial(_check_type, kind=bool, what="a boolean")),
-    "hp": ("hp", partial(_check_matrix, dim=4)),
-    **{key: (key, partial(_check_type, kind=str, what="a path string"))
-       for key in ("out", "baseline_estimate", "observed_estimate")},
+def _csv_numbers(path: str, message: str):
+    """argparse type for a comma-separated list of numbers."""
+    def parse(text):
+        try:
+            return [float(x) for x in text.split(",")]
+        except ValueError:
+            _fail(path, message)
+    return parse
+
+
+_check_path = partial(_check_type, kind=str, what="a path string")
+
+#: every config key, nested keys by dotted path -> (default, checker(value,
+#: path) returning the value to store, argparse keywords of its flag or
+#: None).  Keys are checked in this order, each just before its alias.  A
+#: flag is named after its key, or its alias, with dashes for dots and
+#: underscores ("--grid-steps" sets grid.steps, "--m" sets model.m), except
+#: "--model", which sets model.rule; a flag value is checked as a file value is
+_KEYS = {
+    "scenario": ("qm", partial(_check_choice, choices=SCENARIOS),
+                 {"help": f"one of {', '.join(SCENARIOS)}"}),
+    "beta": (0.1, _check_beta, {"type": float}),
+    "model.rule": ("tilt", partial(_check_choice, choices=MODEL_RULES),
+                   {"help": f"one of {', '.join(MODEL_RULES)}"}),
+    "model.m": (None, _validate_axis, {"type": _csv_numbers("m", "expected x,y,z numbers"),
+                                       "help": "tilt axis as x,y,z"}),
+    "model.jp": (None, partial(_check_matrix, dim=2), None),
+    "settings.a": ([0.0, 0.0], _check_angles, None),
+    "settings.a_prime": ([0.5, 0.0], _check_angles, None),
+    "settings.b": ([0.25, 0.0], _check_angles, None),
+    "settings.b_prime": ([-0.25, 0.0], _check_angles, None),
+    "grid.min": (0.0, _check_pi_angle, None),
+    "grid.max": (2.0, _check_pi_angle, None),
+    "grid.steps": (201, partial(_check_int, minimum=2), {"type": int}),
+    "betas": (list(lab.DEFAULT_SWEEP_BETAS), _check_betas, {
+        "type": _csv_numbers("betas", "expected comma-separated numbers"),
+        "help": "comma-separated beta list"}),
+    "theta_steps": (lab.DEFAULT_SWEEP_POINTS, partial(_check_int, minimum=2), None),
+    "shots": (1_000_000, partial(_check_int, minimum=1), {"type": int}),
+    "seed": (42, partial(_check_int, minimum=0, maximum=SEED_MAX), {
+        "type": int, "help": "shot stream seed of sample and audit; "
+                             "no other command reads it"}),
+    "noise_p": (0.0, partial(_check_number, minimum=0.0, maximum=1.0), {"type": float}),
+    "k_sigma": (5.0, partial(_check_number, minimum=0.0), {"type": float}),
+    "eight_angles": (False, partial(_check_type, kind=bool, what="a boolean"), None),
+    "hp": (None, partial(_check_matrix, dim=4), None),
+    "out": ("out", _check_path, {"help": "output directory"}),
+    "baseline_estimate": (None, _check_path, None),
+    "observed_estimate": (None, _check_path, None),
 }
+
+#: model key -> the top-level key that also sets it; a file's top-level
+#: value is checked after, and wins over, its model section's
+_ALIASES = {"model.m": "m", "model.jp": "jp"}
 
 #: config objects whose keys are listed above as "<section>.<key>"
 _SECTIONS = ("model", "grid", "settings")
@@ -217,58 +215,24 @@ def _flatten(doc, prefix="") -> dict:
             flat["model.rule"] = value
         elif path in _SECTIONS:
             flat.update(_flatten(value, path + "."))
-        elif path in _CONFIG and "." not in key:
+        elif "." not in key and (path in _KEYS or path in _ALIASES.values()):
             flat[path] = value
         else:
             _fail(path, "unknown configuration key")
     return flat
 
 
-def _apply(cfg: RunConfig, values: dict):
-    """Check and store the values of config keys in ``values``, ignoring other names."""
-    for path, (name, check) in _CONFIG.items():
-        if path in values:
-            name, _, item = name.partition(".")
-            if item:
-                getattr(cfg, name)[item] = check(values[path], path)
-            else:
-                setattr(cfg, name, check(values[path], path))
-    if cfg.grid_max_pi <= cfg.grid_min_pi:
+def _apply(cfg: dict, values: dict):
+    """Check and store the values of config keys and aliases in ``values``,
+    ignoring other names."""
+    for key, (_, check, _) in _KEYS.items():
+        for path in (key, _ALIASES.get(key)):
+            if path in values:
+                cfg[key] = check(values[path], path)
+    if cfg["grid.max"] <= cfg["grid.min"]:
         _fail("grid.max", "must exceed grid.min")
-    if not math.isfinite(cfg.grid_max_pi * PI - cfg.grid_min_pi * PI):
+    if not math.isfinite(cfg["grid.max"] * PI - cfg["grid.min"] * PI):
         _fail("grid.max", "the span from grid.min must be finite in radians (times pi)")
-
-
-def _csv_numbers(path: str, message: str):
-    """argparse type for a comma-separated list of numbers."""
-    def parse(text):
-        try:
-            return [float(x) for x in text.split(",")]
-        except ValueError:
-            _fail(path, message)
-    return parse
-
-
-#: command-line flag -> (config key it overrides and is stored under,
-#: argparse keywords); ``_apply`` checks its value as it checks a file value
-_FLAGS = {
-    "--scenario": ("scenario", {"help": f"one of {', '.join(SCENARIOS)}"}),
-    "--beta": ("beta", {"type": float}),
-    "--model": ("model.rule", {"help": f"one of {', '.join(MODEL_RULES)}"}),
-    "--m": ("m", {"type": _csv_numbers("m", "expected x,y,z numbers"),
-                  "help": "tilt axis as x,y,z"}),
-    "--grid-steps": ("grid.steps", {"type": int}),
-    "--betas": ("betas", {
-        "type": _csv_numbers("betas", "expected comma-separated numbers"),
-        "help": "comma-separated beta list"}),
-    "--shots": ("shots", {"type": int}),
-    "--seed": ("seed", {"type": int,
-                        "help": "shot stream seed of sample and audit; "
-                                "no other command reads it"}),
-    "--noise-p": ("noise_p", {"type": float}),
-    "--k-sigma": ("k_sigma", {"type": float}),
-    "--out": ("out", {"help": "output directory"}),
-}
 
 
 def _build_arg_parser() -> argparse.ArgumentParser:
@@ -278,46 +242,50 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMANDS, help="; ".join(
         f"{name}: {text}" for name, (_, text) in _COMMANDS.items()))
     parser.add_argument("--config", help="JSON configuration file")
-    for flag, (key, kwargs) in _FLAGS.items():
-        parser.add_argument(flag, dest=key, **kwargs)
+    for key, (_, _, flag) in _KEYS.items():
+        if flag is not None:
+            dest = _ALIASES.get(key, key)
+            name = "--model" if key == "model.rule" else "--" + dest.replace(
+                ".", "-").replace("_", "-")
+            parser.add_argument(name, dest=dest, **flag)
     return parser
 
 
-def parse_config(argv) -> RunConfig:
+def parse_config(argv) -> dict:
+    """The run's config key -> checked value, and its command under "command"."""
     args = vars(_build_arg_parser().parse_args(argv))
-    cfg = RunConfig(command=args["command"])
+    cfg = {"command": args["command"], **{key: row[0] for key, row in _KEYS.items()}}
     if args["config"]:
         _apply(cfg, _flatten(_read_json(args["config"])))
     _apply(cfg, {key: value for key, value in args.items() if value is not None})
     return cfg
 
 
-def _chsh_settings(cfg: RunConfig) -> ChshSettings:
-    dirs = {}
-    for name, (theta, phi) in cfg.settings_pi.items():
-        dirs[name] = Direction(theta * PI, phi * PI)
-    return ChshSettings(dirs["a"], dirs["a_prime"], dirs["b"], dirs["b_prime"])
+def _chsh_settings(cfg: dict) -> ChshSettings:
+    return ChshSettings(*(Direction(theta * PI, phi * PI) for theta, phi in (
+        cfg[f"settings.{name}"] for name in ("a", "a_prime", "b", "b_prime"))))
 
 
-def _scenario_config(cfg: RunConfig) -> ScenarioConfig:
+def _scenario_config(cfg: dict) -> ScenarioConfig:
     """The run's scenario with its model and perturbed state built, so an
     input the physics rejects exits 2 in every command and scenario."""
     for key, rule in (("m", "tilt"), ("jp", "custom")):
-        if getattr(cfg, key) is not None and cfg.model_rule != rule:
-            _fail(key, f"applies to the {rule} rule only, not {cfg.model_rule}")
+        if cfg[f"model.{key}"] is not None and cfg["model.rule"] != rule:
+            _fail(key, f"applies to the {rule} rule only, not {cfg['model.rule']}")
     # a sweep builds a model at each beta in betas; the identity-part check
     # of a custom jp and the reach grow with beta, so check it at the largest
-    key, beta = ("betas", max(cfg.betas)) if cfg.command == "sweep" else ("beta", cfg.beta)
+    key, beta = (("betas", max(cfg["betas"])) if cfg["command"] == "sweep"
+                 else ("beta", cfg["beta"]))
     try:
-        model = GupModel(beta=beta, rule=cfg.model_rule, jp=cfg.jp,
-                         **({} if cfg.m is None else {"m": cfg.m}))
+        model = GupModel(beta=beta, rule=cfg["model.rule"], jp=cfg["model.jp"],
+                         **({} if cfg["model.m"] is None else {"m": cfg["model.m"]}))
     except (HermiticityError, AmbiguousBranchError) as exc:
         _fail("jp", str(exc))
     except OutOfRangeError as exc:
         _fail(key, str(exc))
     except ValueError as exc:  # the tilt axis is not a unit vector
         _fail("m", str(exc))
-    scenario = ScenarioConfig(scenario=cfg.scenario, model=model, hp=cfg.hp)
+    scenario = ScenarioConfig(scenario=cfg["scenario"], model=model, hp=cfg["hp"])
     try:
         scenario.perturbed()
     except (HermiticityError, OutOfRangeError) as exc:
@@ -429,10 +397,10 @@ def render_heatmap(grid: lab.ScanGrid, path) -> None:
 
 # --- subcommands -----------------------------------------------------------
 
-def _run_scan(cfg: RunConfig, scenario: ScenarioConfig, out: Path) -> float:
-    grid = lab.grid_scan(scenario, resolution=cfg.grid_steps,
-                         theta_min=cfg.grid_min_pi * PI,
-                         theta_max=cfg.grid_max_pi * PI)
+def _run_scan(cfg: dict, scenario: ScenarioConfig, out: Path) -> float:
+    grid = lab.grid_scan(scenario, resolution=cfg["grid.steps"],
+                         theta_min=cfg["grid.min"] * PI,
+                         theta_max=cfg["grid.max"] * PI)
     cells = [_fmt9(t2) + ",%.9g" for t2 in grid.theta2_axis]
     lines = ["theta1,theta2,S"]
     for t1, row in zip(grid.theta1_axis, grid.values.tolist()):
@@ -444,10 +412,10 @@ def _run_scan(cfg: RunConfig, scenario: ScenarioConfig, out: Path) -> float:
     return float(grid.values.max())
 
 
-def _run_sweep(cfg: RunConfig, scenario: ScenarioConfig, out: Path) -> float:
-    theta_axis = np.linspace(0.0, 2.0 * PI, cfg.theta_steps)
+def _run_sweep(cfg: dict, scenario: ScenarioConfig, out: Path) -> float:
+    theta_axis = np.linspace(0.0, 2.0 * PI, cfg["theta_steps"])
     model = scenario.model
-    curves = lab.beta_sweep(cfg.betas, theta_axis, rule=model.rule, m=model.m,
+    curves = lab.beta_sweep(cfg["betas"], theta_axis, rule=model.rule, m=model.m,
                             jp=model.jp, hp=scenario.hp)
     thetas = [_fmt9(theta) for theta in theta_axis]
     lines = ["beta,theta," + ",".join(f"S_{tag}" for tag in SCENARIOS)]
@@ -457,11 +425,11 @@ def _run_sweep(cfg: RunConfig, scenario: ScenarioConfig, out: Path) -> float:
         series = [curve.series[tag].tolist() for tag in SCENARIOS]
         lines += [row % values for values in zip(thetas, *series)]
     _write_text(out / "sweep.csv", "\n".join(lines) + "\n")
-    return max(float(curve.series[cfg.scenario].max()) for curve in curves)
+    return max(float(curve.series[cfg["scenario"]].max()) for curve in curves)
 
 
-def _run_optimize(cfg: RunConfig, scenario: ScenarioConfig, out: Path) -> float:
-    opt = lab.optimize_angles(scenario, eight_angles=cfg.eight_angles)
+def _run_optimize(cfg: dict, scenario: ScenarioConfig, out: Path) -> float:
+    opt = lab.optimize_angles(scenario, eight_angles=cfg["eight_angles"])
     payload = {
         "value": opt.value,
         "evaluations": opt.evaluations,
@@ -492,10 +460,10 @@ def _estimate_payload(est: ChshEstimate, plan: ShotPlan) -> dict:
     }
 
 
-def _sample_estimate(cfg: RunConfig, scenario: ScenarioConfig, noise_p: float,
+def _sample_estimate(cfg: dict, scenario: ScenarioConfig, noise_p: float,
                      seed: int) -> tuple[ChshEstimate, ShotPlan]:
     """Shots from the scenario's own state and (corrected) observables."""
-    plan = ShotPlan(shots_per_pair=cfg.shots, seed=seed, noise_p=noise_p)
+    plan = ShotPlan(shots_per_pair=cfg["shots"], seed=seed, noise_p=noise_p)
     settings = _chsh_settings(cfg)
     state = scenario.sampled_state()
     model = scenario.operator_model()
@@ -504,8 +472,8 @@ def _sample_estimate(cfg: RunConfig, scenario: ScenarioConfig, noise_p: float,
     return shots.estimate_chsh(state, settings, plan, observables), plan
 
 
-def _run_sample(cfg: RunConfig, scenario: ScenarioConfig, out: Path) -> float:
-    est, plan = _sample_estimate(cfg, scenario, cfg.noise_p, cfg.seed)
+def _run_sample(cfg: dict, scenario: ScenarioConfig, out: Path) -> float:
+    est, plan = _sample_estimate(cfg, scenario, cfg["noise_p"], cfg["seed"])
     _write_json(out / "sample.json", _estimate_payload(est, plan))
     return est.s_hat
 
@@ -543,16 +511,16 @@ def _load_estimate(path: str) -> ChshEstimate:
     return estimate
 
 
-def _run_audit(cfg: RunConfig, scenario: ScenarioConfig, out: Path) -> float:
-    if cfg.baseline_estimate:
-        baseline = _load_estimate(cfg.baseline_estimate)
+def _run_audit(cfg: dict, scenario: ScenarioConfig, out: Path) -> float:
+    if cfg["baseline_estimate"]:
+        baseline = _load_estimate(cfg["baseline_estimate"])
     else:
-        baseline, _ = _sample_estimate(cfg, scenario, 0.0, cfg.seed)
-    if cfg.observed_estimate:
-        observed = _load_estimate(cfg.observed_estimate)
+        baseline, _ = _sample_estimate(cfg, scenario, 0.0, cfg["seed"])
+    if cfg["observed_estimate"]:
+        observed = _load_estimate(cfg["observed_estimate"])
     else:
-        observed, _ = _sample_estimate(cfg, scenario, cfg.noise_p, cfg.seed + 1)
-    report = security.build_report(baseline, observed, cfg.k_sigma)
+        observed, _ = _sample_estimate(cfg, scenario, cfg["noise_p"], cfg["seed"] + 1)
+    report = security.build_report(baseline, observed, cfg["k_sigma"])
     _write_json(out / "audit.json", asdict(report))
     return report.s_observed
 
@@ -568,10 +536,10 @@ _COMMANDS = {
 COMMANDS = tuple(_COMMANDS)
 
 
-def execute(cfg: RunConfig) -> float:
+def execute(cfg: dict) -> float:
     """Run the configured command, write artifacts, return the summary S."""
     scenario = _scenario_config(cfg)
-    return _COMMANDS[cfg.command][0](cfg, scenario, Path(cfg.out))
+    return _COMMANDS[cfg["command"]][0](cfg, scenario, Path(cfg["out"]))
 
 
 def _print_warning(message, *_):
@@ -596,7 +564,7 @@ def main(argv=None) -> int:
         except MemoryError as exc:
             print(f"evaluation error: {str(exc) or 'out of memory'}", file=sys.stderr)
             return 4
-    print(f"{cfg.command} S={_fmt9(value)} region={classify(value)}")
+    print(f"{cfg['command']} S={_fmt9(value)} region={classify(value)}")
     return 0
 
 

@@ -62,6 +62,8 @@ class GupModel:
     shift: np.ndarray = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
+        if not math.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta}")
         if self.beta < 0:
             raise ValueError("negative beta models are out of scope")
         if self.rule not in RULES:

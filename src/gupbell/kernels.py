@@ -64,12 +64,6 @@ def _mix(seed: int, start: int, steps: np.ndarray, z: np.ndarray,
     return z
 
 
-def uniform_stream(seed: int, base: int, n: int) -> np.ndarray:
-    """Uniforms in [0, 1) for global indices base..base+n-1."""
-    k = _mix(seed, base, _steps(n), np.empty(n, np.uint64), np.empty(n, np.uint64))
-    return k.astype(np.float64) / _TWO53
-
-
 def sample_counts(seed: int, base: int, n: int, cumulative) -> np.ndarray:
     """Outcome counts for n shots of a four-outcome distribution.
 

@@ -236,11 +236,6 @@ class ScanGrid:
             raise GupBellError("grid contains non-finite values")
 
 
-def scan_settings(theta1: float, theta2: float) -> ChshSettings:
-    """The settings tuple behind one scan grid cell."""
-    return ChshSettings.planar(0.0, theta1, theta2, -theta2)
-
-
 def grid_scan(cfg: ScenarioConfig, resolution: int = 201,
               theta_min: float = 0.0, theta_max: float = TWO_PI) -> ScanGrid:
     """Evaluate the two-angle landscape on a uniform grid.
@@ -271,12 +266,6 @@ class SweepCurve:
                 raise GupBellError(f"series {tag} length mismatch")
             if not np.all(np.isfinite(vals)):
                 raise GupBellError(f"series {tag} contains non-finite values")
-
-
-def sweep_settings(theta: float) -> ChshSettings:
-    """One-parameter family a=0, a'=2t, b=t, b'=-t; it passes through the
-    canonical maximizer at t=pi/4."""
-    return ChshSettings.planar(0.0, 2.0 * theta, theta, -theta)
 
 
 DEFAULT_SWEEP_BETAS = (0.1, 0.2, 0.5, 0.9)

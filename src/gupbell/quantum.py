@@ -94,7 +94,7 @@ class PureState:
         if amp.shape[0] != 4:
             raise DimensionError("a two-qubit state needs 4 amplitudes")
         norm = float(np.linalg.norm(amp))
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # also refuses a nan norm
             raise ValueError(f"state norm {norm} is not 1 within 1e-12")
         amp.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)

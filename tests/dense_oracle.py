@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gupbell import cli, tensor
+from gupbell import cli, kernels, tensor
 from gupbell.errors import DimensionError, HermiticityError
 from gupbell.gup import ChshResult, GupModel, PerturbedState
 from gupbell.quantum import (
@@ -220,6 +220,25 @@ def scenario_chsh(cfg, s: ChshSettings) -> ChshResult:
     if cfg.scenario == "s2":
         return scenario2_chsh(cfg.perturbed(), s)
     return scenario3_chsh(cfg.perturbed(), s, cfg.model)
+
+
+def scan_settings(theta1: float, theta2: float) -> ChshSettings:
+    """The settings tuple behind one scan grid cell."""
+    return ChshSettings.planar(0.0, theta1, theta2, -theta2)
+
+
+def sweep_settings(theta: float) -> ChshSettings:
+    """One-parameter family a=0, a'=2t, b=t, b'=-t; it passes through the
+    canonical maximizer at t=pi/4."""
+    return ChshSettings.planar(0.0, 2.0 * theta, theta, -theta)
+
+
+def uniform_stream(seed: int, base: int, n: int) -> np.ndarray:
+    """The shot kernel's uniforms in [0, 1) for global indices
+    base..base+n-1, formed as floats: u = k * 2**-53."""
+    k = kernels._mix(seed, base, kernels._steps(n), np.empty(n, np.uint64),
+                     np.empty(n, np.uint64))
+    return k.astype(np.float64) * 2.0**-53
 
 
 def correlator(rho: np.ndarray, obs_a: np.ndarray, obs_b: np.ndarray) -> float:

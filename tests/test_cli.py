@@ -26,19 +26,19 @@ def run_main(argv):
 class TestConfigParsing:
     def test_defaults(self):
         cfg = cli.parse_config(["scan"])
-        assert cfg.command == "scan"
-        assert cfg.scenario == "qm"
-        assert cfg.grid_steps == 201
-        assert cfg.betas == [0.1, 0.2, 0.5, 0.9]
+        assert cfg["command"] == "scan"
+        assert cfg["scenario"] == "qm"
+        assert cfg["grid.steps"] == 201
+        assert cfg["betas"] == [0.1, 0.2, 0.5, 0.9]
 
     def test_cli_overrides_config_file(self, tmp_path):
         doc = {"scenario": "s1", "beta": 0.3, "seed": 7}
         path = tmp_path / "run.json"
         path.write_text(json.dumps(doc))
         cfg = cli.parse_config(["scan", "--config", str(path), "--beta", "0.5"])
-        assert cfg.scenario == "s1"
-        assert cfg.beta == 0.5
-        assert cfg.seed == 7
+        assert cfg["scenario"] == "s1"
+        assert cfg["beta"] == 0.5
+        assert cfg["seed"] == 7
 
     def test_unknown_key_rejected_with_path(self, tmp_path):
         path = tmp_path / "run.json"
@@ -51,8 +51,8 @@ class TestConfigParsing:
         path = tmp_path / "run.json"
         path.write_text(json.dumps(doc))
         cfg = cli.parse_config(["sweep", "--config", str(path)])
-        assert cfg.model_rule == "tilt"
-        assert cfg.m == [0.6, 0.0, 0.8]
+        assert cfg["model.rule"] == "tilt"
+        assert cfg["model.m"] == [0.6, 0.0, 0.8]
 
     def test_axis_norm_validated(self, tmp_path):
         # GupModel checks the norm, reported under m
@@ -236,22 +236,48 @@ class TestAudit:
 
 class TestExitCodes:
     def test_help_names_every_command_and_flag(self, capsys):
+        # each flag stores its value under the key, or the top-level alias,
+        # whose checker a file value of that key meets
+        flags = {action.option_strings[0]: action.dest
+                 for action in cli._build_arg_parser()._actions if action.option_strings}
+        assert flags == {
+            "-h": "help", "--config": "config", "--scenario": "scenario",
+            "--beta": "beta", "--model": "model.rule", "--m": "m",
+            "--grid-steps": "grid.steps", "--betas": "betas", "--shots": "shots",
+            "--seed": "seed", "--noise-p": "noise_p", "--k-sigma": "k_sigma",
+            "--out": "out"}
         with pytest.raises(SystemExit) as exc:
             run_main(["--help"])
         assert exc.value.code == 0
         words = set(re.findall(r"[\w-]+", capsys.readouterr().out))
-        assert set(cli.COMMANDS) | set(cli._FLAGS) | {"--config"} <= words
+        assert set(cli.COMMANDS) | set(flags) <= words
 
     @pytest.mark.parametrize("argv, message", [
         (["bogus"], "argument command: invalid choice: 'bogus'"),
         ([], "the following arguments are required: command"),
-    ], ids=["unknown-command", "no-command"])
-    def test_command_rejection_is_2(self, capsys, argv, message):
-        # an unknown flag: test_restarts_is_not_an_input
-        with pytest.raises(SystemExit) as exc:
-            run_main(argv)
-        assert exc.value.code == 2
+        (["scan", "--m", "0,0,0"], "configuration error: m: axis must be non-zero"),
+        (["sweep", "--betas", "a,b"],
+         "configuration error: betas: expected comma-separated numbers"),
+        (["scan", "--config", {"grid": 5}], "configuration error: grid: expected an object"),
+        (["scan", "--config", [1]], "configuration error: $: expected an object"),
+    ], ids=["unknown-command", "no-command", "zero-axis", "non-numeric-betas",
+            "section-not-an-object", "document-not-an-object"])
+    def test_command_rejection_is_2(self, tmp_path, capsys, argv, message):
+        # argparse exits 2 on a command line it cannot parse, main returns 2
+        # on a value a checker refuses; a JSON document in argv is passed as
+        # a config file.  An unknown flag: test_restarts_is_not_an_input
+        cfgfile = tmp_path / "run.json"
+        for arg in argv:
+            if not isinstance(arg, str):
+                cfgfile.write_text(json.dumps(arg))
+        argv = [arg if isinstance(arg, str) else cfgfile for arg in argv]
+        try:
+            code = run_main([*argv, "--out", tmp_path / "out"])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("content, message", [
         (None, "cannot read"),
@@ -527,7 +553,7 @@ fuzz_configs = st.fixed_dictionaries(
         "hp": st.tuples(st.integers(0, 99), st.floats(0.0, 1.5)).map(
             lambda t: _pairs(_hermitian(t[0], 4, t[1]))),
         "settings": st.dictionaries(
-            st.sampled_from(sorted(cli.DEFAULT_SETTINGS_PI)),
+            st.sampled_from(["a", "a_prime", "b", "b_prime"]),
             st.lists(small, min_size=2, max_size=2)),
         "grid": st.fixed_dictionaries({"steps": st.integers(2, 9)},
                                       optional={"min": small, "max": small}),
@@ -555,8 +581,8 @@ def _check_estimate(cfg, s_hat: float, noise_p: float):
     rho = np.outer(psi, psi.conj())
     e = [(1.0 - noise_p) * correlator(rho, obs[i], obs[j])
          for i, j in ((0, 2), (0, 3), (1, 2), (1, 3))]
-    sigma = math.sqrt(sum(1.0 - x * x for x in e) / cfg.shots)
-    assert abs(s_hat - (1.0 - noise_p) * exact) <= 5.0 * sigma + 8.0 / cfg.shots
+    sigma = math.sqrt(sum(1.0 - x * x for x in e) / cfg["shots"])
+    assert abs(s_hat - (1.0 - noise_p) * exact) <= 5.0 * sigma + 8.0 / cfg["shots"]
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -572,10 +598,10 @@ def test_fuzz_exit_codes(command, doc):
             cfg = cli.parse_config([command, "--config", str(path)])
             out = json.loads((Path(tmp) / "out" / f"{command}.json").read_text())
             if command == "sample":
-                _check_estimate(cfg, out["s_hat"], cfg.noise_p)
+                _check_estimate(cfg, out["s_hat"], cfg["noise_p"])
             else:
                 _check_estimate(cfg, out["s_baseline"], 0.0)
-                _check_estimate(cfg, out["s_observed"], cfg.noise_p)
+                _check_estimate(cfg, out["s_observed"], cfg["noise_p"])
 
 
 def test_import_loads_no_scipy():

@@ -39,6 +39,16 @@ class TestGupModel:
         with pytest.raises(ValueError):
             GupModel(beta=-0.1)
 
+    @pytest.mark.parametrize("rule, jp", [
+        ("tilt", None), ("self-cubic", None),
+        ("custom", np.array([[0.2, 0.1 - 0.3j], [0.1 + 0.3j, -0.2]]))])
+    def test_rejects_non_finite_beta(self, rule, jp):
+        # nan passes both the sign and the reach comparison, and inf * 0 in
+        # the shift of a zero axis component is nan, so both are refused first
+        for beta in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="beta must be finite"):
+                GupModel(beta=beta, rule=rule, jp=jp)
+
     def test_rejects_unknown_rule(self):
         with pytest.raises(ValueError):
             GupModel(beta=0.1, rule="scale")
@@ -258,9 +268,8 @@ class TestScenario3:
 def test_sweep_family_frozen_point():
     # [DERIVED] frozen oracle: one-parameter family at theta = pi/8,
     # scenario 1, tilt z, beta 0.5
-    from gupbell.lab import sweep_settings
     model = GupModel(beta=0.5, rule="tilt")
     with pytest.warns(UserWarning):
         res = evaluate_point(ScenarioConfig("s1", model=model),
-                             sweep_settings(math.pi / 8))
+                             dense_oracle.sweep_settings(math.pi / 8))
     assert res.value == pytest.approx(2.193838411346909, abs=1e-12)

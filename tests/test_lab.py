@@ -12,7 +12,7 @@ from gupbell.errors import GupBellError, OutOfRangeError
 from gupbell.gup import GupModel
 from gupbell.lab import (
     BatchEvaluator, ScanGrid, ScenarioConfig, beta_sweep, classify,
-    evaluate_point, grid_scan, optimize_angles, scan_settings, sweep_settings,
+    evaluate_point, grid_scan, optimize_angles,
 )
 from gupbell.quantum import (
     SIGMA_X, SIGMA_Y, SIGMA_Z, TWO_PI, ChshSettings, Direction, directions,
@@ -436,7 +436,7 @@ class TestGridScan:
     def test_cell_settings_consistent(self):
         grid = grid_scan(ScenarioConfig(), resolution=21)
         i, j = 7, 13
-        s = scan_settings(grid.theta1_axis[i], grid.theta2_axis[j])
+        s = dense_oracle.scan_settings(grid.theta1_axis[i], grid.theta2_axis[j])
         point = evaluate_point(ScenarioConfig(), s).value
         assert grid.values[i, j] == pytest.approx(point, abs=1e-12)
 
@@ -457,7 +457,7 @@ class TestGridScan:
 
 class TestBetaSweep:
     def test_sweep_family_hits_canonical_maximizer(self):
-        s = sweep_settings(math.pi / 4)
+        s = dense_oracle.sweep_settings(math.pi / 4)
         value = evaluate_point(ScenarioConfig(), s).value
         assert value == pytest.approx(TSIRELSON, abs=1e-12)
 

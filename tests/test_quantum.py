@@ -59,6 +59,11 @@ class TestStates:
         with pytest.raises(ValueError):
             PureState(np.array([1.0, 1.0, 0.0, 0.0]))
 
+    def test_pure_state_rejects_nan(self):
+        # a nan norm fails every comparison, so it must not pass the check
+        with pytest.raises(ValueError, match="state norm nan"):
+            PureState(np.array([math.nan, 0.0, 0.0, 0.0]))
+
     def test_pure_state_dimension(self):
         with pytest.raises(DimensionError):
             PureState(np.array([1.0, 0.0]))

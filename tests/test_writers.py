@@ -85,7 +85,7 @@ def test_colour_rounding_ties_outline_and_clamps(tmp_path, monkeypatch):
              0.0, -0.0, 5e-324]
     grid = _synthetic_grid(edges + ties, n2=7)
     monkeypatch.setattr(lab, "grid_scan", lambda *args, **kwargs: grid)
-    cli._run_scan(cli.RunConfig(), None, tmp_path)
+    cli._run_scan(cli.parse_config(["scan"]), None, tmp_path)
     assert_scan_matches(tmp_path, grid)
 
 
@@ -95,7 +95,7 @@ def test_constant_grid_takes_the_degenerate_range(tmp_path, value, monkeypatch):
     # outlined
     grid = _synthetic_grid(np.full(12, value), n2=4)
     monkeypatch.setattr(lab, "grid_scan", lambda *args, **kwargs: grid)
-    cli._run_scan(cli.RunConfig(), None, tmp_path)
+    cli._run_scan(cli.parse_config(["scan"]), None, tmp_path)
     assert_scan_matches(tmp_path, grid)
     assert "stroke-width=\"0.4\"" not in (tmp_path / "scan.svg").read_text()
 
@@ -108,7 +108,7 @@ def test_sweep_matches_per_cell_oracle(tmp_path, betas, theta_steps):
     doc = {"betas": betas, "theta_steps": theta_steps, "m": [0.6, 0.0, 0.8]}
     cfg, best = run_cli(tmp_path, doc, "sweep")
     curves = lab.beta_sweep(betas, np.linspace(0.0, 2.0 * np.pi, theta_steps),
-                            m=cfg.m)
-    text, oracle_best = dense_oracle.sweep_csv(curves, cfg.scenario)
+                            m=cfg["model.m"])
+    text, oracle_best = dense_oracle.sweep_csv(curves, cfg["scenario"])
     assert (tmp_path / "out" / "sweep.csv").read_bytes() == text.encode()
     assert best == oracle_best
