@@ -7,9 +7,14 @@ every uniform depends only on its global index, so counts never depend
 on the chunk size.
 
 The uniform of a shot is u = k·2⁻⁵³ with k the top 53 bits of its mixed
-word, so u ≥ c holds exactly when k ≥ ceil(c·2⁵³).  ``sample_counts``
-therefore bins the integers k against those integer thresholds without
-ever forming u; its counts are the ones the float comparison gives.
+word, so u ≥ c holds exactly when k ≥ t = ceil(c·2⁵³).  ``sample_counts``
+never forms u: it sets bit 53 of each word in place and compares the
+buffer, viewed as float64, with the float64 views of t + 2⁵³.  Every
+compared bit pattern, 2⁵³ ≤ k + 2⁵³ < 2⁵⁴ and 2⁵³ ≤ t + 2⁵³ ≤ 2⁵⁴, is a
+positive normal double, and positive normal doubles order as their bit
+patterns do, so k ≥ t holds exactly when view(k + 2⁵³) ≥ view(t + 2⁵³).
+No float arithmetic is done, so neither rounding nor a denormal mode
+(DAZ, FTZ) can move a count.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ _S31 = U64(31)
 _S11 = U64(11)
 _M64 = (1 << 64) - 1
 _TWO53 = 9007199254740992.0  # 2**53
+_BIT53 = U64(1 << 53)
 
 #: shots per vectorized chunk; bounds the temporary arrays, not the results.
 #: 2¹⁵ shots keep the three uint64 buffers and the bool mask (25 B/shot,
@@ -78,9 +84,11 @@ def sample_counts(seed: int, base: int, n: int, cumulative) -> np.ndarray:
                          f"[0, 1], got {cumulative!r}")
     if n < 0:
         raise ValueError(f"shot count must be non-negative, got {n}")
-    # c·2⁵³ only rescales by a power of two, so it is exact; 2⁵³ (c = 1)
-    # exceeds every k and counts no shot
-    thresholds = [U64(math.ceil(float(x) * _TWO53)) for x in c]
+    # c·2⁵³ only rescales by a power of two, so it is exact.  The 2⁵³ is
+    # added, not or-ed: c = 1 gives t = 2⁵³, whose view lies above every
+    # word's and counts no shot
+    t = np.array([math.ceil(float(x) * _TWO53) for x in c], dtype=np.uint64)
+    thresholds = (t + _BIT53).view(np.float64)
     size = min(n, CHUNK)
     steps = _steps(size)
     z = np.empty(size, np.uint64)
@@ -90,9 +98,11 @@ def sample_counts(seed: int, base: int, n: int, cumulative) -> np.ndarray:
     for lo in range(0, n, CHUNK):
         m = min(CHUNK, n - lo)
         k = _mix(seed, base + lo, steps, z[:m], scratch[:m])
+        k |= _BIT53
+        words = k.view(np.float64)
         hit = mask[:m]
         for i, threshold in enumerate(thresholds):
-            np.greater_equal(k, threshold, out=hit)
+            np.greater_equal(words, threshold, out=hit)
             above[i] += int(np.count_nonzero(hit))
     a0, a1, a2 = above
     return np.array([n - a0, a0 - a1, a1 - a2, a2], dtype=np.int64)

@@ -51,7 +51,10 @@ def minentropy_bound(s: float) -> tuple[float, bool]:
 def eavesdrop_test(baseline: ChshEstimate, observed: ChshEstimate,
                    k_sigma: float = 5.0) -> tuple[bool, float]:
     """One-sided drop test: alarm when the observed S falls more than
-    k_sigma combined standard errors below the baseline."""
+    k_sigma combined standard errors below the baseline.  k_sigma must be
+    finite and non-negative: a nan would compare false and never alarm."""
+    if not 0.0 <= k_sigma < math.inf:
+        raise ValueError(f"k_sigma must be finite and non-negative, got {k_sigma!r}")
     sigma = math.hypot(baseline.stderr, observed.stderr)
     if sigma == 0.0:
         raise GupBellError("both estimates have zero stderr; significance undefined")

@@ -1,3 +1,4 @@
+import bisect
 import math
 import tracemalloc
 
@@ -48,14 +49,31 @@ def _assert_matches_oracles(seed, base, n, cumulative):
 
 def _edge_thresholds(seed, base, n):
     """Threshold triples on, just above and just below uniforms that the
-    window actually draws, plus 0 and 1."""
+    window actually draws, plus 0 and 1 and the extreme thresholds of the
+    kernel's float64 encoding of k + 2⁵³ and t + 2⁵³.
+
+    The drawn uniforms are the smallest, median and largest of the window
+    and the two nearest 1/2, on either side of k = 2⁵², where the exponent
+    field of the view of k + 2⁵³ steps from 2 to 3.  The extremes are
+    c = 2⁻⁵³ (t = 1) and c = 1 - 2⁻⁵³ (t = 2⁵³ - 1), and c = 1/2 (t = 2⁵²)
+    with one step of t to either side."""
     words = sorted(_words(seed, base, n))
+    half = bisect.bisect_left(words, 2**52)
+    assert 0 < half < n
     exact = [k * 2.0**-53 for k in (words[0], words[n // 2], words[-1])]
     up = [np.nextafter(x, 1.0) for x in exact]
     down = [np.nextafter(x, -1.0) for x in exact]
+    near_half = [
+        (np.nextafter(x, -1.0), x, np.nextafter(x, 1.0))
+        for x in (words[half - 1] * 2.0**-53, words[half] * 2.0**-53)
+    ]
     return [(0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0.0, 0.5, 1.0),
             tuple(exact), tuple(up), tuple(down),
-            (down[0], exact[1], up[2]), (0.0, exact[1], 1.0)]
+            (down[0], exact[1], up[2]), (0.0, exact[1], 1.0),
+            *near_half, (near_half[0][1], 0.5, near_half[1][1]),
+            (2.0**-53,) * 3, (1 - 2.0**-53,) * 3,
+            (2.0**-53, 0.5, 1 - 2.0**-53),
+            (0.5 - 2.0**-53, 0.5, 0.5 + 2.0**-53)]
 
 
 def test_uniforms_in_unit_interval():
@@ -117,6 +135,35 @@ def test_chunking_does_not_change_counts(monkeypatch):
     for chunk in (1 << 20, 12_345):
         monkeypatch.setattr(kernels, "CHUNK", chunk)
         assert np.array_equal(kernels.sample_counts(seed, base, n, cumulative), default)
+
+
+_BOUNDARY_WORDS = (0, 1, 2, 2**52 - 2, 2**52 - 1, 2**52, 2**52 + 1,
+                   2**53 - 2, 2**53 - 1)
+
+
+@pytest.mark.parametrize("chunk", [1 << 15, 4])
+def test_binning_exact_at_encoding_boundaries(monkeypatch, chunk):
+    # words the stream is unlikely to draw: both ends of [0, 2⁵³) and each
+    # side of 2⁵², where the exponent field of the float64 view of k + 2⁵³
+    # steps from 2 to 3.  Each threshold t lies on a word or one step to
+    # either side, so c = t·2⁻⁵³ is exact and u ≥ c means k ≥ t
+    words = np.array(_BOUNDARY_WORDS, dtype=np.uint64)
+
+    def fixed_words(seed, start, steps, z, scratch):
+        z[:] = words[start:start + z.size]
+        return z
+
+    monkeypatch.setattr(kernels, "_mix", fixed_words)
+    monkeypatch.setattr(kernels, "CHUNK", chunk)
+    n = len(_BOUNDARY_WORDS)
+    targets = sorted({t for k in _BOUNDARY_WORDS for t in (k - 1, k, k + 1)
+                      if 0 <= t <= 2**53})
+    assert targets[-1] == 2**53
+    for t in targets:
+        c = t * 2.0**-53
+        above = sum(k >= t for k in _BOUNDARY_WORDS)
+        got = kernels.sample_counts(0, 0, n, (c, c, c))
+        assert got.tolist() == [n - above, 0, 0, above], t
 
 
 def _peak_bytes(n):

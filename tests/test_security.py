@@ -91,3 +91,18 @@ class TestBuildReport:
         assert not report.beyond_quantum
         assert report.alarm
         assert report.alarm_sigma == pytest.approx(14.1421356, abs=1e-6)
+
+
+@pytest.mark.parametrize("check", [eavesdrop_test, build_report])
+@pytest.mark.parametrize("k_sigma", [math.nan, -1.0, math.inf])
+def test_rejects_k_sigma_outside_the_cli_range(check, k_sigma):
+    # the CLI's k_sigma checker takes finite values >= 0; a nan would
+    # compare false against every drop and silently disable the alarm
+    with pytest.raises(ValueError, match="k_sigma"):
+        check(fake_estimate(2.9, 0.01), fake_estimate(2.7, 0.01), k_sigma=k_sigma)
+
+
+def test_zero_k_sigma_alarms_on_any_drop():
+    alarm, drop = eavesdrop_test(fake_estimate(2.8, 0.01),
+                                 fake_estimate(2.79, 0.01), k_sigma=0.0)
+    assert alarm and drop > 0.0
