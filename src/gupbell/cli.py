@@ -18,7 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import gup, lab, security, shots
+# shots and security load inside the sample and audit runners only, so scan,
+# sweep and optimize never import them
+from . import gup, lab
 from .errors import (
     AmbiguousBranchError, GupBellError, HermiticityError, OutOfRangeError,
     ValidationError,
@@ -26,7 +28,6 @@ from .errors import (
 from .gup import GupModel
 from .lab import ScenarioConfig, classify
 from .quantum import CLASSICAL_BOUND, ChshSettings, Direction
-from .shots import ChshEstimate, CountsTable, ShotPlan
 
 PI = math.pi
 
@@ -448,6 +449,7 @@ def _run_optimize(cfg: dict, scenario: ScenarioConfig, out: Path) -> float:
 
 
 def _estimate_payload(est: ChshEstimate, plan: ShotPlan) -> dict:
+    from . import shots
     return {
         "s_hat": est.s_hat,
         "stderr": est.stderr,
@@ -463,7 +465,8 @@ def _estimate_payload(est: ChshEstimate, plan: ShotPlan) -> dict:
 def _sample_estimate(cfg: dict, scenario: ScenarioConfig, noise_p: float,
                      seed: int) -> tuple[ChshEstimate, ShotPlan]:
     """Shots from the scenario's own state and (corrected) observables."""
-    plan = ShotPlan(shots_per_pair=cfg["shots"], seed=seed, noise_p=noise_p)
+    from . import shots
+    plan = shots.ShotPlan(shots_per_pair=cfg["shots"], seed=seed, noise_p=noise_p)
     settings = _chsh_settings(cfg)
     state = scenario.sampled_state()
     model = scenario.operator_model()
@@ -485,9 +488,10 @@ DERIVED_TOL = 1e-12
 def _load_estimate(path: str) -> ChshEstimate:
     """The estimate derived from a file's counts; the file's own ``s_hat``,
     ``stderr`` and ``correlators`` must agree with it."""
+    from . import shots
     doc = _read_json(path)
     try:
-        table = CountsTable(
+        table = shots.CountsTable(
             counts={k: np.asarray([_check_int(c, f"{path}: counts.{k}[{i}]",
                                               maximum=COUNT_MAX)
                                    for i, c in enumerate(doc["counts"][k])],
@@ -512,6 +516,7 @@ def _load_estimate(path: str) -> ChshEstimate:
 
 
 def _run_audit(cfg: dict, scenario: ScenarioConfig, out: Path) -> float:
+    from . import security
     if cfg["baseline_estimate"]:
         baseline = _load_estimate(cfg["baseline_estimate"])
     else:

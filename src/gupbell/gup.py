@@ -70,7 +70,8 @@ class GupModel:
             raise ValueError(f"unknown rule {self.rule!r}; expected one of {RULES}")
         if self.jp is not None and self.rule != "custom":
             raise ValueError(f"jp applies to the custom rule only, not {self.rule}")
-        m = np.asarray(self.m, dtype=float).reshape(-1)
+        m = np.array(self.m, dtype=float).reshape(-1)  # a copy: the caller may change its array
+        m.flags.writeable = False
         axis = np.zeros(3)
         if self.rule == "tilt":
             if m.shape[0] != 3:
@@ -83,7 +84,8 @@ class GupModel:
                 warnings.warn(f"m: normalizing axis (norm {norm:.12g})")
         object.__setattr__(self, "m", m)
         if self.rule == "custom":
-            jp = np.asarray(self.jp, dtype=complex)
+            jp = np.array(self.jp, dtype=complex)
+            jp.flags.writeable = False
             if jp.shape != (2, 2) or not tensor.is_hermitian(jp):
                 raise HermiticityError("custom rule needs a 2x2 Hermitian jp")
             object.__setattr__(self, "jp", jp)

@@ -57,7 +57,7 @@ def classify(s: float) -> str:
     return REGION_UNPHYSICAL
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     """Everything needed to evaluate one CHSH scenario at any settings."""
 
@@ -71,15 +71,19 @@ class ScenarioConfig:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if self.scenario != "qm" and self.model is None:
             raise ValueError(f"scenario {self.scenario} requires a GupModel")
-        self._perturbed = None
+        if self.hp is not None:  # a copy, so the cached state cannot go stale
+            hp = np.array(self.hp, dtype=complex)
+            hp.flags.writeable = False
+            object.__setattr__(self, "hp", hp)
+        object.__setattr__(self, "_perturbed", None)
 
     def perturbed(self) -> PerturbedState:
         """The Bell state, ground state of ``gup.default_hamiltonian()``,
         corrected to first order by ``hp``: the state of scenarios 2 and 3."""
         if self._perturbed is None:
             hp = self.hp if self.hp is not None else gup.default_perturbation(self.model)
-            self._perturbed = gup.perturb_state(gup.default_hamiltonian(), hp, 0,
-                                                self.model.beta)
+            object.__setattr__(self, "_perturbed", gup.perturb_state(
+                gup.default_hamiltonian(), hp, 0, self.model.beta))
         return self._perturbed
 
     def moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -90,7 +90,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        amp = np.array(self.amplitudes, dtype=complex).reshape(-1)  # a copy, checked once
         if amp.shape[0] != 4:
             raise DimensionError("a two-qubit state needs 4 amplitudes")
         norm = float(np.linalg.norm(amp))

@@ -604,15 +604,35 @@ def test_fuzz_exit_codes(command, doc):
                 _check_estimate(cfg, out["s_observed"], cfg["noise_p"])
 
 
-def test_import_loads_no_scipy():
-    # scipy is a test-only dependency; the CLI runs on numpy alone
+#: the package modules that scan, sweep and optimize load
+CORE_MODULES = {"gupbell", *(f"gupbell.{m}" for m in
+                             ("cli", "errors", "gup", "lab", "quantum", "tensor"))}
+SHOT_MODULES = CORE_MODULES | {"gupbell.shots", "gupbell.kernels"}
+
+
+@pytest.mark.parametrize("run, loaded", [
+    ("import gupbell", {"gupbell"}),
+    ("import gupbell.cli", CORE_MODULES),
+    (["scan", "--grid-steps", "3"], CORE_MODULES),
+    (["sweep", "--betas", "0.1"], CORE_MODULES),
+    (["optimize"], CORE_MODULES),
+    (["sample", "--shots", "100"], SHOT_MODULES),
+    (["audit", "--shots", "100"], SHOT_MODULES | {"gupbell.security"}),
+], ids=["package", "cli", "scan", "sweep", "optimize", "sample", "audit"])
+def test_each_command_loads_only_its_modules(tmp_path, run, loaded):
+    # a fresh interpreter per case; scipy is a test-only dependency, so no
+    # run may load it, and the bare package loads no numpy either
+    if isinstance(run, list):
+        run = f"from gupbell import cli; assert cli.main({run + ['--out', str(tmp_path)]!r}) == 0"
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, gupbell.cli; "
-         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        [sys.executable, "-c", run + "\nimport json, sys\nprint(json.dumps(["
+         "sorted(m for m in sys.modules if m.split('.')[0] in ('gupbell', 'scipy')), "
+         "'numpy' in sys.modules]))"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    modules, numpy_loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert modules == sorted(loaded)
+    assert numpy_loaded == (loaded != {"gupbell"})
 
 
 class TestFirstOrderDomain:

@@ -90,6 +90,19 @@ class TestGupModel:
         with pytest.raises(ValueError, match="custom rule only"):
             GupModel(beta=0.1, rule=rule, jp=np.array([[1, 5], [0, 0]]))
 
+    def test_owns_its_arrays(self):
+        # perturbation_of reads jp and shift reads m: both must keep the
+        # arrays the model was checked with
+        jp = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        m = np.array([0.6, 0.0, 0.8])
+        custom, tilt = GupModel(beta=0.2, rule="custom", jp=jp), GupModel(beta=0.2, m=m)
+        jp[:] = [[1.0, 0.0], [0.0, -1.0]]
+        m[:] = [0.0, 0.0, 1.0]
+        assert np.array_equal(custom.perturbation_of(None), [[0.0, 1.0], [1.0, 0.0]])
+        assert np.array_equal(tilt.m, [0.6, 0.0, 0.8])
+        assert np.array_equal(tilt.shift, 0.2 * np.array([0.6, 0.0, 0.8]))
+        assert not (custom.jp.flags.writeable or tilt.m.flags.writeable)
+
     def test_self_cubic_is_identity_on_spin(self):
         model = GupModel(beta=0.2, rule="self-cubic")
         j = spin_observable(Direction(0.8, 1.1))

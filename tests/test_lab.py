@@ -15,7 +15,8 @@ from gupbell.lab import (
     evaluate_point, grid_scan, optimize_angles,
 )
 from gupbell.quantum import (
-    SIGMA_X, SIGMA_Y, SIGMA_Z, TWO_PI, ChshSettings, Direction, directions,
+    SIGMA_X, SIGMA_Y, SIGMA_Z, TWO_PI, ChshSettings, Direction, canonical_settings,
+    directions,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -58,6 +59,26 @@ class TestScenarioConfig:
             rho = dense_oracle.effective_density(cfg)
             assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
             assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
+
+    def test_frozen(self, custom_hp):
+        # the perturbed state is cached, so an assigned hp would be ignored
+        cfg = ScenarioConfig("s3", model=GupModel(beta=0.2))
+        before = evaluate_point(cfg, canonical_settings()).value
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.hp = custom_hp
+        fresh = evaluate_point(ScenarioConfig("s3", model=GupModel(beta=0.2), hp=custom_hp),
+                               canonical_settings()).value
+        replaced = dataclasses.replace(cfg, hp=custom_hp)
+        assert evaluate_point(replaced, canonical_settings()).value == fresh != before
+
+    def test_owns_its_hp(self, custom_hp):
+        hp = custom_hp.copy()
+        cfg = ScenarioConfig("s3", model=GupModel(beta=0.2), hp=hp)
+        hp[0, 0] = 5.0  # still Hermitian, so only a kept reference would show it
+        fresh = ScenarioConfig("s3", model=GupModel(beta=0.2), hp=custom_hp)
+        assert (evaluate_point(cfg, canonical_settings()).value
+                == evaluate_point(fresh, canonical_settings()).value)
+        assert not cfg.hp.flags.writeable
 
 
 class TestBatchConsistency:

@@ -68,6 +68,14 @@ class TestStates:
         with pytest.raises(DimensionError):
             PureState(np.array([1.0, 0.0]))
 
+    def test_pure_state_owns_its_amplitudes(self):
+        # construction checked the norm of these amplitudes, not of later ones
+        a = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2.0)
+        state = PureState(a)
+        a[0] = 5.0
+        assert np.array_equal(state.amplitudes, bell_state().amplitudes)
+        assert not state.amplitudes.flags.writeable
+
 
 class TestObservables:
     def test_spin_observable_dichotomic(self):
