@@ -31,9 +31,6 @@ from .quantum import CLASSICAL_BOUND, ChshSettings, Direction
 
 PI = math.pi
 
-SCENARIOS = lab.SCENARIOS
-MODEL_RULES = gup.RULES
-
 #: largest seed: the stream seed is a uint64 and ``audit`` also uses seed + 1
 SEED_MAX = 2**64 - 2
 #: largest count an estimate file may hold: counts are stored as int64
@@ -165,11 +162,11 @@ _check_path = partial(_check_type, kind=str, what="a path string")
 #: underscores ("--grid-steps" sets grid.steps, "--m" sets model.m), except
 #: "--model", which sets model.rule; a flag value is checked as a file value is
 _KEYS = {
-    "scenario": ("qm", partial(_check_choice, choices=SCENARIOS),
-                 {"help": f"one of {', '.join(SCENARIOS)}"}),
+    "scenario": ("qm", partial(_check_choice, choices=lab.SCENARIOS),
+                 {"help": f"one of {', '.join(lab.SCENARIOS)}"}),
     "beta": (0.1, _check_beta, {"type": float}),
-    "model.rule": ("tilt", partial(_check_choice, choices=MODEL_RULES),
-                   {"help": f"one of {', '.join(MODEL_RULES)}"}),
+    "model.rule": ("tilt", partial(_check_choice, choices=gup.RULES),
+                   {"help": f"one of {', '.join(gup.RULES)}"}),
     "model.m": (None, _validate_axis, {"type": _csv_numbers("m", "expected x,y,z numbers"),
                                        "help": "tilt axis as x,y,z"}),
     "model.jp": (None, partial(_check_matrix, dim=2), None),
@@ -419,11 +416,11 @@ def _run_sweep(cfg: dict, scenario: ScenarioConfig, out: Path) -> float:
     curves = lab.beta_sweep(cfg["betas"], theta_axis, rule=model.rule, m=model.m,
                             jp=model.jp, hp=scenario.hp)
     thetas = [_fmt9(theta) for theta in theta_axis]
-    lines = ["beta,theta," + ",".join(f"S_{tag}" for tag in SCENARIOS)]
+    lines = ["beta,theta," + ",".join(f"S_{tag}" for tag in lab.SCENARIOS)]
     for curve in curves:
         # "%.9g" formats a float as _fmt9 does
-        row = _fmt9(curve.beta) + ",%s" + ",%.9g" * len(SCENARIOS)
-        series = [curve.series[tag].tolist() for tag in SCENARIOS]
+        row = _fmt9(curve.beta) + ",%s" + ",%.9g" * len(lab.SCENARIOS)
+        series = [curve.series[tag].tolist() for tag in lab.SCENARIOS]
         lines += [row % values for values in zip(thetas, *series)]
     _write_text(out / "sweep.csv", "\n".join(lines) + "\n")
     return max(float(curve.series[cfg["scenario"]].max()) for curve in curves)

@@ -34,7 +34,7 @@ SMALLNESS_WARN = 0.3
 BRANCH_MISMATCH_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GupModel:
     """Correction model: strength beta plus the rule producing the
     perturbation operator from an unperturbed observable.
@@ -86,8 +86,6 @@ class GupModel:
         if self.rule == "custom":
             jp = np.array(self.jp, dtype=complex)
             jp.flags.writeable = False
-            if jp.shape != (2, 2) or not tensor.is_hermitian(jp):
-                raise HermiticityError("custom rule needs a 2x2 Hermitian jp")
             object.__setattr__(self, "jp", jp)
             identity, axis = pauli_parts(jp)
             if 2.0 * abs(self.beta * identity) > BRANCH_MISMATCH_TOL:
@@ -169,7 +167,7 @@ class GupModel:
         return lam[..., None] * w - self.shift
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GupObservable:
     """``j_gup = w.sigma``, the normalized, exactly dichotomic corrected
     spin used in Bell measurements."""
@@ -182,7 +180,7 @@ def gup_correct_observable(n: Direction, model: GupModel) -> GupObservable:
     return GupObservable(j_gup=spin(model.corrected(n.unit_vector())[0]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PerturbedState:
     """First-order perturbed state: |xi_GUP> = |xi> + beta |xi>_p."""
 
@@ -231,9 +229,10 @@ def perturb_state(h0: np.ndarray, hp: np.ndarray, level_index: int,
     OutOfRangeError when the squared norm of xi + beta*xi_p is not finite.
     """
     energies, vectors = tensor.eig_hermitian(np.asarray(h0, dtype=complex))
-    if not tensor.is_hermitian(np.asarray(hp, dtype=complex), tol=1e-10):
-        raise HermiticityError("hp must be Hermitian")
     nlev = len(energies)
+    hp = np.asarray(hp, dtype=complex)
+    if hp.shape != (nlev, nlev) or not tensor.is_hermitian(hp):
+        raise HermiticityError(f"expected a {nlev}x{nlev} Hermitian hp matrix")
     if not 0 <= level_index < nlev:
         raise IndexError(f"level_index {level_index} out of range")
     gaps = np.abs(np.delete(energies, level_index) - energies[level_index])
@@ -246,8 +245,7 @@ def perturb_state(h0: np.ndarray, hp: np.ndarray, level_index: int,
         if k == level_index:
             continue
         vk = vectors[:, k]
-        xi_p += (vk.conj() @ (np.asarray(hp, dtype=complex) @ xi)) \
-            / (energies[level_index] - energies[k]) * vk
+        xi_p += (vk.conj() @ (hp @ xi)) / (energies[level_index] - energies[k]) * vk
     ps = PerturbedState(xi=PureState(xi), xi_p=xi_p, beta=float(beta))
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         norm_sq = ps.norm_sq()

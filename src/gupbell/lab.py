@@ -57,7 +57,7 @@ def classify(s: float) -> str:
     return REGION_UNPHYSICAL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioConfig:
     """Everything needed to evaluate one CHSH scenario at any settings."""
 
@@ -212,8 +212,7 @@ class BatchEvaluator:
         (len(nx), len(ny)), each side corrected once: each entry equals the
         one ``values`` computes at that row pair bit for bit."""
         wx, wy = self._corrected(nx), self._corrected(ny)
-        return _correlator(self.t, np.repeat(wx, len(wy), axis=0),
-                           np.tile(wy, (len(wx), 1))).reshape(len(wx), len(wy))
+        return np.einsum("ai,ij,bj->ab", wx, self.t, wy)
 
     def grid(self, axis: np.ndarray) -> np.ndarray:
         """S at every planar settings tuple with polar angles from ``axis``,
@@ -225,7 +224,7 @@ class BatchEvaluator:
                      for pair in CHSH_PAIRS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanGrid:
     """CHSH values over the two-angle family a=0, a'=t1, b=t2, b'=-t2."""
 
@@ -256,7 +255,7 @@ def grid_scan(cfg: ScenarioConfig, resolution: int = 201,
     return ScanGrid(axis, axis, _chsh(table(n[i], n[j]) for i, j in CHSH_PAIRS))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepCurve:
     """S against the sweep angle, one series per scenario, at fixed beta."""
 

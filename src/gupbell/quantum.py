@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, HermiticityError
+from .tensor import is_hermitian
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -83,7 +84,7 @@ def canonical_settings() -> ChshSettings:
     return ChshSettings.planar(0.0, math.pi / 2, math.pi / 4, -math.pi / 4)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Normalized two-qubit state vector in the computational basis."""
 
@@ -113,7 +114,13 @@ def spin(v) -> np.ndarray:
 
 def pauli_parts(m: np.ndarray) -> tuple[float, np.ndarray]:
     """Identity part c0 and Bloch vector c of a 2x2 Hermitian matrix,
-    m = c0 I + c . sigma; its eigenvalues are c0 +- |c|."""
+    m = c0 I + c . sigma; its eigenvalues are c0 +- |c|.  Raises
+    HermiticityError for any other input."""
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (2, 2):
+        raise HermiticityError(f"expected a 2x2 Hermitian matrix, got shape {m.shape}")
+    if not is_hermitian(m):
+        raise HermiticityError("expected a 2x2 Hermitian matrix")
     c = np.array([np.trace(m @ sig).real / 2.0 for sig in PAULIS])
     return float(np.trace(m).real) / 2.0, c
 

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels, tensor
-from .errors import DimensionError, HermiticityError, NotDichotomicError
+from . import kernels
+from .errors import NotDichotomicError
 from .quantum import (
     CHSH_PAIRS, CHSH_SIGNS, ChshSettings, PureState, moments, pauli_parts,
     spin_observable,
@@ -36,7 +36,7 @@ class ShotPlan:
             raise ValueError("noise_p must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CountsTable:
     """Outcome counts per setting pair, binned by outcome sign.
 
@@ -55,7 +55,7 @@ class CountsTable:
                 raise ValueError(f"invalid counts for pair {label}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChshEstimate:
     """Shot-based estimate of S with a plug-in standard error."""
 
@@ -74,16 +74,6 @@ def depolarize(state: PureState, p: float):
     return tuple((1.0 - p) * x for x in moments(state.amplitudes))
 
 
-def _pauli_parts(obs: np.ndarray) -> tuple[float, np.ndarray]:
-    """``pauli_parts`` of an observable checked to be 2x2 Hermitian."""
-    obs = np.asarray(obs, dtype=complex)
-    if obs.shape != (2, 2):
-        raise DimensionError(f"observable must be 2x2, got shape {obs.shape}")
-    if not tensor.is_hermitian(obs, tol=tensor.EIG_HERMITIAN_TOL):
-        raise HermiticityError("observable must be Hermitian")
-    return pauli_parts(obs)
-
-
 def joint_probabilities(rho, obs_a: np.ndarray, obs_b: np.ndarray):
     """Born probabilities for the four joint outcomes, ordered
     (+,+), (+,-), (-,+), (-,-), with the actual outcome eigenvalues, in
@@ -94,8 +84,8 @@ def joint_probabilities(rho, obs_a: np.ndarray, obs_b: np.ndarray):
     P(s, t) = (1 + s u_a.r_A + t u_b.r_B + s t u_a.T.u_b) / 4.
     """
     r_a, r_b, t = rho
-    a0, a = _pauli_parts(obs_a)
-    b0, b = _pauli_parts(obs_b)
+    a0, a = pauli_parts(obs_a)
+    b0, b = pauli_parts(obs_b)
     norm_a, norm_b = np.linalg.norm(a), np.linalg.norm(b)
     if 2.0 * min(norm_a, norm_b) < 1e-12:
         raise NotDichotomicError("observable has a single degenerate eigenvalue")

@@ -11,14 +11,14 @@ import numpy as np
 
 from .errors import DimensionError, HermiticityError, NumericError
 
+#: the largest |m - m^dagger| entry of a Hermitian jp, hp, h0 or observable
 HERMITIAN_TOL = 1e-12
-EIG_HERMITIAN_TOL = 1e-10
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
+def is_hermitian(m: np.ndarray) -> bool:
     m = np.asarray(m, dtype=complex)
     return m.ndim == 2 and m.shape[0] == m.shape[1] and \
-        np.max(np.abs(m - m.conj().T)) <= tol
+        np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL
 
 
 def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -31,14 +31,14 @@ def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Raises
     ------
     HermiticityError
-        if the input deviates from Hermiticity by more than 1e-10.
+        if the input is not ``is_hermitian``.
     NumericError
         if the underlying iteration fails to converge.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"m must be square, got shape {m.shape}")
-    if not is_hermitian(m, tol=EIG_HERMITIAN_TOL):
+    if not is_hermitian(m):
         raise HermiticityError("eig_hermitian requires a Hermitian matrix")
     try:
         return np.linalg.eigh(m)

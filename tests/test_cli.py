@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dense_oracle import correlator
-from gupbell import cli
+from gupbell import cli, gup, lab
 from gupbell.errors import ValidationError
 from gupbell.gup import GupModel, gup_correct_observable
 from gupbell.lab import beta_sweep, evaluate_point
@@ -260,8 +260,25 @@ class TestExitCodes:
          "configuration error: betas: expected comma-separated numbers"),
         (["scan", "--config", {"grid": 5}], "configuration error: grid: expected an object"),
         (["scan", "--config", [1]], "configuration error: $: expected an object"),
+        (["sample", "--config", {"noise_p": -0.1}],
+         "configuration error: noise_p: must be >= 0.0"),
+        (["sample", "--config", {"noise_p": 1.5}],
+         "configuration error: noise_p: must be <= 1.0"),
+        (["audit", "--config", {"k_sigma": -1}], "configuration error: k_sigma: must be >= 0.0"),
+        (["scan", "--config", {"beta": -0.1}],
+         "configuration error: beta: negative beta models are out of scope"),
+        (["sweep", "--config", {"betas": []}],
+         "configuration error: betas: expected a non-empty list"),
+        (["optimize", "--config", {"eight_angles": 1}],
+         "configuration error: eight_angles: expected a boolean"),
+        (["scan", "--config", {"out": 5}], "configuration error: out: expected a path string"),
+        (["scan", "--config", {"hp": [[1, 2], [3]]}],
+         "configuration error: hp: expected a nested array of [re, im] pairs"),
+        (["scan", "--config", {"hp": 5}], "configuration error: hp: expected shape 4x4x2, got ()"),
     ], ids=["unknown-command", "no-command", "zero-axis", "non-numeric-betas",
-            "section-not-an-object", "document-not-an-object"])
+            "section-not-an-object", "document-not-an-object", "negative-noise",
+            "noise-above-1", "negative-k-sigma", "negative-beta", "empty-betas",
+            "eight-angles-not-a-boolean", "out-not-a-path", "ragged-hp", "scalar-hp"])
     def test_command_rejection_is_2(self, tmp_path, capsys, argv, message):
         # argparse exits 2 on a command line it cannot parse, main returns 2
         # on a value a checker refuses; a JSON document in argv is passed as
@@ -418,6 +435,8 @@ def _hermitian(seed: int, dim: int, scale: float) -> np.ndarray:
 
 
 _NON_HERMITIAN_4 = np.diag([-1.0, 0.0, 1.0, 2.0]) + np.diag([0.5, 0.0, 0.0], 1)
+# one entry 1e-11 off Hermitian: 10 x tensor.HERMITIAN_TOL
+_NEAR_HERMITIAN_4 = np.diag([-1.0, 0.0, 1.0, 2.0]) + np.diag([1e-11, 0.0, 0.0], 1)
 # finite entries whose first-order state correction overflows |xi + beta xi_p|^2
 _HUGE_HP = np.zeros((4, 4))
 _HUGE_HP[0, 0] = _HUGE_HP[0, 1] = _HUGE_HP[1, 0] = 1e300
@@ -498,6 +517,7 @@ def test_estimate_without_shots_is_2(tmp_path, capsys):
     ({"model": {"rule": "custom", "jp": _pairs(np.diag([1.0, 0.0]) + 0j)}}, "jp"),
     ({"model": {"rule": "custom", "jp": _pairs(np.array([[0, 1], [0, 0]]) + 0j)}}, "jp"),
     ({"hp": _pairs(_NON_HERMITIAN_4 + 0j)}, "hp"),
+    ({"hp": _pairs(_NEAR_HERMITIAN_4 + 0j)}, "hp"),
     # every scenario starts from the Bell state, so no unperturbed
     # Hamiltonian is an input: h0 is refused as an unknown key, whatever
     # its matrix
@@ -507,15 +527,15 @@ def test_estimate_without_shots_is_2(tmp_path, capsys):
     ({"model": {"rule": "tilt", "jp": _pairs(np.array([[1, 5], [0, 0]]) + 0j)}}, "jp"),
     ({"model": {"rule": "self-cubic", "m": [1, 0, 0]}}, "m"),
     ({"hp": _pairs(_HUGE_HP + 0j)}, "hp"),
-], ids=["traceful-jp", "non-hermitian-jp", "non-hermitian-hp", "non-hermitian-h0",
-        "degenerate-h0", "custom-without-jp", "jp-under-tilt", "m-under-self-cubic",
-        "overflowing-hp"])
+], ids=["traceful-jp", "non-hermitian-jp", "non-hermitian-hp", "near-hermitian-hp",
+        "non-hermitian-h0", "degenerate-h0", "custom-without-jp", "jp-under-tilt",
+        "m-under-self-cubic", "overflowing-hp"])
 def test_rejected_matrix_exits_2_in_every_command(tmp_path, capsys, doc, key):
     # the model and the perturbed state are built for every run, so the
     # physics rejects an input before any command evaluates a scenario
     cfgfile = tmp_path / "run.json"
     for command in cli.COMMANDS:
-        for scenario in cli.SCENARIOS:
+        for scenario in lab.SCENARIOS:
             cfgfile.write_text(json.dumps(dict(doc, scenario=scenario)))
             assert run_main([command, "--config", cfgfile,
                              "--out", tmp_path / "out"]) == 2, (command, scenario)
@@ -539,11 +559,11 @@ small = st.floats(-2.0, 2.0, allow_nan=False)
 axes = st.lists(small, min_size=3, max_size=3).filter(
     lambda v: np.linalg.norm(v) > 0)
 fuzz_configs = st.fixed_dictionaries(
-    {"scenario": st.sampled_from(cli.SCENARIOS), "beta": st.floats(0.0, 1.5)},
+    {"scenario": st.sampled_from(lab.SCENARIOS), "beta": st.floats(0.0, 1.5)},
     optional={
         "model": st.one_of(
-            st.sampled_from(cli.MODEL_RULES),
-            st.fixed_dictionaries({"rule": st.sampled_from(cli.MODEL_RULES)},
+            st.sampled_from(gup.RULES),
+            st.fixed_dictionaries({"rule": st.sampled_from(gup.RULES)},
                                   optional={"m": axes})),
         "m": axes.map(lambda v: (np.asarray(v) / np.linalg.norm(v)).tolist()),
         # traceless, sometimes with an identity part
@@ -650,7 +670,7 @@ class TestFirstOrderDomain:
         cfgfile = tmp_path / "run.json"
         for command in cli.COMMANDS:
             key = "betas" if command == "sweep" else "beta"
-            for scenario in cli.SCENARIOS:
+            for scenario in lab.SCENARIOS:
                 cfgfile.write_text(json.dumps(
                     dict(doc, scenario=scenario, betas=[0.1, doc["beta"]])))
                 assert run_main([command, "--config", cfgfile,
@@ -717,7 +737,7 @@ def test_sweep_reports_the_tagged_scenario(tmp_path, capsys, scenario, region):
     value = float(summary.split("S=")[1].split()[0])
     assert summary.endswith(f"region={region}")
     lines = (out / "sweep.csv").read_text().splitlines()
-    column = 2 + cli.SCENARIOS.index(scenario)
+    column = 2 + lab.SCENARIOS.index(scenario)
     assert value == max(float(line.split(",")[column]) for line in lines[1:])
     if scenario == "qm":
         assert value <= TSIRELSON

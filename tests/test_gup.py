@@ -81,7 +81,8 @@ class TestGupModel:
     def test_custom_requires_hermitian(self):
         with pytest.raises(HermiticityError):
             GupModel(beta=0.1, rule="custom", jp=np.array([[0.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(HermiticityError, match="needs a 2x2 Hermitian jp"):
+        with pytest.raises(HermiticityError,
+                           match=r"expected a 2x2 Hermitian matrix, got shape \(\)"):
             GupModel(beta=0.1, rule="custom")
 
     @pytest.mark.parametrize("rule", ["tilt", "self-cubic"])
@@ -177,6 +178,12 @@ class TestPerturbState:
         hp = np.zeros((4, 4), dtype=complex)
         hp[0, 1] = 1.0
         with pytest.raises(HermiticityError):
+            perturb_state(default_hamiltonian(), hp, 0, 0.1)
+
+    @pytest.mark.parametrize("hp", [np.eye(2), np.eye(3)], ids=["2x2", "3x3"])
+    def test_hp_of_another_shape_rejected(self, hp):
+        # a HermiticityError, not numpy's matmul ValueError
+        with pytest.raises(HermiticityError, match="expected a 4x4 Hermitian hp matrix"):
             perturb_state(default_hamiltonian(), hp, 0, 0.1)
 
     def test_eigenvector_phases_cancel(self, monkeypatch, custom_hp):

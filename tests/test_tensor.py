@@ -5,6 +5,9 @@ from hypothesis import given, settings, strategies as st
 from dense_oracle import expect
 from gupbell import tensor
 from gupbell.errors import DimensionError, HermiticityError
+from gupbell.gup import GupModel, default_hamiltonian, default_perturbation, perturb_state
+from gupbell.quantum import SIGMA_X, SIGMA_Z, bell_state, moments
+from gupbell.shots import joint_probabilities
 
 
 def random_hermitian(seed, dim=4):
@@ -63,3 +66,30 @@ class TestExpect:
         skew = np.array([[0.0, 1.0], [-1.0, 0.0]])  # anti-Hermitian
         with pytest.raises(HermiticityError):
             expect(np.array([1.0, 1j]) / np.sqrt(2), skew)
+
+
+def _one_entry_off(m):
+    """m with its (0, 1) entry moved by 1e-11: 10 x HERMITIAN_TOL off Hermitian."""
+    m = np.array(m, dtype=complex)
+    m[0, 1] += 1e-11
+    return m
+
+
+#: every operator input, each read through ``tensor.is_hermitian``
+OPERATOR_INPUTS = {
+    "jp": lambda m: GupModel(0.1, rule="custom", jp=m(SIGMA_X)),
+    "hp": lambda m: perturb_state(default_hamiltonian(), m(default_perturbation(GupModel(0.1))),
+                                  0, 0.1),
+    "observable": lambda m: joint_probabilities(moments(bell_state().amplitudes),
+                                                m(SIGMA_Z), SIGMA_X),
+    "h0": lambda m: tensor.eig_hermitian(m(default_hamiltonian())),
+}
+
+
+@pytest.mark.parametrize("build", OPERATOR_INPUTS.values(), ids=OPERATOR_INPUTS)
+def test_one_hermitian_rule_for_every_operator(build):
+    # the exact matrix is accepted and one entry 1e-11 off is rejected,
+    # alike in every path
+    build(np.asarray)
+    with pytest.raises(HermiticityError):
+        build(_one_entry_off)

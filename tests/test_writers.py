@@ -35,7 +35,7 @@ def assert_scan_matches(out, grid):
 
 
 @pytest.mark.parametrize("steps", [2, 9, 101, 201])
-@pytest.mark.parametrize("scenario", cli.SCENARIOS)
+@pytest.mark.parametrize("scenario", lab.SCENARIOS)
 def test_scan_matches_per_cell_oracle(tmp_path, scenario, steps):
     cfg, value = run_cli(tmp_path, {"scenario": scenario, "beta": 0.3,
                                     "grid": {"steps": steps}}, "scan")
