@@ -2,7 +2,9 @@
 
 Angles are given in multiples of pi on the command line and in config
 files, and written in radians to data files.  All outputs are
-byte-reproducible for a fixed configuration and seed.
+byte-reproducible for a fixed configuration and seed on one BLAS kernel:
+the optimizer's BLAS and LAPACK calls round by the kernel, so another can move
+the last bits of ``optimum.json``.
 """
 
 from __future__ import annotations
@@ -316,8 +318,8 @@ _LEGEND_W = 70
 
 
 def render_heatmap(grid: lab.ScanGrid, path) -> None:
-    """Hand-emitted SVG: one rect per cell, cells above the classical
-    bound outlined, axes in units of pi, and a color legend."""
+    """Hand-emitted SVG: one rect per cell, the cells ``classify`` puts
+    above classical outlined, axes in units of pi, and a color legend."""
     values = grid.values
     n1, n2 = values.shape
     if n1 == 0 or n2 == 0:
@@ -336,13 +338,13 @@ def render_heatmap(grid: lab.ScanGrid, path) -> None:
     # linear blue -> white -> red map over [vmin, vmax]: colour k is
     # (k, k, 255) below the midpoint and 256 + k is (255, k, k) from it
     # on, k = 255 * (1 - |t|) rounded half to even like round; 512 on
-    # adds the S > CLASSICAL_BOUND outline
+    # adds the outline of a cell that classify puts above classical
     mid = 0.5 * (vmin + vmax)
     half = 0.5 * (vmax - vmin)
     t = np.clip((values - mid) / half, -1.0, 1.0)
     colors = np.round(255 * (1.0 - np.abs(t))).astype(np.int64) + 256 * (t >= 0)
     if not degenerate:
-        colors += 512 * (values > CLASSICAL_BOUND)
+        colors += 512 * (values > CLASSICAL_BOUND + lab.CLASSIFY_TOL)
     hexes = [f"{k:02x}" for k in range(256)]
     fills = [color + '"' + stroke + "/>"
              for stroke in ("", ' stroke="#000" stroke-width="0.4"')

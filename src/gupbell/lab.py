@@ -71,35 +71,30 @@ class ScenarioConfig:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if self.scenario != "qm" and self.model is None:
             raise ValueError(f"scenario {self.scenario} requires a GupModel")
-        if self.hp is not None:  # a copy, so the cached state cannot go stale
+        if self.scenario in ("s2", "s3") and not np.array_equal(
+                self.state.amplitudes, bell_state().amplitudes):
+            raise ValueError(f"scenario {self.scenario} perturbs the Bell state, no other")
+        if self.hp is not None:  # a copy, so the caller's array cannot change it
             hp = np.array(self.hp, dtype=complex)
             hp.flags.writeable = False
             object.__setattr__(self, "hp", hp)
-        object.__setattr__(self, "_perturbed", None)
 
     def perturbed(self) -> PerturbedState:
         """The Bell state, ground state of ``gup.default_hamiltonian()``,
-        corrected to first order by ``hp``: the state of scenarios 2 and 3."""
-        if self._perturbed is None:
-            hp = self.hp if self.hp is not None else gup.default_perturbation(self.model)
-            object.__setattr__(self, "_perturbed", gup.perturb_state(
-                gup.default_hamiltonian(), hp, 0, self.model.beta))
-        return self._perturbed
+        corrected to first order by ``hp``; solved on each call."""
+        hp = self.hp if self.hp is not None else gup.default_perturbation(self.model)
+        return gup.perturb_state(gup.default_hamiltonian(), hp, 0, self.model.beta)
 
     def moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The moments (r_A, r_B, T) of the scenario's effective unit-trace
-        operator, read off amplitudes: those of the given state for qm and
-        s1, of |xi><xi| + beta(|xi_p><xi| + h.c.) for s2 and of the
-        normalized corrected state for s3."""
-        if self.scenario in ("qm", "s1"):
-            return moments(self.state.amplitudes)
+        operator, read off amplitudes: those of ``sampled_state()`` for qm,
+        s1 and s3, and of |xi><xi| + beta(|xi_p><xi| + h.c.) for s2."""
+        if self.scenario != "s2":
+            return moments(self.sampled_state().amplitudes)
         ps = self.perturbed()
-        if self.scenario == "s2":
-            xi = ps.xi.amplitudes
-            return tuple(q + 2.0 * ps.beta * c
-                         for q, c in zip(moments(xi), moments(xi, ps.xi_p)))
-        norm_sq = ps.norm_sq()
-        return tuple(x / norm_sq for x in moments(ps.corrected_vector()))
+        xi = ps.xi.amplitudes
+        return tuple(q + 2.0 * ps.beta * c
+                     for q, c in zip(moments(xi), moments(xi, ps.xi_p)))
 
     def operator_model(self) -> GupModel:
         """The correction applied to measurement operators: the identity
@@ -107,15 +102,10 @@ class ScenarioConfig:
         return self.model if self.scenario in ("s1", "s3") else GupModel(beta=0.0)
 
     def sampled_state(self) -> PureState:
-        """The state shots are drawn from: the given state for qm and s1,
-        the normalized corrected state for s3.
-
-        Raises
-        ------
-        OutOfRangeError
-            for s2, whose effective operator |xi><xi| + beta(|xi_p><xi| + h.c.)
-            has a negative eigenvalue and so is not a state.
-        """
+        """The state shots are drawn from and every value is computed from:
+        the given state for qm and s1, the normalized corrected state for
+        s3.  Raises OutOfRangeError for s2, whose effective operator
+        |xi><xi| + beta(|xi_p><xi| + h.c.) has a negative eigenvalue."""
         if self.scenario in ("qm", "s1"):
             return self.state
         if self.scenario == "s2":
@@ -375,14 +365,21 @@ def _newton_ascent(ev: BatchEvaluator, x: np.ndarray, budget: int):
     by -|lambda| so that every step rises, and a step is halved until S
     rises.  Stops once the predicted gain g . step is below the rounding of
     S, or when ``budget`` evaluations are spent.  Returns (x, S,
-    evaluations, converged); ``converged`` means the stop was reached at a
-    negative-definite Hessian, a checked local maximum."""
+    evaluations, converged); ``converged`` means the stop was reached where
+    every Hessian eigenvalue is at most 64 eps max|lambda|, the second-order
+    necessary condition for a maximum (ibid., Thm 2.3) within the Hessian's
+    rounding: an entry sums at most two 9-product einsums w . T . w of
+    terms about 1 in size, ~24 eps off, which moves an eigenvalue by ~64 eps
+    (Weyl) and eigh by a few eps max|lambda| more, while the trace is about
+    -2S, so max|lambda| >= S/2 > 1 at any S > 2.  A flat direction, such as
+    all four settings rotated together on the Bell state, thus passes; a
+    saddle does not."""
     s, grad, hess = _planar_derivatives(ev, x)
-    evaluations = 1
+    evaluations, eps = 1, np.finfo(float).eps
     while True:
         lam, vec = np.linalg.eigh(hess)
         # a curvature of zero, within rounding, counts as machine epsilon
-        step = vec @ (vec.T @ grad / np.maximum(np.abs(lam), np.finfo(float).eps))
+        step = vec @ (vec.T @ grad / np.maximum(np.abs(lam), eps))
         while grad @ step > np.spacing(s):
             if evaluations == budget:
                 return x, s, evaluations, False
@@ -392,7 +389,7 @@ def _newton_ascent(ev: BatchEvaluator, x: np.ndarray, budget: int):
                 break
             step = step / 2.0
         else:
-            return x, s, evaluations, bool(np.all(lam < 0.0))
+            return x, s, evaluations, bool(lam[-1] <= 64.0 * eps * np.abs(lam).max())
         x = x + step
         s, grad, hess = trial
 
@@ -411,7 +408,7 @@ def optimize_angles(cfg: ScenarioConfig, *, eight_angles: bool = False,
     ``SEARCH_CELLS`` best cells, in order, on a budget of ``MAX_EVALS``
     evaluations beyond the grid, checked before each start and each step.
     ``value`` is S evaluated at the best settings; ``converged`` means that
-    every start ran and the best one ended at a checked local maximum.
+    every start ran and the best one ended at a maximum within rounding.
     Deterministic: ties are broken by start order.  ``seed`` changes
     nothing, as neither method draws a random number; it is accepted so
     that callers that still pass it keep running.

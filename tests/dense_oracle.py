@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gupbell import cli, kernels, tensor
+from gupbell import cli, kernels, lab, tensor
 from gupbell.errors import DimensionError, HermiticityError
 from gupbell.gup import ChshResult, GupModel, PerturbedState
 from gupbell.quantum import (
@@ -316,7 +316,7 @@ def heatmap_cells(values: np.ndarray) -> list:
             v = float(values[i, j])
             x = cli._MARGIN_LEFT + i * cli._CELL
             y = cli._MARGIN_TOP + (n2 - 1 - j) * cli._CELL
-            outline = (not degenerate) and v > 2.0
+            outline = (not degenerate) and lab.classify(v) != lab.REGION_CLASSICAL
             stroke = ' stroke="#000" stroke-width="0.4"' if outline else ""
             cells.append(
                 f'<rect x="{x}" y="{y}" width="{cli._CELL}" height="{cli._CELL}" '

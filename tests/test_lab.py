@@ -15,8 +15,8 @@ from gupbell.lab import (
     evaluate_point, grid_scan, optimize_angles,
 )
 from gupbell.quantum import (
-    SIGMA_X, SIGMA_Y, SIGMA_Z, TWO_PI, ChshSettings, Direction, bell_state,
-    canonical_settings, directions,
+    SIGMA_X, SIGMA_Y, SIGMA_Z, TWO_PI, ChshSettings, Direction, PureState, bell_state,
+    canonical_settings, directions, moments,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -61,7 +61,7 @@ class TestScenarioConfig:
             assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
 
     def test_frozen(self, custom_hp):
-        # the perturbed state is cached, so an assigned hp would be ignored
+        # a changed hp makes a new record, never a changed one
         cfg = ScenarioConfig("s3", model=GupModel(beta=0.2))
         before = evaluate_point(cfg, canonical_settings()).value
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -79,6 +79,41 @@ class TestScenarioConfig:
         assert (evaluate_point(cfg, canonical_settings()).value
                 == evaluate_point(fresh, canonical_settings()).value)
         assert not cfg.hp.flags.writeable
+
+    @pytest.mark.parametrize("scenario", ["s2", "s3"])
+    def test_perturbed_scenarios_take_only_the_bell_state(self, scenario):
+        # s2 and s3 perturb the Bell state whatever the state, so another
+        # state is refused rather than ignored; qm and s1 evaluate it
+        model = GupModel(beta=0.2)
+        product = PureState([1, 0, 0, 0])
+        with pytest.raises(ValueError, match="Bell state"):
+            ScenarioConfig(scenario, state=product, model=model)
+        ScenarioConfig(scenario, state=bell_state(), model=model)
+        s = canonical_settings()
+        assert evaluate_point(ScenarioConfig("qm", state=product), s).value == pytest.approx(
+            SQRT2, abs=1e-12)
+        assert evaluate_point(ScenarioConfig("s1", state=product, model=model),
+                              s).value == pytest.approx(1.577, abs=1e-3)
+
+    @pytest.mark.parametrize("scenario", ["qm", "s1", "s3"])
+    def test_evaluated_state_is_the_sampled_state(self, scenario):
+        # values and shots read one state: T is that of the sampled state's
+        # amplitudes bit for bit.  Tilt axes; qm and s1 on random states, s3
+        # on the Bell state with a random hp on half of the configs
+        rng = np.random.default_rng(43)
+        for k in range(60):
+            m = rng.normal(size=3)
+            model = GupModel(beta=rng.uniform(0.0, 0.9), m=m / np.linalg.norm(m))
+            if scenario == "s3":
+                a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+                hp = (a + a.conj().T) / (2.0 * np.linalg.norm(a, 2)) if k % 2 else None
+                cfg = ScenarioConfig(scenario, model=model, hp=hp)
+            else:
+                amp = rng.normal(size=4) + 1j * rng.normal(size=4)
+                cfg = ScenarioConfig(scenario, state=PureState(amp / np.linalg.norm(amp)),
+                                     model=None if scenario == "qm" else model)
+            want = moments(cfg.sampled_state().amplitudes)[2]
+            assert BatchEvaluator(cfg).t.tobytes() == want.tobytes(), k
 
 
 def _counts():
@@ -579,6 +614,17 @@ class TestOptimize:
         x, s, evaluations, converged = lab._newton_ascent(ev, start, 100)
         assert s == pytest.approx(TSIRELSON, abs=1e-14)
         assert converged and evaluations < 100
+
+    def test_rotated_optima_converge(self):
+        # rotating all four settings together leaves S unchanged on the Bell
+        # state, so each start is an exact maximum whose flat direction has
+        # an eigenvalue of zero that rounds to either sign
+        ev = BatchEvaluator(ScenarioConfig())
+        textbook = np.array([0.0, math.pi / 2, math.pi / 4, -math.pi / 4])
+        for delta in np.linspace(0.0, TWO_PI, 200, endpoint=False):
+            _, s, _, converged = lab._newton_ascent(ev, textbook + delta, 100)
+            assert converged, delta
+            assert s == pytest.approx(TSIRELSON, abs=1e-14)
 
     @pytest.mark.filterwarnings("ignore:.*no longer small")
     def test_best_cell_alone_ends_at_a_lower_maximum(self, custom_hp):

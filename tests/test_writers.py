@@ -80,8 +80,10 @@ def _synthetic_grid(values, n2):
 def test_colour_rounding_ties_outline_and_clamps(tmp_path, monkeypatch):
     ties = _tie_values()
     assert len(ties) > 300
-    # the map's ends -4 and 4, the outline threshold 2 and its neighbours
+    # the map's ends -4 and 4, the classical bound 2, the outline threshold
+    # 2 + 1e-12 of classify and their neighbours
     edges = [-4.0, 4.0, 2.0, np.nextafter(2.0, 3.0), np.nextafter(2.0, 1.0),
+             2.0 + 1e-12, np.nextafter(2.0 + 1e-12, 3.0), np.nextafter(2.0 + 1e-12, 1.0),
              0.0, -0.0, 5e-324]
     grid = _synthetic_grid(edges + ties, n2=7)
     monkeypatch.setattr(lab, "grid_scan", lambda *args, **kwargs: grid)
