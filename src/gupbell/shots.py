@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +29,11 @@ class ShotPlan:
     noise_p: float = 0.0
 
     def __post_init__(self):
+        # a float seed would sample the stream of its integer part
+        for name in ("shots_per_pair", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} must be an int, got {value!r}")
         if self.shots_per_pair < 1:
             raise ValueError("shots_per_pair must be at least 1")
         # the stream seed is a uint64: any other seed would wrap onto one
@@ -121,21 +128,58 @@ def estimate_from_counts(table: CountsTable) -> ChshEstimate:
                         counts=table, correlators=correlators)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS
+    has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def estimate_chsh(state: PureState, s: ChshSettings, plan: ShotPlan,
                   observables=None) -> ChshEstimate:
     """Estimate S from N shots per setting pair.
 
     Shot k of pair j consumes the counter-derived uniform at global
     stream index j*N + k, which makes the estimate reproducible for a
-    given seed independent of evaluation order.
+    given seed independent of evaluation order.  So the four pairs are
+    dealt round-robin to one thread per usable CPU, at most four: the
+    caller samples the first group, and the counts do not depend on the
+    number of threads.
     """
     if observables is None:
         observables = default_observables(s)
+    if len(observables) != 4:
+        raise ValueError("estimate_chsh needs four observables [A, A', B, B'],"
+                         f" got {len(observables)}")
     rho = depolarize(state, plan.noise_p)
     n = plan.shots_per_pair
-    counts = {}
-    for j, ((a, b), label) in enumerate(zip(CHSH_PAIRS, PAIR_LABELS)):
+    # every input error raises here, before any thread starts
+    cumulative = []
+    for a, b in CHSH_PAIRS:
         probs, _ = joint_probabilities(rho, observables[a], observables[b])
-        cumulative = np.minimum(np.cumsum(probs)[:3], 1.0)
-        counts[label] = kernels.sample_counts(plan.seed, j * n, n, cumulative)
-    return estimate_from_counts(CountsTable(counts=counts, shots_per_pair=n))
+        cumulative.append(np.minimum(np.cumsum(probs)[:3], 1.0))
+    counts = [None] * len(cumulative)
+    errors = []
+
+    def sample(pairs):
+        try:
+            for j in pairs:
+                counts[j] = kernels.sample_counts(plan.seed, j * n, n, cumulative[j])
+        except Exception as exc:
+            errors.append(exc)
+
+    w = min(len(cumulative), _usable_cpus())
+    groups = [range(g, len(cumulative), w) for g in range(w)]
+    # daemons, so that an interrupt of the caller ends the process at once
+    workers = [threading.Thread(target=sample, args=(group,), daemon=True)
+               for group in groups[1:]]
+    for worker in workers:
+        worker.start()
+    sample(groups[0])
+    for worker in workers:
+        worker.join()
+    if errors:
+        raise errors[0]
+    return estimate_from_counts(CountsTable(counts=dict(zip(PAIR_LABELS, counts)),
+                                            shots_per_pair=n))

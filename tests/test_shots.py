@@ -1,17 +1,20 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from dense_oracle import chsh_value, correlation_tensor, correlator
+from gupbell import kernels, shots
 from gupbell.errors import NotDichotomicError
 from gupbell.quantum import (
-    Direction, PureState, bell_state, canonical_settings, moments,
+    CHSH_PAIRS, Direction, PureState, bell_state, canonical_settings, moments,
     spin_observable,
 )
 from gupbell.shots import (
-    ChshEstimate, CountsTable, ShotPlan, depolarize, estimate_chsh,
-    joint_probabilities,
+    PAIR_LABELS, ChshEstimate, CountsTable, ShotPlan, default_observables,
+    depolarize, estimate_chsh, joint_probabilities,
 )
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -30,6 +33,16 @@ class TestPlansAndTables:
         with pytest.raises(ValueError, match="seed"):
             ShotPlan(shots_per_pair=1, seed=seed)
         ShotPlan(shots_per_pair=1, seed=seed % 2**64)
+
+    @pytest.mark.parametrize("field, value", [
+        ("shots_per_pair", 2.5), ("shots_per_pair", 10.0),
+        ("shots_per_pair", True), ("seed", 1.5), ("seed", True),
+        ("seed", np.int64(1))])
+    def test_integers_must_be_int(self, field, value):
+        # a float seed would silently sample the stream of its integer part
+        kwargs = {"shots_per_pair": 10, "seed": 1, field: value}
+        with pytest.raises(TypeError, match=field):
+            ShotPlan(**kwargs)
 
     def test_counts_must_sum_to_shots(self):
         good = {k: [3, 2, 2, 3] for k in ("ab", "abp", "apb", "apbp")}
@@ -176,3 +189,69 @@ class TestEstimateChsh:
         est = estimate_chsh(bell_state(), canonical_settings(), plan)
         assert isinstance(est, ChshEstimate)
         assert set(est.correlators) == {"ab", "abp", "apb", "apbp"}
+
+    def test_needs_four_observables(self):
+        observables = default_observables(canonical_settings())[:3]
+        with pytest.raises(ValueError, match="got 3"):
+            estimate_chsh(bell_state(), canonical_settings(),
+                          ShotPlan(shots_per_pair=10), observables)
+
+
+def serial_counts(state, settings, plan):
+    """The four pairs' counts, drawn one after another on this thread."""
+    rho = depolarize(state, plan.noise_p)
+    obs = default_observables(settings)
+    n = plan.shots_per_pair
+    out = {}
+    for j, ((a, b), label) in enumerate(zip(CHSH_PAIRS, PAIR_LABELS)):
+        probs, _ = joint_probabilities(rho, obs[a], obs[b])
+        cumulative = np.minimum(np.cumsum(probs)[:3], 1.0)
+        out[label] = kernels.sample_counts(plan.seed, j * n, n, cumulative)
+    return out
+
+
+class TestPairThreads:
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [kernels.CHUNK - 3, kernels.CHUNK + 5])
+    def test_counts_do_not_depend_on_threads(self, monkeypatch, asym_settings,
+                                             cpus, n):
+        plan = ShotPlan(shots_per_pair=n, seed=11, noise_p=0.1)
+        want = serial_counts(bell_state(), asym_settings, plan)
+        sample_counts = kernels.sample_counts
+        threads = set()
+
+        def recording(*args):
+            # thread objects, not idents, which a later thread may reuse
+            threads.add(threading.current_thread())
+            return sample_counts(*args)
+
+        monkeypatch.setattr(shots, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(kernels, "sample_counts", recording)
+        # frequent thread switches, so that a lost update would show
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            est = estimate_chsh(bell_state(), asym_settings, plan)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(threads) == cpus
+        assert threading.current_thread() in threads
+        for label in PAIR_LABELS:
+            assert np.array_equal(est.counts.counts[label], want[label]), label
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    def test_worker_error_reaches_the_caller(self, monkeypatch, cpus):
+        plan = ShotPlan(shots_per_pair=1000, seed=5)
+        sample_counts = kernels.sample_counts
+
+        def failing(seed, base, n, cumulative):
+            if base == PAIR_LABELS.index("apbp") * n:
+                raise MemoryError("pair apbp")
+            return sample_counts(seed, base, n, cumulative)
+
+        monkeypatch.setattr(shots, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(kernels, "sample_counts", failing)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="apbp"):
+            estimate_chsh(bell_state(), canonical_settings(), plan)
+        assert threading.active_count() == before
