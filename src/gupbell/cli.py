@@ -568,6 +568,9 @@ def main(argv=None) -> int:
         except MemoryError as exc:
             print(f"evaluation error: {str(exc) or 'out of memory'}", file=sys.stderr)
             return 4
+        except KeyboardInterrupt:  # 128 + SIGINT, as a shell reports it
+            print("interrupted", file=sys.stderr)
+            return 130
     print(f"{cfg['command']} S={_fmt9(value)} region={classify(value)}")
     return 0
 

@@ -36,11 +36,15 @@ _TWO53 = 9007199254740992.0  # 2**53
 _BIT53 = U64(1 << 53)
 
 #: shots per vectorized chunk; bounds the temporary arrays, not the results.
-#: 2¹⁵ shots keep the three uint64 buffers and the bool mask (25 B/shot,
-#: ~800 KiB) inside one core's L2 cache, where each in-place pass is
-#: cheapest (on a Xeon with 2 MiB of L2 per core, 2¹⁶ costs the same per
-#: shot and 2²⁰ about three times as much)
-CHUNK = 1 << 15
+#: 2¹⁶ shots keep the three uint64 buffers and the bool mask (25 B/shot,
+#: ~1.6 MiB per thread) inside one core's 2 MiB L2 cache on a Xeon, where
+#: each in-place pass is cheapest.  One thread costs the same per shot at
+#: 2¹⁵ as at 2¹⁶ (~36 ms for 4 pairs of 2.5·10⁶ shots), but every numpy
+#: call releases and retakes the GIL, and the pair threads of
+#: shots.estimate_chsh share it: halving the calls per shot took two
+#: threads from 29–32 to 22–26 ms.  A core with 1 MiB of L2 no longer holds
+#: a chunk's buffers; 2¹⁷ overflows even 2 MiB
+CHUNK = 1 << 16
 
 
 def _steps(n: int) -> np.ndarray:
@@ -94,15 +98,18 @@ def sample_counts(seed: int, base: int, n: int, cumulative) -> np.ndarray:
     z = np.empty(size, np.uint64)
     scratch = np.empty(size, np.uint64)
     mask = np.empty(size, np.bool_)
+    words = z.view(np.float64)
     above = [0, 0, 0]
+    # each call in the loop releases and retakes the GIL (see CHUNK), so
+    # the buffers and their view are sliced only for the last, partial chunk
     for lo in range(0, n, CHUNK):
-        m = min(CHUNK, n - lo)
-        k = _mix(seed, base + lo, steps, z[:m], scratch[:m])
-        k |= _BIT53
-        words = k.view(np.float64)
-        hit = mask[:m]
+        m = n - lo
+        if m < size:
+            z, scratch, mask, words = z[:m], scratch[:m], mask[:m], words[:m]
+        _mix(seed, base + lo, steps, z, scratch)
+        z |= _BIT53
         for i, threshold in enumerate(thresholds):
-            np.greater_equal(words, threshold, out=hit)
-            above[i] += int(np.count_nonzero(hit))
+            np.greater_equal(words, threshold, mask)
+            above[i] += np.count_nonzero(mask)
     a0, a1, a2 = above
     return np.array([n - a0, a0 - a1, a1 - a2, a2], dtype=np.int64)

@@ -376,6 +376,13 @@ class TestExitCodes:
         assert run_main(["scan", "--out", tmp_path / "out"]) == 4
         assert f"evaluation error: {message}" in capsys.readouterr().err
 
+    def test_interrupt_is_130(self, tmp_path, capsys, monkeypatch):
+        def execute(cfg):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(cli, "execute", execute)
+        assert run_main(["sample", "--out", tmp_path / "out"]) == 130
+        assert capsys.readouterr().err == "interrupted\n"
+
     def test_binary_contract(self, tmp_path):
         # the installed entry point behaves like main()
         out = tmp_path / "out"

@@ -137,11 +137,22 @@ def test_chunking_does_not_change_counts(monkeypatch):
         assert np.array_equal(kernels.sample_counts(seed, base, n, cumulative), default)
 
 
+@pytest.mark.parametrize("extra", [0, 1, kernels.CHUNK - 1])
+def test_counts_exact_around_default_chunk(extra):
+    # one full chunk alone, and one full chunk followed by the shortest and
+    # the longest partial one, the only chunk that slices the buffers
+    seed, base, n = 21, 2**40 - 77, kernels.CHUNK + extra
+    cumulative = (0.3, 0.6, 0.8)
+    got = kernels.sample_counts(seed, base, n, cumulative)
+    assert np.array_equal(got, _float_counts(seed, base, n, cumulative))
+
+
 _BOUNDARY_WORDS = (0, 1, 2, 2**52 - 2, 2**52 - 1, 2**52, 2**52 + 1,
                    2**53 - 2, 2**53 - 1)
 
 
-@pytest.mark.parametrize("chunk", [1 << 15, 4])
+# the default chunk, the former default 2¹⁵, and chunks shorter than n
+@pytest.mark.parametrize("chunk", [kernels.CHUNK, 1 << 15, 4])
 def test_binning_exact_at_encoding_boundaries(monkeypatch, chunk):
     # words the stream is unlikely to draw: both ends of [0, 2⁵³) and each
     # side of 2⁵², where the exponent field of the float64 view of k + 2⁵³

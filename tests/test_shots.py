@@ -212,7 +212,9 @@ def serial_counts(state, settings, plan):
 
 class TestPairThreads:
     @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
-    @pytest.mark.parametrize("n", [kernels.CHUNK - 3, kernels.CHUNK + 5])
+    # each side of the default chunk and of the former default 2¹⁵
+    @pytest.mark.parametrize("n", [(1 << 15) - 3, (1 << 15) + 5,
+                                   kernels.CHUNK - 3, kernels.CHUNK + 5])
     def test_counts_do_not_depend_on_threads(self, monkeypatch, asym_settings,
                                              cpus, n):
         plan = ShotPlan(shots_per_pair=n, seed=11, noise_p=0.1)
