@@ -1,5 +1,8 @@
 import bisect
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -206,3 +209,84 @@ def test_rejects_invalid_thresholds(cumulative):
 def test_rejects_negative_shot_count():
     with pytest.raises(ValueError, match="non-negative"):
         kernels.sample_counts(1, 0, -1, (0.2, 0.5, 0.9))
+
+
+@pytest.mark.parametrize("seed, base, n", [
+    (1.5, 0, 10), (1.0, 0, 10), (True, 0, 10), (np.int64(1), 0, 10),
+    (1, 0.5, 10), (1, np.uint64(0), 10), (1, False, 10), (1, 0, 10.0), (1, 0, True),
+])
+def test_rejects_non_int_seed_and_indices(seed, base, n):
+    # a float or numpy seed or index would silently sample another stream
+    with pytest.raises(TypeError, match="must be an int"):
+        kernels.sample_counts(seed, base, n, (0.2, 0.5, 0.9))
+
+
+@pytest.mark.parametrize("seed, base, n, match", [
+    (-1, 0, 10, "seed"), (2**64, 0, 10, "seed"), (2**65 + 3, 0, 10, "seed"),
+    (1, -1, 10, "stream indices"), (1, -1, 0, "stream indices"),
+    (1, 2**64 - 9, 10, "stream indices"), (1, 2**64, 10, "stream indices"),
+])
+def test_rejects_seeds_and_indices_that_wrap(seed, base, n, match):
+    # each of these would wrap onto the uint64 stream of another seed or index
+    with pytest.raises(ValueError, match=match):
+        kernels.sample_counts(seed, base, n, (0.2, 0.5, 0.9))
+
+
+@pytest.mark.parametrize("seed, base, n", [
+    (2**64 - 1, 0, 10), (0, 2**64 - 10, 10), (2**64 - 1, 2**64 - 1, 1), (5, 2**64, 0),
+])
+def test_accepts_the_ends_of_the_stream(seed, base, n):
+    cumulative = (0.2, 0.5, 0.9)
+    got = kernels.sample_counts(seed, base, n, cumulative)
+    assert got.tolist() == _reference_counts(seed, base, n, cumulative)
+
+
+def test_shared_operands_are_read_only():
+    # every module-level array is shared by all calls and threads
+    shared = {name: value for name, value in vars(kernels).items()
+              if isinstance(value, np.ndarray)}
+    assert {"_MIX1", "_MIX2", "_S30", "_S27", "_S31", "_S11", "_BIT53"} <= set(shared)
+    for name, operand in shared.items():
+        assert operand.shape == () and operand.dtype == np.uint64, name
+        with pytest.raises(ValueError, match="read-only"):
+            operand[...] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            np.add(operand, operand, out=operand)
+
+
+def test_concurrent_calls_match_serial_calls(monkeypatch):
+    # each numpy call of the kernel first yields the GIL, and the threads
+    # switch every microsecond besides, so a per-call value kept at module
+    # level (an offset or threshold buffer) is overwritten by another
+    # thread between its write and its use, even on one CPU
+    for name, value in list(vars(kernels).items()):
+        if isinstance(value, np.ufunc):
+            def yielding(*args, _ufunc=value, **kwargs):
+                time.sleep(0)
+                return _ufunc(*args, **kwargs)
+            monkeypatch.setattr(kernels, name, yielding)
+    jobs = [(3, 0, kernels.CHUNK + 1_234, (0.2, 0.5, 0.9)),
+            (2**64 - 2, 2**40 - 77, 2 * kernels.CHUNK - 5, (0.1, 0.4, 0.6)),
+            (11, 5 * kernels.CHUNK, 3 * kernels.CHUNK + 77, (0.3, 0.35, 0.8)),
+            (12_345, 2**63, kernels.CHUNK - 1, (0.25, 0.5, 0.75))]
+    serial = [kernels.sample_counts(*job).tolist() for job in jobs]
+    repeats = 8
+    results = [[] for _ in jobs]
+    start = threading.Barrier(len(jobs))
+
+    def run(i):
+        start.wait()
+        for _ in range(repeats):
+            results[i].append(kernels.sample_counts(*jobs[i]).tolist())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [[counts] * repeats for counts in serial]
