@@ -490,6 +490,8 @@ def _load_estimate(path: str) -> ChshEstimate:
     from . import shots
     doc = _read_json(path)
     try:
+        for k in sorted(doc["counts"].keys() - set(shots.PAIR_LABELS)):
+            _fail(f"{path}: counts.{k}", f"counts must hold the pairs {shots.PAIR_LABELS}")
         table = shots.CountsTable(
             counts={k: np.asarray([_check_int(c, f"{path}: counts.{k}[{i}]",
                                               maximum=COUNT_MAX)

@@ -17,10 +17,6 @@ class NumericError(GupBellError):
     """An underlying numerical routine failed to converge."""
 
 
-class DegeneracyError(GupBellError):
-    """Perturbation theory was requested on a (near-)degenerate level."""
-
-
 class AmbiguousBranchError(GupBellError):
     """The two eigenvalue branches of a corrected observable have
     different magnitudes, so a single normalization is undefined."""

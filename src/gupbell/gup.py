@@ -6,8 +6,8 @@ the identity at beta = 0 and inverted by ``GupModel.inverse``, is the only
 place where observables are corrected and warned about, and a ``GupModel``
 outside the first-order domain is rejected when it is built.
 The perturbed state of scenarios 2 and 3 comes from first-order
-perturbation theory (``perturb_state``); ``lab`` evaluates the scenarios
-from both.
+perturbation theory of the Bell state, in closed form (``perturb_state``);
+``lab`` evaluates the scenarios from both.
 """
 
 from __future__ import annotations
@@ -19,11 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor
-from .errors import (
-    AmbiguousBranchError, DegeneracyError, HermiticityError, OutOfRangeError,
-)
+from .errors import AmbiguousBranchError, HermiticityError, OutOfRangeError
 from .quantum import (
-    SIGMA_X, SIGMA_Z, Direction, PureState, directions, pauli_parts, spin,
+    BELL_BASIS, SIGMA_X, SIGMA_Z, Direction, PureState, directions, pauli_parts, spin,
 )
 
 RULES = ("self-cubic", "tilt", "custom")
@@ -205,9 +203,16 @@ class ChshResult:
     terms: dict
 
 
+#: H0 = -(sx (x) sx + sz (x) sz), read-only: Phi+ at E0 = -2, Phi- and Psi+ at 0, Psi- at +2
+_H0 = -(np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Z, SIGMA_Z))
+_H0.flags.writeable = False
+_PHI_PLUS = PureState(BELL_BASIS[0])
+_EXCITED = tuple(zip(BELL_BASIS[1:], (-0.5, -0.5, -0.25)))
+
+
 def default_hamiltonian() -> np.ndarray:
     """-(sx (x) sx + sz (x) sz): unique PhiPlus ground state, gap 2."""
-    return -(np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Z, SIGMA_Z))
+    return _H0.copy()
 
 
 def default_perturbation(model: GupModel) -> np.ndarray:
@@ -222,31 +227,21 @@ def default_perturbation(model: GupModel) -> np.ndarray:
 
 def perturb_state(h0: np.ndarray, hp: np.ndarray, level_index: int,
                   beta: float) -> PerturbedState:
-    """Rayleigh-Schrodinger first-order state correction for one level.
-
-    The selected level must be non-degenerate (gap >= 1e-8); there is
-    no meaningful single-level correction through a degeneracy.  Raises
-    OutOfRangeError when the squared norm of xi + beta*xi_p is not finite.
+    """Rayleigh-Schrodinger first-order correction of the ground state
+    xi = Phi+ of H0 = ``default_hamiltonian()``, in closed form over its
+    Bell basis: xi_p = sum_k <k|hp|Phi+> / (E0 - Ek) |k> over the excited
+    Phi-, Psi+ and Psi-.  Raises ValueError for any other ``h0`` or a
+    ``level_index`` other than 0, HermiticityError for an hp that is not
+    4x4 Hermitian and OutOfRangeError for a non-finite |xi + beta*xi_p|^2.
     """
-    energies, vectors = tensor.eig_hermitian(np.asarray(h0, dtype=complex))
-    nlev = len(energies)
+    if level_index != 0 or not np.array_equal(h0, _H0):
+        raise ValueError("perturb_state expands level 0 of default_hamiltonian() only")
     hp = np.asarray(hp, dtype=complex)
-    if hp.shape != (nlev, nlev) or not tensor.is_hermitian(hp):
-        raise HermiticityError(f"expected a {nlev}x{nlev} Hermitian hp matrix")
-    if not 0 <= level_index < nlev:
-        raise IndexError(f"level_index {level_index} out of range")
-    gaps = np.abs(np.delete(energies, level_index) - energies[level_index])
-    if gaps.min() < 1e-8:
-        raise DegeneracyError(
-            f"level {level_index} is degenerate within 1e-8 (gap {gaps.min():.3g})")
-    xi = vectors[:, level_index]
-    xi_p = np.zeros(nlev, dtype=complex)
-    for k in range(nlev):
-        if k == level_index:
-            continue
-        vk = vectors[:, k]
-        xi_p += (vk.conj() @ (hp @ xi)) / (energies[level_index] - energies[k]) * vk
-    ps = PerturbedState(xi=PureState(xi), xi_p=xi_p, beta=float(beta))
+    if hp.shape != (4, 4) or not tensor.is_hermitian(hp):
+        raise HermiticityError("expected a 4x4 Hermitian hp matrix")
+    hp_xi = hp @ _PHI_PLUS.amplitudes
+    xi_p = sum((vk.conj() @ hp_xi) * weight * vk for vk, weight in _EXCITED)
+    ps = PerturbedState(xi=_PHI_PLUS, xi_p=xi_p, beta=float(beta))
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         norm_sq = ps.norm_sq()
     if not math.isfinite(norm_sq):

@@ -101,10 +101,15 @@ class PureState:
         object.__setattr__(self, "amplitudes", amp)
 
 
+#: the Bell basis in the computational one: Phi+, Phi-, Psi+ and Psi-, one a row
+BELL_BASIS = np.array([(1, 0, 0, 1), (1, 0, 0, -1), (0, 1, 1, 0), (0, 1, -1, 0)],
+                      dtype=complex) * (1.0 / math.sqrt(2.0))
+BELL_BASIS.flags.writeable = False
+
+
 def bell_state() -> PureState:
     """The maximally entangled Bell state |Phi+> = (|00> + |11>)/sqrt(2)."""
-    r = 1.0 / math.sqrt(2.0)
-    return PureState(np.array((r, 0, 0, r), dtype=complex))
+    return PureState(BELL_BASIS[0])
 
 
 def spin(v) -> np.ndarray:

@@ -39,6 +39,8 @@ class ShotPlan:
         # the stream seed is a uint64: any other seed would wrap onto one
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must lie in [0, 2**64)")
+        if isinstance(self.noise_p, bool):
+            raise TypeError(f"noise_p must be a number, got {self.noise_p!r}")
         if not 0.0 <= self.noise_p <= 1.0:
             raise ValueError("noise_p must lie in [0, 1]")
 

@@ -24,9 +24,8 @@ def is_hermitian(m: np.ndarray) -> bool:
 def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalize a Hermitian matrix: ``(values, vectors)`` as
     ``np.linalg.eigh`` returns them, eigenvalues ascending and
-    ``vectors[:, k]`` the eigenvector for ``values[k]``.  Its phase is the
-    one ``eigh`` gives: a phase carries over to the first-order correction
-    and cancels in every density operator built from them.
+    ``vectors[:, k]`` the eigenvector for ``values[k]``, in the phase
+    ``eigh`` gives it.
 
     Raises
     ------

@@ -5,9 +5,10 @@ off the amplitudes of the state, and the corrected directions of the
 observables.  This module computes the same quantities the long way:
 the moments as traces against each scenario's effective 4x4 density,
 and the values as expectation values of dense Bell operators built from
-eigendecomposed corrected observables; the tests compare the two.  The
-exact ground state of the perturbed Hamiltonian checks the first-order
-state of scenarios 2 and 3.
+eigendecomposed corrected observables; the tests compare the two.  A
+general Rayleigh-Schrodinger solver on ``np.linalg.eigh`` checks the
+closed-form first-order state of scenarios 2 and 3, and the exact ground
+state of the perturbed Hamiltonian bounds its error.
 
 It also keeps the per-cell artifact writers: one format call, colour
 and rect per cell of ``scan.csv``, ``scan.svg`` and ``sweep.csv``, which
@@ -78,6 +79,27 @@ def effective_density(cfg) -> np.ndarray:
             np.outer(ps.xi_p, xi.conj()) + np.outer(xi, ps.xi_p.conj()))
     xg = ps.corrected_vector()
     return np.outer(xg, xg.conj()) / float((xg.conj() @ xg).real)
+
+
+def first_order_state(h0: np.ndarray, hp: np.ndarray, level: int,
+                      beta: float) -> PerturbedState:
+    """Rayleigh-Schrodinger first-order state correction of one level of a
+    Hermitian h0 from its eigendecomposition: xi is the level's vector as
+    ``np.linalg.eigh`` gives it and xi_p = sum_k <k|hp|xi> / (E - Ek) |k>
+    over the other levels.  Raises ValueError for a level within 1e-8 of
+    another: there is no single-level correction through a degeneracy."""
+    energies, vectors = np.linalg.eigh(np.asarray(h0, dtype=complex))
+    hp = np.asarray(hp, dtype=complex)
+    gaps = np.abs(np.delete(energies, level) - energies[level])
+    if gaps.min() < 1e-8:
+        raise ValueError(f"level {level} is degenerate within 1e-8")
+    xi = vectors[:, level]
+    xi_p = np.zeros(len(energies), dtype=complex)
+    for k in range(len(energies)):
+        if k != level:
+            vk = vectors[:, k]
+            xi_p += (vk.conj() @ (hp @ xi)) / (energies[level] - energies[k]) * vk
+    return PerturbedState(xi=PureState(xi), xi_p=xi_p, beta=float(beta))
 
 
 def exact_ground_state(hp: np.ndarray, beta: float) -> np.ndarray:

@@ -485,6 +485,7 @@ _ESTIMATE = {"s_hat": 2.4, "stderr": 0.05059644256269407, "shots_per_pair": 1000
      "correlators.apb"),
     ("estimate", {"correlators": dict(_ESTIMATE["correlators"], x=0.6)},
      "correlators.x"),
+    ("estimate", {"counts": dict(_ESTIMATE["counts"], zz=[1, 2, 3, 4])}, "counts.zz"),
 ])
 def test_json_numbers_must_be_numbers(tmp_path, capsys, target, doc, key):
     cfgfile = tmp_path / "run.json"

@@ -4,17 +4,14 @@ import numpy as np
 import pytest
 
 import dense_oracle
-from gupbell import tensor
-from gupbell.errors import (
-    AmbiguousBranchError, DegeneracyError, HermiticityError, OutOfRangeError,
-)
+from gupbell.errors import AmbiguousBranchError, HermiticityError, OutOfRangeError
 from gupbell.gup import (
     GupModel, default_hamiltonian, default_perturbation,
     gup_correct_observable, perturb_state,
 )
 from gupbell.lab import ScenarioConfig, evaluate_point
 from gupbell.quantum import (
-    Direction, bell_state, canonical_settings, directions, moments, spin_observable,
+    Direction, bell_state, canonical_settings, directions, spin_observable,
 )
 
 
@@ -26,6 +23,21 @@ MAPS = [
     GupModel(beta=0.5, rule="custom", jp=np.array([[0.2, 0.1 - 0.3j], [0.1 + 0.3j, -0.2]])),
 ]
 MAP_IDS = ["identity", "self-cubic", "tilt", "custom"]
+
+
+def _random_hps(n: int, seed: int = 2026) -> list:
+    """n seeded random 4x4 Hermitian matrices of spectral norms ~1e-3 to ~1e3."""
+    rng = np.random.default_rng(seed)
+    hps = []
+    for _ in range(n):
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        hps.append((a + a.conj().T) * rng.choice([1e-3, 1.0, 1e3]))
+    return hps
+
+
+def _rule_hps() -> list:
+    """The default hp of each rule's map in ``MAPS``."""
+    return [default_perturbation(model) for model in MAPS[1:]]
 
 
 class TestGupModel:
@@ -169,11 +181,6 @@ class TestPerturbState:
         assert np.max(np.abs(ps.xi.amplitudes - bell_state().amplitudes)) < 1e-12
         assert np.max(np.abs(ps.xi_p)) == 0.0
 
-    def test_degenerate_level_rejected(self):
-        h0 = np.diag([0.0, 0.0, 1.0, 2.0])
-        with pytest.raises(DegeneracyError):
-            perturb_state(h0, np.zeros((4, 4)), 0, 0.1)
-
     def test_non_hermitian_hp_rejected(self):
         hp = np.zeros((4, 4), dtype=complex)
         hp[0, 1] = 1.0
@@ -186,35 +193,33 @@ class TestPerturbState:
         with pytest.raises(HermiticityError, match="expected a 4x4 Hermitian hp matrix"):
             perturb_state(default_hamiltonian(), hp, 0, 0.1)
 
-    def test_eigenvector_phases_cancel(self, monkeypatch, custom_hp):
-        # a phase of xi carries over to xi_p, and the phases of the other
-        # levels cancel in xi_p, so no scenario's moments depend on them
-        rng = np.random.default_rng(13)
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        h0 = a + a.conj().T
-        model = GupModel(beta=0.2, rule="tilt", m=np.array([0.6, 0.0, 0.8]))
+    def test_matches_the_eigh_reference(self):
+        # the closed form over the Bell basis gives the general solver's
+        # floats exactly, once the sign eigh gives the ground vector is fixed
+        for hp in _random_hps(500) + _rule_hps():
+            got = perturb_state(default_hamiltonian(), hp, 0, 0.1)
+            want = dense_oracle.first_order_state(default_hamiltonian(), hp, 0, 0.1)
+            xi, xi_p = want.xi.amplitudes, want.xi_p
+            if xi[0].real < 0:
+                xi, xi_p = -xi, -xi_p
+            assert np.array_equal(got.xi.amplitudes, xi)
+            assert np.array_equal(got.xi_p, xi_p)
 
-        def all_moments():
-            # s2 and s3 of the default Hamiltonian, then their two state
-            # moments, Re<xi|.|xi_p> and |xg><xg|, of the random one
-            ps = perturb_state(h0, custom_hp, 0, model.beta)
-            return [*(ScenarioConfig(tag, model=model, hp=custom_hp).moments()
-                      for tag in ("s2", "s3")),
-                    moments(ps.xi.amplitudes, ps.xi_p), moments(ps.corrected_vector())]
+    @pytest.mark.parametrize("h0, level", [
+        (np.diag([0.0, 0.0, 1.0, 2.0]), 0),
+        (_random_hps(1, seed=5)[0], 0),
+        (default_hamiltonian(), 1),
+        (default_hamiltonian(), 4),
+    ], ids=["degenerate-h0", "random-h0", "level-1", "level-4"])
+    def test_only_the_default_ground_level(self, h0, level):
+        with pytest.raises(ValueError, match="level 0 of default_hamiltonian"):
+            perturb_state(h0, np.zeros((4, 4)), level, 0.1)
 
-        want = all_moments()
-        eig = tensor.eig_hermitian
-        for _ in range(5):
-            phases = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 4))
-            monkeypatch.setattr(tensor, "eig_hermitian", lambda m: (
-                eig(m)[0], eig(m)[1] * phases))
-            for got, expected in zip(all_moments(), want):
-                for x, y in zip(got, expected):
-                    assert np.max(np.abs(x - y)) < 1e-12
-
-    def test_level_index_range(self):
-        with pytest.raises(IndexError):
-            perturb_state(default_hamiltonian(), np.zeros((4, 4)), 4, 0.1)
+    def test_correction_bounded_by_half_the_norm_of_hp(self):
+        # |E0 - Ek| >= 2 for every excited level, so |xi_p| <= |hp|_2 / 2
+        for hp in _random_hps(200) + _rule_hps():
+            xi_p = perturb_state(default_hamiltonian(), hp, 0, 0.1).xi_p
+            assert np.linalg.norm(xi_p) <= 0.5 * np.linalg.norm(hp, 2) * (1.0 + 1e-12)
 
     def test_default_perturbation_self_cubic_diagonal(self):
         # sigma^3 = sigma, so the induced hp is twice the Hamiltonian and

@@ -44,6 +44,11 @@ class TestPlansAndTables:
         with pytest.raises(TypeError, match=field):
             ShotPlan(**kwargs)
 
+    def test_noise_p_must_not_be_bool(self):
+        # True would sample at p = 1 as the number 1 would
+        with pytest.raises(TypeError, match="noise_p"):
+            ShotPlan(shots_per_pair=10, noise_p=True)
+
     def test_counts_must_sum_to_shots(self):
         good = {k: [3, 2, 2, 3] for k in ("ab", "abp", "apb", "apbp")}
         CountsTable(counts=good, shots_per_pair=10)
