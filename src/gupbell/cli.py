@@ -17,6 +17,7 @@ import warnings
 from dataclasses import asdict
 from functools import partial
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -30,6 +31,9 @@ from .errors import (
 from .gup import GupModel
 from .lab import ScenarioConfig, classify
 from .quantum import CLASSICAL_BOUND, ChshSettings, Direction
+
+if TYPE_CHECKING:
+    from .shots import ChshEstimate, ShotPlan
 
 PI = math.pi
 
@@ -267,7 +271,7 @@ def _chsh_settings(cfg: dict) -> ChshSettings:
 
 
 def _scenario_config(cfg: dict) -> ScenarioConfig:
-    """The run's scenario with its model and perturbed state built, so an
+    """The run's scenario with its model built and its hp checked, so an
     input the physics rejects exits 2 in every command and scenario."""
     for key, rule in (("m", "tilt"), ("jp", "custom")):
         if cfg[f"model.{key}"] is not None and cfg["model.rule"] != rule:
@@ -285,14 +289,10 @@ def _scenario_config(cfg: dict) -> ScenarioConfig:
         _fail(key, str(exc))
     except ValueError as exc:  # the tilt axis is not a unit vector
         _fail("m", str(exc))
-    scenario = ScenarioConfig(scenario=cfg["scenario"], model=model, hp=cfg["hp"])
     try:
-        scenario.perturbed()
+        return ScenarioConfig(scenario=cfg["scenario"], model=model, hp=cfg["hp"])
     except (HermiticityError, OutOfRangeError) as exc:
-        # the default hp is Hermitian and keeps the perturbed state finite,
-        # so a given one failed
         _fail("hp", str(exc))
-    return scenario
 
 
 def _fmt9(x: float) -> str:

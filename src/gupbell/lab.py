@@ -59,7 +59,8 @@ def classify(s: float) -> str:
 
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig:
-    """Everything needed to evaluate one CHSH scenario at any settings."""
+    """Everything needed to evaluate one CHSH scenario at any settings; a
+    given ``hp`` must pass ``gup.perturb_state`` in every scenario."""
 
     scenario: str = "qm"
     state: PureState = field(default_factory=bell_state)
@@ -78,6 +79,8 @@ class ScenarioConfig:
             hp = np.array(self.hp, dtype=complex)
             hp.flags.writeable = False
             object.__setattr__(self, "hp", hp)
+            gup.perturb_state(gup.default_hamiltonian(), hp, 0,
+                              0.0 if self.model is None else self.model.beta)
 
     def perturbed(self) -> PerturbedState:
         """The Bell state, ground state of ``gup.default_hamiltonian()``,

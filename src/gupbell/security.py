@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .errors import GupBellError
 from .quantum import CLASSICAL_BOUND, TSIRELSON
+from .shots import ChshEstimate
 
 
 @dataclass(frozen=True)

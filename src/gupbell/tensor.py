@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import DimensionError, HermiticityError, NumericError
 
-#: the largest |m - m^dagger| entry of a Hermitian jp, hp, h0 or observable
+#: the largest |m - m^dagger| entry of a Hermitian jp, hp or observable
 HERMITIAN_TOL = 1e-12
 
 

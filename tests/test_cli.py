@@ -539,8 +539,8 @@ def test_estimate_without_shots_is_2(tmp_path, capsys):
         "non-hermitian-h0", "degenerate-h0", "custom-without-jp", "jp-under-tilt",
         "m-under-self-cubic", "overflowing-hp"])
 def test_rejected_matrix_exits_2_in_every_command(tmp_path, capsys, doc, key):
-    # the model and the perturbed state are built for every run, so the
-    # physics rejects an input before any command evaluates a scenario
+    # the model and the scenario, which checks hp, are built for every run,
+    # so the physics rejects an input before any command evaluates a scenario
     cfgfile = tmp_path / "run.json"
     for command in cli.COMMANDS:
         for scenario in lab.SCENARIOS:

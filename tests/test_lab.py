@@ -8,7 +8,7 @@ import pytest
 
 import dense_oracle
 from gupbell import gup, lab, shots
-from gupbell.errors import GupBellError, OutOfRangeError
+from gupbell.errors import GupBellError, HermiticityError, OutOfRangeError
 from gupbell.gup import GupModel
 from gupbell.lab import (
     BatchEvaluator, ScanGrid, ScenarioConfig, beta_sweep, classify,
@@ -79,6 +79,25 @@ class TestScenarioConfig:
         assert (evaluate_point(cfg, canonical_settings()).value
                 == evaluate_point(fresh, canonical_settings()).value)
         assert not cfg.hp.flags.writeable
+
+    @pytest.mark.parametrize("scenario, beta", [
+        ("qm", None), ("qm", 0.1), ("s1", 0.1), ("s2", 0.1), ("s3", 0.1)],
+        ids=["qm-without-model", "qm", "s1", "s2", "s3"])
+    def test_refuses_what_perturb_state_refuses(self, scenario, beta):
+        # qm and s1 never read hp, yet take only the hp s2 and s3 take
+        model = None if beta is None else GupModel(beta=beta)
+        upper = np.zeros((4, 4))
+        upper[0, 1] = 1.0
+        for hp in (upper, np.eye(3)):
+            with pytest.raises(HermiticityError):
+                ScenarioConfig(scenario, model=model, hp=hp)
+        huge = np.zeros((4, 4))
+        huge[0, 0] = huge[0, 1] = huge[1, 0] = 1e300
+        if model is None:  # checked at beta = 0, where nothing overflows
+            ScenarioConfig(scenario, hp=huge)
+        else:
+            with pytest.raises(OutOfRangeError, match="overflows"):
+                ScenarioConfig(scenario, model=model, hp=huge)
 
     @pytest.mark.parametrize("scenario", ["s2", "s3"])
     def test_perturbed_scenarios_take_only_the_bell_state(self, scenario):

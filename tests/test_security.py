@@ -1,7 +1,10 @@
+import inspect
 import math
+import typing
 
 import pytest
 
+from gupbell import security
 from gupbell.errors import GupBellError
 from gupbell.security import (
     build_report, eavesdrop_test, minentropy_bound, violation_margin,
@@ -106,3 +109,11 @@ def test_zero_k_sigma_alarms_on_any_drop():
     alarm, drop = eavesdrop_test(fake_estimate(2.8, 0.01),
                                  fake_estimate(2.79, 0.01), k_sigma=0.0)
     assert alarm and drop > 0.0
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, fn in inspect.getmembers(security, inspect.isfunction)
+    if fn.__module__ == security.__name__ and not name.startswith("_")))
+def test_annotations_name_defined_types(name):
+    # every annotation resolves, so each type it names is in scope
+    typing.get_type_hints(getattr(security, name))
