@@ -282,8 +282,8 @@ def beta_sweep(betas=DEFAULT_SWEEP_BETAS, theta_axis=None, rule: str = "tilt",
     for beta in betas:
         model = GupModel(beta=beta, rule=rule, m=m, jp=jp)
         series = {"qm": qm}
-        for tag in SCENARIOS[1:]:
-            cfg = ScenarioConfig(scenario=tag, model=model, hp=hp)
+        for tag in SCENARIOS[1:]:  # s1 reads no hp, so only s2 and s3 check it
+            cfg = ScenarioConfig(scenario=tag, model=model, hp=None if tag == "s1" else hp)
             series[tag] = BatchEvaluator(cfg).values(*dirs)
         curves.append(SweepCurve(float(beta), theta_axis, series))
     return curves

@@ -587,6 +587,18 @@ class TestBetaSweep:
         with pytest.raises(ValueError):
             beta_sweep(betas=(-0.1,), theta_axis=np.linspace(0, 1, 5))
 
+    def test_checks_hp_only_where_it_is_read(self, monkeypatch, custom_hp):
+        # per beta, s2 and s3 each check hp once and solve it once; s1 reads no hp
+        calls = []
+        solve = gup.perturb_state
+        monkeypatch.setattr(gup, "perturb_state", lambda *a: calls.append(a) or solve(*a))
+        beta_sweep(betas=(0.1, 0.2), theta_axis=np.linspace(0, 1, 5), hp=custom_hp)
+        assert len(calls) == 2 * 4
+        upper = np.zeros((4, 4))
+        upper[0, 1] = 1.0
+        with pytest.raises(HermiticityError):
+            beta_sweep(betas=(0.1,), theta_axis=np.linspace(0, 1, 5), hp=upper)
+
 
 def searching_config() -> ScenarioConfig:
     """Planar s1 settings under an out-of-plane tilt: an optimum found by
