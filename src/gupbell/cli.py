@@ -10,6 +10,7 @@ the last bits of ``optimum.json``.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -553,6 +554,11 @@ def _print_warning(message, *_):
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        # the process entry: move what the imports left to the permanent
+        # generation, so that no collection, the ones at exit included,
+        # walks it again; callers in a process pass argv and keep their heap
+        gc.freeze()
     with warnings.catch_warnings():  # restores the warning printer on return
         warnings.showwarning = _print_warning
         try:

@@ -397,6 +397,21 @@ def _newton_ascent(ev: BatchEvaluator, x: np.ndarray, budget: int):
         s, grad, hess = trial
 
 
+def _largest_first(values: np.ndarray, k: int) -> np.ndarray:
+    """The flat indices of the ``k`` largest values, largest first and
+    ties in index order: ``np.argsort(-values, axis=None, kind="stable")[:k]``
+    without sorting the whole array.  Every value at or above the k-th
+    largest is a candidate, and the candidates come in index order, so a
+    stable sort of them alone keeps the tie order at the cut.  A NaN
+    compares false, so it stays a candidate and sorts last, as in argsort."""
+    flat = -values.ravel()
+    if k >= flat.size:
+        return np.argsort(flat, kind="stable")[:k]
+    kth = np.partition(flat, k - 1)[k - 1]
+    candidates = np.flatnonzero(~(flat > kth))
+    return candidates[np.argsort(flat[candidates], kind="stable")[:k]]
+
+
 def optimize_angles(cfg: ScenarioConfig, *, eight_angles: bool = False,
                     seed: int | None = None) -> Optimum:
     """The settings with the largest S, over planar angles or, with
@@ -422,7 +437,7 @@ def optimize_angles(cfg: ScenarioConfig, *, eight_angles: bool = False,
 
     axis = np.linspace(0.0, TWO_PI, COARSE_STEPS)
     coarse = ev.grid(axis)
-    order = np.argsort(-coarse, axis=None, kind="stable")[:SEARCH_CELLS]
+    order = _largest_first(coarse, SEARCH_CELLS)
     cells = axis[np.stack(np.unravel_index(order, coarse.shape), axis=-1)]
     spent = 0
     best_value = -math.inf

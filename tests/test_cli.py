@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import re
@@ -396,6 +397,21 @@ class TestExitCodes:
             [sys.executable, "-m", "gupbell.cli", "scan", "--scenario", "bogus"],
             capture_output=True, text=True)
         assert proc.returncode == 2
+
+    def test_only_the_process_entry_freezes_the_heap(self, tmp_path, capsys):
+        # main() reads sys.argv and freezes what the imports left; a caller
+        # that passes argv, as this process does, keeps its heap as it was
+        before = gc.get_freeze_count()
+        assert run_main(["optimize", "--out", tmp_path / "in"]) == 0
+        assert gc.get_freeze_count() == before
+        run = ("import gc, sys\nfrom gupbell import cli\nprint(gc.get_freeze_count())\n"
+               f"sys.argv = ['gupbell', 'optimize', '--out', {str(tmp_path / 'entry')!r}]\n"
+               "assert cli.main() == 0\nprint(gc.get_freeze_count())")
+        proc = subprocess.run([sys.executable, "-c", run], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert int(lines[0]) == 0 and int(lines[-1]) > 0
+        assert lines[1].startswith("optimize S=")
 
 
 class TestScenarioSemantics:

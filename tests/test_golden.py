@@ -1,5 +1,6 @@
 """Golden digests: the sha256 of every artifact and of stdout for a fixed
-set of CLI runs, run in-process through ``cli.main``.
+set of CLI runs, run in-process through ``cli.main``; the README runs also
+go through the process entry, ``python -m gupbell.cli``.
 
 A change that alters artifact bytes on purpose updates
 ``golden_digests.json`` in the same commit and names the changed entries
@@ -12,6 +13,7 @@ import contextlib
 import hashlib
 import io
 import json
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -39,6 +41,7 @@ CUSTOM_HP = {"hp": [[[0.5, 0], [0.5, 0.1], [0, 0], [0, 0.3]],
                     [[0, -0.3], [0, 0], [0.2, 0], [-0.4, 0]]]}
 
 #: the five README commands, then runs over every command and scenario
+README_RUNS = 5
 RUNS = [
     ["scan", "--grid-steps", "201"],
     ["sweep", "--betas", "0.1,0.5"],
@@ -77,18 +80,28 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_digests(argv: list, workdir: Path) -> dict:
-    """Run one command in ``workdir`` and digest its stdout and every
-    artifact it wrote, by file name."""
+def in_process(argv: list) -> tuple[int, bytes]:
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, stdout.getvalue().encode()
+
+
+def process_entry(argv: list) -> tuple[int, bytes]:
+    proc = subprocess.run([sys.executable, "-m", "gupbell.cli", *argv], capture_output=True)
+    return proc.returncode, proc.stdout
+
+
+def run_digests(argv: list, workdir: Path, run=in_process) -> dict:
+    """Run one command in ``workdir`` through ``run`` and digest its stdout
+    and every artifact it wrote, by file name."""
     out = workdir / "out"
     (workdir / "custom-jp.json").write_text(json.dumps(CUSTOM_JP))
     (workdir / "hp.json").write_text(json.dumps(CUSTOM_HP))
     argv = [str(workdir / a) if a.endswith(".json") else a for a in argv]
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(argv + ["--out", str(out)])
+    code, stdout = run(argv + ["--out", str(out)])
     assert code == 0, argv
-    digests = {"stdout": _sha256(stdout.getvalue().encode())}
+    digests = {"stdout": _sha256(stdout)}
     digests.update({p.name: _sha256(p.read_bytes()) for p in sorted(out.iterdir())})
     return digests
 
@@ -102,6 +115,13 @@ def label(argv: list) -> str:
 def test_artifacts_match_golden_digests(argv, tmp_path):
     golden = json.loads(DIGESTS.read_text())
     assert run_digests(argv, tmp_path) == golden[label(argv)]
+
+
+@pytest.mark.parametrize("argv", RUNS[:README_RUNS], ids=[label(argv) for argv in RUNS[:README_RUNS]])
+def test_process_entry_matches_golden_digests(argv, tmp_path):
+    # main() without argv freezes the import heap: the bytes must not move
+    golden = json.loads(DIGESTS.read_text())
+    assert run_digests(argv, tmp_path, process_entry) == golden[label(argv)]
 
 
 def test_hp_is_the_custom_hp_fixture(custom_hp):

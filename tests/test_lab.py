@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dense_oracle
 from gupbell import gup, lab, shots
@@ -679,3 +680,34 @@ class TestOptimize:
         opt = optimize_angles(searching_config())
         assert (opt.method, opt.converged) == ("search", False)
         assert opt.evaluations <= lab.COARSE_STEPS**4 + lab.MAX_EVALS + 1
+
+
+def _full_sort(values: np.ndarray, k: int) -> np.ndarray:
+    return np.argsort(-values, axis=None, kind="stable")[:k]
+
+
+@pytest.mark.filterwarnings("ignore:.*no longer small")
+@pytest.mark.parametrize("scenario, beta, m, hp", [
+    ("s1", 0.2, [0.48, 0.6, 0.64], False),
+    ("s1", 0.5, [0.48, 0.6, 0.64], False),
+    ("s3", 0.5, [0.48, 0.6, 0.64], False),
+    ("s1", 0.7, [0.0, 0.6, 0.8], False),
+    ("s3", 0.6, [0.6, 0.8, 0.0], True),
+    ("s1", 1e-9, [0.48, 0.6, 0.64], False),
+    ("qm", 0.0, None, False),  # S unchanged by rotating all four: many exact ties
+])
+def test_best_cells_are_those_of_a_full_stable_sort(scenario, beta, m, hp, custom_hp):
+    model = None if m is None else GupModel(beta=beta, m=m)
+    cfg = ScenarioConfig(scenario, model=model, hp=custom_hp if hp else None)
+    coarse = BatchEvaluator(cfg).grid(np.linspace(0.0, TWO_PI, lab.COARSE_STEPS))
+    order = lab._largest_first(coarse, lab.SEARCH_CELLS)
+    assert np.array_equal(order, _full_sort(coarse, lab.SEARCH_CELLS))
+
+
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.0, -1.0, math.nan]), min_size=1, max_size=40),
+       st.integers(min_value=1, max_value=45))
+@settings(max_examples=300, deadline=None)
+def test_largest_first_keeps_tie_order_at_the_cut(values, k):
+    # a few distinct values, so that nearly every cut falls inside a tie
+    values = np.array(values).reshape(len(values), 1)
+    assert np.array_equal(lab._largest_first(values, k), _full_sort(values, k))
