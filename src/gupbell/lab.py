@@ -398,15 +398,14 @@ def _newton_ascent(ev: BatchEvaluator, x: np.ndarray, budget: int):
 
 
 def _largest_first(values: np.ndarray, k: int) -> np.ndarray:
-    """The flat indices of the ``k`` largest values, largest first and
-    ties in index order: ``np.argsort(-values, axis=None, kind="stable")[:k]``
+    """The flat indices of the ``k`` (at most ``values.size``) largest
+    values, largest first and ties in index order, as
+    ``np.argsort(-values, axis=None, kind="stable")[:k]`` gives them,
     without sorting the whole array.  Every value at or above the k-th
     largest is a candidate, and the candidates come in index order, so a
     stable sort of them alone keeps the tie order at the cut.  A NaN
     compares false, so it stays a candidate and sorts last, as in argsort."""
     flat = -values.ravel()
-    if k >= flat.size:
-        return np.argsort(flat, kind="stable")[:k]
     kth = np.partition(flat, k - 1)[k - 1]
     candidates = np.flatnonzero(~(flat > kth))
     return candidates[np.argsort(flat[candidates], kind="stable")[:k]]

@@ -705,9 +705,10 @@ def test_best_cells_are_those_of_a_full_stable_sort(scenario, beta, m, hp, custo
 
 
 @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.0, -1.0, math.nan]), min_size=1, max_size=40),
-       st.integers(min_value=1, max_value=45))
+       st.integers(min_value=1, max_value=40))
 @settings(max_examples=300, deadline=None)
 def test_largest_first_keeps_tie_order_at_the_cut(values, k):
     # a few distinct values, so that nearly every cut falls inside a tie
+    k = min(k, len(values))
     values = np.array(values).reshape(len(values), 1)
     assert np.array_equal(lab._largest_first(values, k), _full_sort(values, k))
