@@ -9,8 +9,21 @@ the last bits of ``optimum.json``.
 
 from __future__ import annotations
 
-import argparse
 import gc
+import os
+
+if __name__ == "__main__":
+    # the process entry, before numpy loads: numpy's OpenBLAS starts a
+    # worker per extra CPU that spins for ~0.1 s, the whole life of a
+    # command, and takes that CPU from the shot sampler's pair threads; the
+    # CLI's linear algebra is 2x2 and 4x4, so one BLAS thread is enough, and
+    # a value the user set wins.  No collection walks the import heap
+    # either; main() freezes it once the imports are done.  A library
+    # import of this module keeps its collector, environment and BLAS pool
+    gc.disable()
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import argparse
 import json
 import math
 import sys

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -404,14 +405,46 @@ class TestExitCodes:
         before = gc.get_freeze_count()
         assert run_main(["optimize", "--out", tmp_path / "in"]) == 0
         assert gc.get_freeze_count() == before
-        run = ("import gc, sys\nfrom gupbell import cli\nprint(gc.get_freeze_count())\n"
-               f"sys.argv = ['gupbell', 'optimize', '--out', {str(tmp_path / 'entry')!r}]\n"
-               "assert cli.main() == 0\nprint(gc.get_freeze_count())")
-        proc = subprocess.run([sys.executable, "-c", run], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        lines = proc.stdout.splitlines()
-        assert int(lines[0]) == 0 and int(lines[-1]) > 0
-        assert lines[1].startswith("optimize S=")
+        argv = f"sys.argv = ['gupbell', 'optimize', '--out', {str(tmp_path / 'entry')!r}]\n"
+        # both entries run gupbell.cli as __main__, which stops the collector
+        # and caps numpy's BLAS pool at one thread, unless the user set it,
+        # before numpy loads
+        for entry in ("runpy.run_module('gupbell.cli', run_name='__main__', alter_sys=True)",
+                      "gupbell.main()"):
+            run = (f"import gupbell, runpy, sys\n{argv}try:\n    {entry}\n"
+                   "except SystemExit as exc:\n    assert exc.code == 0, exc.code")
+            output, (frozen, collecting, blas, threads) = _process_report(run)
+            assert output[0].startswith("optimize S=")
+            assert frozen > 0 and not collecting and blas == "1", entry
+            assert threads in (None, 1), entry  # numpy loaded, and no BLAS worker
+            assert _process_report(run, OPENBLAS_NUM_THREADS="2")[1][2] == "2", entry
+        # a library import keeps the collector, the environment and numpy's
+        # BLAS pool, also when it calls main() without argv
+        run = ("import gc, sys\nfrom gupbell import cli\nassert gc.get_freeze_count() == 0\n"
+               f"{argv}assert cli.main() == 0")
+        output, (frozen, collecting, blas, threads) = _process_report(run)
+        assert output[0].startswith("optimize S=")
+        assert frozen > 0 and collecting and blas is None
+        assert threads == _process_report("import numpy")[1][3]
+        if threads is None:
+            pytest.skip("no /proc/self/task: the BLAS workers were not counted")
+
+
+def _process_report(code: str, **env) -> tuple[list, list]:
+    """Run ``code`` in a fresh interpreter, with no OPENBLAS_NUM_THREADS in
+    its environment unless ``env`` sets it.  Returns its stdout lines, then
+    what it left: the freeze count, whether the collector runs, the
+    OPENBLAS_NUM_THREADS variable and its thread count (None without /proc)."""
+    report = ("import gc, json, os\ntasks = '/proc/self/task'\n"
+              "print(json.dumps([gc.get_freeze_count(), gc.isenabled(), "
+              "os.environ.get('OPENBLAS_NUM_THREADS'), "
+              "len(os.listdir(tasks)) if os.path.isdir(tasks) else None]))")
+    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run([sys.executable, "-c", f"{code}\n{report}"],
+                          env={**environ, **env}, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    *output, last = proc.stdout.splitlines()
+    return output, json.loads(last)
 
 
 class TestScenarioSemantics:

@@ -1,6 +1,7 @@
 """Golden digests: the sha256 of every artifact and of stdout for a fixed
-set of CLI runs, run in-process through ``cli.main``; the README runs also
-go through the process entry, ``python -m gupbell.cli``.
+set of CLI runs, run in-process through ``cli.main``; the README runs and
+every sample and audit run also go through the process entry,
+``python -m gupbell.cli``.
 
 A change that alters artifact bytes on purpose updates
 ``golden_digests.json`` in the same commit and names the changed entries
@@ -117,9 +118,17 @@ def test_artifacts_match_golden_digests(argv, tmp_path):
     assert run_digests(argv, tmp_path) == golden[label(argv)]
 
 
-@pytest.mark.parametrize("argv", RUNS[:README_RUNS], ids=[label(argv) for argv in RUNS[:README_RUNS]])
+#: the README runs, and every sample and audit run: in the process entry the
+#: shot sampler's pair threads run beside no BLAS worker, and the counts
+#: must not depend on how they overlap
+ENTRY_RUNS = RUNS[:README_RUNS] + [argv for argv in RUNS[README_RUNS:]
+                                   if argv[0] in ("sample", "audit")]
+
+
+@pytest.mark.parametrize("argv", ENTRY_RUNS, ids=[label(argv) for argv in ENTRY_RUNS])
 def test_process_entry_matches_golden_digests(argv, tmp_path):
-    # main() without argv freezes the import heap: the bytes must not move
+    # the entry stops the collector, caps the BLAS pool at one thread and
+    # freezes the import heap: the bytes must not move
     golden = json.loads(DIGESTS.read_text())
     assert run_digests(argv, tmp_path, process_entry) == golden[label(argv)]
 
