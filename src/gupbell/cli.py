@@ -55,6 +55,11 @@ PI = math.pi
 SEED_MAX = 2**64 - 2
 #: largest count an estimate file may hold: counts are stored as int64
 COUNT_MAX = 2**63 - 1
+#: most shots per pair: the four pairs' stream indices must fit in 2**64
+SHOTS_MAX = 2**62
+#: most steps of a scan or sweep axis: the largest n whose n x n float64
+#: table numpy can size (8 n**2 <= 2**63 - 1)
+STEPS_MAX = 2**30 - 1
 
 def _fail(path: str, message: str):
     raise ValidationError(f"{path}: {message}")
@@ -144,6 +149,8 @@ def _check_matrix(raw, path, dim) -> np.ndarray:
     """A dim x dim complex matrix given as nested [re, im] pairs."""
     try:
         arr = np.asarray(raw, dtype=float)
+    except OverflowError:  # a JSON integer beyond the float range, named below
+        arr = np.asarray(raw, dtype=object)
     except (TypeError, ValueError):
         _fail(path, "expected a nested array of [re, im] pairs")
     if arr.shape != (dim, dim, 2):
@@ -173,7 +180,11 @@ def _csv_numbers(path: str, message: str):
     return parse
 
 
-_check_path = partial(_check_type, kind=str, what="a path string")
+def _check_path(value, path) -> str:
+    _check_type(value, path, str, "a path string")
+    if "\0" in value:
+        _fail(path, "a path cannot hold a NUL character")
+    return value
 
 #: every config key, nested keys by dotted path -> (default, checker(value,
 #: path) returning the value to store, argparse keywords of its flag or
@@ -196,12 +207,13 @@ _KEYS = {
     "settings.b_prime": ([-0.25, 0.0], _check_angles, None),
     "grid.min": (0.0, _check_pi_angle, None),
     "grid.max": (2.0, _check_pi_angle, None),
-    "grid.steps": (201, partial(_check_int, minimum=2), {"type": int}),
+    "grid.steps": (201, partial(_check_int, minimum=2, maximum=STEPS_MAX), {"type": int}),
     "betas": (list(lab.DEFAULT_SWEEP_BETAS), _check_betas, {
         "type": _csv_numbers("betas", "expected comma-separated numbers"),
         "help": "comma-separated beta list"}),
-    "theta_steps": (lab.DEFAULT_SWEEP_POINTS, partial(_check_int, minimum=2), None),
-    "shots": (1_000_000, partial(_check_int, minimum=1), {"type": int}),
+    "theta_steps": (lab.DEFAULT_SWEEP_POINTS,
+                    partial(_check_int, minimum=2, maximum=STEPS_MAX), None),
+    "shots": (1_000_000, partial(_check_int, minimum=1, maximum=SHOTS_MAX), {"type": int}),
     "seed": (42, partial(_check_int, minimum=0, maximum=SEED_MAX), {
         "type": int, "help": "shot stream seed of sample and audit; "
                              "no other command reads it"}),

@@ -59,13 +59,16 @@ def classify(s: float) -> str:
 
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig:
-    """Everything needed to evaluate one CHSH scenario at any settings; a
-    given ``hp`` must pass ``gup.perturb_state`` in every scenario."""
+    """Everything needed to evaluate one CHSH scenario at any settings.
+    ``perturbed``, solved once here, is the Bell state corrected to first
+    order by ``hp``, or in s2 and s3 by ``gup.default_perturbation(model)``:
+    a given ``hp`` must pass ``gup.perturb_state`` in every scenario."""
 
     scenario: str = "qm"
     state: PureState = field(default_factory=bell_state)
     model: GupModel | None = None
     hp: np.ndarray | None = None
+    perturbed: PerturbedState | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -76,17 +79,14 @@ class ScenarioConfig:
                 self.state.amplitudes, bell_state().amplitudes):
             raise ValueError(f"scenario {self.scenario} perturbs the Bell state, no other")
         if self.hp is not None:  # a copy, so the caller's array cannot change it
-            hp = np.array(self.hp, dtype=complex)
-            hp.flags.writeable = False
-            object.__setattr__(self, "hp", hp)
-            gup.perturb_state(gup.default_hamiltonian(), hp, 0,
-                              0.0 if self.model is None else self.model.beta)
-
-    def perturbed(self) -> PerturbedState:
-        """The Bell state, ground state of ``gup.default_hamiltonian()``,
-        corrected to first order by ``hp``; solved on each call."""
-        hp = self.hp if self.hp is not None else gup.default_perturbation(self.model)
-        return gup.perturb_state(gup.default_hamiltonian(), hp, 0, self.model.beta)
+            object.__setattr__(self, "hp", np.array(self.hp, dtype=complex))
+            self.hp.flags.writeable = False
+        elif self.scenario in ("qm", "s1"):
+            return  # neither reads a perturbed state
+        hp = gup.default_perturbation(self.model) if self.hp is None else self.hp
+        beta = 0.0 if self.model is None else self.model.beta
+        object.__setattr__(self, "perturbed", gup.perturb_state(
+            gup.default_hamiltonian(), hp, 0, beta))
 
     def moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The moments (r_A, r_B, T) of the scenario's effective unit-trace
@@ -94,7 +94,7 @@ class ScenarioConfig:
         s1 and s3, and of |xi><xi| + beta(|xi_p><xi| + h.c.) for s2."""
         if self.scenario != "s2":
             return moments(self.sampled_state().amplitudes)
-        ps = self.perturbed()
+        ps = self.perturbed
         xi = ps.xi.amplitudes
         return tuple(q + 2.0 * ps.beta * c
                      for q, c in zip(moments(xi), moments(xi, ps.xi_p)))
@@ -114,7 +114,7 @@ class ScenarioConfig:
         if self.scenario == "s2":
             raise OutOfRangeError(
                 "scenario s2 cannot be sampled: its effective operator is not a state")
-        ps = self.perturbed()
+        ps = self.perturbed
         return PureState(ps.corrected_vector() / math.sqrt(ps.norm_sq()))
 
 
@@ -157,12 +157,12 @@ def evaluate_point(cfg: ScenarioConfig, s: ChshSettings) -> ChshResult:
     if cfg.scenario == "qm":
         return ChshResult(value, {})
     if cfg.scenario == "s2":
-        ps = cfg.perturbed()
+        ps = cfg.perturbed
         qm = _chsh(correlators(moments(ps.xi.amplitudes)[2], n))
         cross = _chsh(correlators(moments(ps.xi.amplitudes, ps.xi_p)[2], n))
         return ChshResult(value, {"qm": qm, "cross": cross})
     if cfg.scenario == "s3":
-        return ChshResult(value, {"norm_sq": cfg.perturbed().norm_sq()})
+        return ChshResult(value, {"norm_sq": cfg.perturbed.norm_sq()})
 
     def alice(k):  # weights k on A, A' against B + B' and B - B'
         return float(k[0] * (e[0] + e[1]) + k[1] * (e[2] - e[3]))

@@ -36,6 +36,9 @@ class ShotPlan:
                 raise TypeError(f"{name} must be an int, got {value!r}")
         if self.shots_per_pair < 1:
             raise ValueError("shots_per_pair must be at least 1")
+        # pair j reads stream indices j*N .. j*N + N - 1, all four below 2**64
+        if self.shots_per_pair > 2**62:
+            raise ValueError("shots_per_pair must be at most 2**62")
         # the stream seed is a uint64: any other seed would wrap onto one
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must lie in [0, 2**64)")

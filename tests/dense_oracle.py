@@ -72,7 +72,7 @@ def effective_density(cfg) -> np.ndarray:
     if cfg.scenario in ("qm", "s1"):
         psi = cfg.state.amplitudes
         return np.outer(psi, psi.conj())
-    ps = cfg.perturbed()
+    ps = cfg.perturbed
     if cfg.scenario == "s2":
         xi = ps.xi.amplitudes
         return np.outer(xi, xi.conj()) + ps.beta * (
@@ -240,8 +240,8 @@ def scenario_chsh(cfg, s: ChshSettings) -> ChshResult:
     if cfg.scenario == "s1":
         return scenario1_chsh(cfg.state, s, cfg.model)
     if cfg.scenario == "s2":
-        return scenario2_chsh(cfg.perturbed(), s)
-    return scenario3_chsh(cfg.perturbed(), s, cfg.model)
+        return scenario2_chsh(cfg.perturbed, s)
+    return scenario3_chsh(cfg.perturbed, s, cfg.model)
 
 
 def scan_settings(theta1: float, theta2: float) -> ChshSettings:

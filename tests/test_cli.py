@@ -17,6 +17,7 @@ from gupbell import cli, gup, lab
 from gupbell.errors import ValidationError
 from gupbell.gup import GupModel, gup_correct_observable
 from gupbell.lab import beta_sweep, evaluate_point
+from gupbell.quantum import canonical_settings
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
@@ -277,10 +278,24 @@ class TestExitCodes:
         (["scan", "--config", {"hp": [[1, 2], [3]]}],
          "configuration error: hp: expected a nested array of [re, im] pairs"),
         (["scan", "--config", {"hp": 5}], "configuration error: hp: expected shape 4x4x2, got ()"),
+        # four pairs of 2**62 + 1 shots do not fit in the 2**64 stream indices
+        (["sample", "--shots", str(2**62 + 1)],
+         f"configuration error: shots: must be <= {2**62}"),
+        # numpy cannot size the n x n table of so many steps
+        (["scan", "--grid-steps", str(10**30)],
+         f"configuration error: grid.steps: must be <= {2**30 - 1}"),
+        (["sweep", "--config", {"theta_steps": 10**30}],
+         f"configuration error: theta_steps: must be <= {2**30 - 1}"),
+        (["scan", "--config", {"out": "o\0x"}],
+         "configuration error: out: a path cannot hold a NUL character"),
+        (["audit", "--config", {"baseline_estimate": "e\0.json"}],
+         "configuration error: baseline_estimate: a path cannot hold a NUL character"),
     ], ids=["unknown-command", "no-command", "zero-axis", "non-numeric-betas",
             "section-not-an-object", "document-not-an-object", "negative-noise",
             "noise-above-1", "negative-k-sigma", "negative-beta", "empty-betas",
-            "eight-angles-not-a-boolean", "out-not-a-path", "ragged-hp", "scalar-hp"])
+            "eight-angles-not-a-boolean", "out-not-a-path", "ragged-hp", "scalar-hp",
+            "shots-beyond-the-stream", "grid-steps-beyond-numpy",
+            "theta-steps-beyond-numpy", "nul-in-out", "nul-in-estimate-path"])
     def test_command_rejection_is_2(self, tmp_path, capsys, argv, message):
         # argparse exits 2 on a command line it cannot parse, main returns 2
         # on a value a checker refuses; a JSON document in argv is passed as
@@ -520,6 +535,9 @@ _ESTIMATE = {"s_hat": 2.4, "stderr": 0.05059644256269407, "shots_per_pair": 1000
      "counts.ab[0]"),
     # integers beyond the float and the int64 range
     ("config", {"beta": 10**400}, "beta"),
+    ("config", {"hp": [[[10**400, 0]] * 4] * 4}, "hp[0][0][0]"),
+    ("config", {"model": "custom", "jp": [[[0, 0], [0, 0]], [[0, 0], [0, 10**400]]]},
+     "jp[1][1][1]"),
     ("estimate", {"counts": dict(_ESTIMATE["counts"], ab=[2**64, 0, 0, 0])},
      "counts.ab[0]"),
     # each bound, and the span, must stay finite in radians
@@ -798,6 +816,31 @@ def test_sweep_reports_the_tagged_scenario(tmp_path, capsys, scenario, region):
     assert value == max(float(line.split(",")[column]) for line in lines[1:])
     if scenario == "qm":
         assert value <= TSIRELSON
+
+
+@pytest.mark.parametrize("given_hp", [False, True], ids=["default-hp", "given-hp"])
+@pytest.mark.parametrize("scenario, path", [
+    *((scenario, path) for scenario in ("s2", "s3")
+      for path in ("evaluate_point", "grid_scan", "optimize_angles")),
+    ("s3", "sample"), ("s3", "audit")])
+def test_each_config_solves_its_perturbation_once(tmp_path, monkeypatch, custom_hp,
+                                                   scenario, path, given_hp):
+    # ScenarioConfig solves it when built, and every value reads that solve
+    calls = []
+    solve = gup.perturb_state
+    monkeypatch.setattr(gup, "perturb_state", lambda *a: calls.append(a) or solve(*a))
+    hp = custom_hp if given_hp else None
+    if path in ("sample", "audit"):
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps({"scenario": scenario, "shots": 1000,
+                                       **({"hp": _pairs(hp)} if given_hp else {})}))
+        assert run_main([path, "--config", cfgfile, "--out", tmp_path / "out"]) == 0
+    else:
+        cfg = lab.ScenarioConfig(scenario, model=GupModel(beta=0.2), hp=hp)
+        {"evaluate_point": lambda: evaluate_point(cfg, canonical_settings()),
+         "grid_scan": lambda: lab.grid_scan(cfg, resolution=5),
+         "optimize_angles": lambda: lab.optimize_angles(cfg)}[path]()
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("flag, key, value, code", [

@@ -72,6 +72,28 @@ class TestScenarioConfig:
         replaced = dataclasses.replace(cfg, hp=custom_hp)
         assert evaluate_point(replaced, canonical_settings()).value == fresh != before
 
+    def test_perturbed_is_solved_when_built(self, custom_hp):
+        model = GupModel(beta=0.2)
+        h0 = gup.default_hamiltonian()
+        for scenario in ("s2", "s3"):
+            for hp in (None, custom_hp):
+                solved = gup.perturb_state(
+                    h0, gup.default_perturbation(model) if hp is None else hp, 0, 0.2)
+                cfg = ScenarioConfig(scenario, model=model, hp=hp)
+                assert np.array_equal(cfg.perturbed.xi_p, solved.xi_p)
+                assert cfg.perturbed.beta == 0.2
+        # qm and s1 read no state correction: solved only to check a given hp
+        assert ScenarioConfig("s1", model=model).perturbed is None
+        assert ScenarioConfig(hp=custom_hp).perturbed.beta == 0.0
+        # no caller sets it
+        cfg = ScenarioConfig("s2", model=model)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.perturbed = None
+        with pytest.raises(TypeError):
+            ScenarioConfig("s2", model=model, perturbed=cfg.perturbed)
+        with pytest.raises(ValueError):
+            dataclasses.replace(cfg, perturbed=None)
+
     def test_owns_its_hp(self, custom_hp):
         hp = custom_hp.copy()
         cfg = ScenarioConfig("s3", model=GupModel(beta=0.2), hp=hp)
@@ -589,12 +611,12 @@ class TestBetaSweep:
             beta_sweep(betas=(-0.1,), theta_axis=np.linspace(0, 1, 5))
 
     def test_checks_hp_only_where_it_is_read(self, monkeypatch, custom_hp):
-        # per beta, at most one check and one solve in each of s2 and s3; s1 reads no hp
+        # per beta, one solve, which checks hp, in each of s2 and s3; s1 reads no hp
         calls = []
         solve = gup.perturb_state
         monkeypatch.setattr(gup, "perturb_state", lambda *a: calls.append(a) or solve(*a))
         beta_sweep(betas=(0.1, 0.2), theta_axis=np.linspace(0, 1, 5), hp=custom_hp)
-        assert len(calls) <= 2 * 4
+        assert len(calls) == 2 * 2
         upper = np.zeros((4, 4))
         upper[0, 1] = 1.0
         with pytest.raises(HermiticityError):

@@ -27,6 +27,13 @@ class TestPlansAndTables:
         with pytest.raises(ValueError):
             ShotPlan(shots_per_pair=10, noise_p=1.5)
 
+    def test_shots_per_pair_must_fit_the_stream(self):
+        # pair j reads stream indices j*N .. j*N + N - 1: four pairs fit in
+        # the 2**64 indices only up to N = 2**62
+        with pytest.raises(ValueError, match="shots_per_pair"):
+            ShotPlan(shots_per_pair=2**62 + 1)
+        ShotPlan(shots_per_pair=2**62)  # built, never sampled
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_uint64_rejected(self, seed):
         # such a seed would wrap onto the stream of 2**64 - 1 or of 0
