@@ -535,9 +535,6 @@ _ESTIMATE = {"s_hat": 2.4, "stderr": 0.05059644256269407, "shots_per_pair": 1000
      "counts.ab[0]"),
     # integers beyond the float and the int64 range
     ("config", {"beta": 10**400}, "beta"),
-    ("config", {"hp": [[[10**400, 0]] * 4] * 4}, "hp[0][0][0]"),
-    ("config", {"model": "custom", "jp": [[[0, 0], [0, 0]], [[0, 0], [0, 10**400]]]},
-     "jp[1][1][1]"),
     ("estimate", {"counts": dict(_ESTIMATE["counts"], ab=[2**64, 0, 0, 0])},
      "counts.ab[0]"),
     # each bound, and the span, must stay finite in radians
@@ -553,6 +550,10 @@ _ESTIMATE = {"s_hat": 2.4, "stderr": 0.05059644256269407, "shots_per_pair": 1000
     ("estimate", {"correlators": dict(_ESTIMATE["correlators"], x=0.6)},
      "correlators.x"),
     ("estimate", {"counts": dict(_ESTIMATE["counts"], zz=[1, 2, 3, 4])}, "counts.zz"),
+    # integers beyond the float range inside the nested pair arrays
+    ("config", {"hp": [[[10**400, 0]] * 4] * 4}, "hp[0][0][0]"),
+    ("config", {"model": "custom", "jp": [[[0, 0], [0, 0]], [[0, 0], [0, 10**400]]]},
+     "jp[1][1][1]"),
 ])
 def test_json_numbers_must_be_numbers(tmp_path, capsys, target, doc, key):
     cfgfile = tmp_path / "run.json"
