@@ -188,18 +188,18 @@ def _check_path(value, path) -> str:
 
 #: every config key, nested keys by dotted path -> (default, checker(value,
 #: path) returning the value to store, argparse keywords of its flag or
-#: None).  Keys are checked in this order, each just before its alias.  A
-#: flag is named after its key, or its alias, with dashes for dots and
-#: underscores ("--grid-steps" sets grid.steps, "--m" sets model.m), except
-#: "--model", which sets model.rule; a flag value is checked as a file value is
+#: None).  Keys are checked in this order.  A flag is named after its key
+#: with dashes for dots and underscores ("--grid-steps" sets grid.steps),
+#: except those in _FLAG_NAMES; a flag value is checked as a file value is
 _KEYS = {
     "scenario": ("qm", partial(_check_choice, choices=lab.SCENARIOS),
                  {"help": f"one of {', '.join(lab.SCENARIOS)}"}),
     "beta": (0.1, _check_beta, {"type": float}),
     "model.rule": ("tilt", partial(_check_choice, choices=gup.RULES),
                    {"help": f"one of {', '.join(gup.RULES)}"}),
-    "model.m": (None, _validate_axis, {"type": _csv_numbers("m", "expected x,y,z numbers"),
-                                       "help": "tilt axis as x,y,z"}),
+    "model.m": (None, _validate_axis, {
+        "type": _csv_numbers("model.m", "expected x,y,z numbers"),
+        "help": "tilt axis as x,y,z"}),
     "model.jp": (None, partial(_check_matrix, dim=2), None),
     "settings.a": ([0.0, 0.0], _check_angles, None),
     "settings.a_prime": ([0.5, 0.0], _check_angles, None),
@@ -226,9 +226,8 @@ _KEYS = {
     "observed_estimate": (None, _check_path, None),
 }
 
-#: model key -> the top-level key that also sets it; a file's top-level
-#: value is checked after, and wins over, its model section's
-_ALIASES = {"model.m": "m", "model.jp": "jp"}
+#: config key -> its flag, where the flag is not named after the key
+_FLAG_NAMES = {"model.rule": "--model", "model.m": "--m"}
 
 #: config objects whose keys are listed above as "<section>.<key>"
 _SECTIONS = ("model", "grid", "settings")
@@ -241,11 +240,9 @@ def _flatten(doc, prefix="") -> dict:
     flat = {}
     for key, value in doc.items():
         path = prefix + key
-        if path == "model" and isinstance(value, str):
-            flat["model.rule"] = value
-        elif path in _SECTIONS:
+        if path in _SECTIONS:
             flat.update(_flatten(value, path + "."))
-        elif "." not in key and (path in _KEYS or path in _ALIASES.values()):
+        elif "." not in key and path in _KEYS:
             flat[path] = value
         else:
             _fail(path, "unknown configuration key")
@@ -253,12 +250,11 @@ def _flatten(doc, prefix="") -> dict:
 
 
 def _apply(cfg: dict, values: dict):
-    """Check and store the values of config keys and aliases in ``values``,
-    ignoring other names."""
+    """Check and store the values of config keys in ``values``, ignoring
+    other names."""
     for key, (_, check, _) in _KEYS.items():
-        for path in (key, _ALIASES.get(key)):
-            if path in values:
-                cfg[key] = check(values[path], path)
+        if key in values:
+            cfg[key] = check(values[key], key)
     if cfg["grid.max"] <= cfg["grid.min"]:
         _fail("grid.max", "must exceed grid.min")
     if not math.isfinite(cfg["grid.max"] * PI - cfg["grid.min"] * PI):
@@ -274,10 +270,8 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON configuration file")
     for key, (_, _, flag) in _KEYS.items():
         if flag is not None:
-            dest = _ALIASES.get(key, key)
-            name = "--model" if key == "model.rule" else "--" + dest.replace(
-                ".", "-").replace("_", "-")
-            parser.add_argument(name, dest=dest, **flag)
+            name = _FLAG_NAMES.get(key) or "--" + key.replace(".", "-").replace("_", "-")
+            parser.add_argument(name, dest=key, **flag)
     return parser
 
 
@@ -298,25 +292,27 @@ def _chsh_settings(cfg: dict) -> ChshSettings:
 
 def _scenario_config(cfg: dict) -> ScenarioConfig:
     """The run's scenario with its model built and its hp checked, so an
-    input the physics rejects exits 2 in every command and scenario."""
-    for key, rule in (("m", "tilt"), ("jp", "custom")):
-        if cfg[f"model.{key}"] is not None and cfg["model.rule"] != rule:
+    input the physics rejects exits 2 in every command and scenario.  A
+    sweep evaluates every scenario itself: its config is s1's, which
+    solves no default perturbation and reads only the model and the hp."""
+    for key, rule in (("model.m", "tilt"), ("model.jp", "custom")):
+        if cfg[key] is not None and cfg["model.rule"] != rule:
             _fail(key, f"applies to the {rule} rule only, not {cfg['model.rule']}")
     # a sweep builds a model at each beta in betas; the identity-part check
     # of a custom jp and the reach grow with beta, so check it at the largest
-    key, beta = (("betas", max(cfg["betas"])) if cfg["command"] == "sweep"
-                 else ("beta", cfg["beta"]))
+    key, beta, tag = (("betas", max(cfg["betas"]), "s1") if cfg["command"] == "sweep"
+                      else ("beta", cfg["beta"], cfg["scenario"]))
     try:
         model = GupModel(beta=beta, rule=cfg["model.rule"], jp=cfg["model.jp"],
                          **({} if cfg["model.m"] is None else {"m": cfg["model.m"]}))
     except (HermiticityError, AmbiguousBranchError) as exc:
-        _fail("jp", str(exc))
+        _fail("model.jp", str(exc))
     except OutOfRangeError as exc:
         _fail(key, str(exc))
     except ValueError as exc:  # the tilt axis is not a unit vector
-        _fail("m", str(exc))
+        _fail("model.m", str(exc))
     try:
-        return ScenarioConfig(scenario=cfg["scenario"], model=model, hp=cfg["hp"])
+        return ScenarioConfig(scenario=tag, model=model, hp=cfg["hp"])
     except (HermiticityError, OutOfRangeError) as exc:
         _fail("hp", str(exc))
 

@@ -170,6 +170,8 @@ def estimate_chsh(state: PureState, s: ChshSettings, plan: ShotPlan,
     def sample(pairs):
         try:
             for j in pairs:
+                if errors:  # a group has failed: its error is raised below
+                    return
                 counts[j] = kernels.sample_counts(plan.seed, j * n, n, cumulative[j])
         except Exception as exc:
             errors.append(exc)

@@ -58,17 +58,17 @@ class TestConfigParsing:
         assert cfg["model.m"] == [0.6, 0.0, 0.8]
 
     def test_axis_norm_validated(self, tmp_path):
-        # GupModel checks the norm, reported under m
+        # GupModel checks the norm, reported under model.m
         path = tmp_path / "run.json"
-        path.write_text(json.dumps({"m": [1.0, 1.0, 0.0]}))
+        path.write_text(json.dumps({"model": {"m": [1.0, 1.0, 0.0]}}))
         cfg = cli.parse_config(["scan", "--config", str(path)])
-        with pytest.raises(ValidationError, match="m: axis norm"):
+        with pytest.raises(ValidationError, match="model.m: axis norm"):
             cli._scenario_config(cfg)
 
     def test_axis_tiny_deviation_normalized(self, tmp_path):
         m = [0.0, 0.0, 1.0 + 5e-7]
         path = tmp_path / "run.json"
-        path.write_text(json.dumps({"m": m}))
+        path.write_text(json.dumps({"model": {"m": m}}))
         cfg = cli.parse_config(["scan", "--config", str(path)])
         with pytest.warns(UserWarning, match="normalizing"):
             model = cli._scenario_config(cfg).model
@@ -239,13 +239,13 @@ class TestAudit:
 
 class TestExitCodes:
     def test_help_names_every_command_and_flag(self, capsys):
-        # each flag stores its value under the key, or the top-level alias,
-        # whose checker a file value of that key meets
+        # each flag stores its value under the key whose checker a file
+        # value of that key meets
         flags = {action.option_strings[0]: action.dest
                  for action in cli._build_arg_parser()._actions if action.option_strings}
         assert flags == {
             "-h": "help", "--config": "config", "--scenario": "scenario",
-            "--beta": "beta", "--model": "model.rule", "--m": "m",
+            "--beta": "beta", "--model": "model.rule", "--m": "model.m",
             "--grid-steps": "grid.steps", "--betas": "betas", "--shots": "shots",
             "--seed": "seed", "--noise-p": "noise_p", "--k-sigma": "k_sigma",
             "--out": "out"}
@@ -258,7 +258,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, message", [
         (["bogus"], "argument command: invalid choice: 'bogus'"),
         ([], "the following arguments are required: command"),
-        (["scan", "--m", "0,0,0"], "configuration error: m: axis must be non-zero"),
+        (["scan", "--m", "0,0,0"], "configuration error: model.m: axis must be non-zero"),
         (["sweep", "--betas", "a,b"],
          "configuration error: betas: expected comma-separated numbers"),
         (["scan", "--config", {"grid": 5}], "configuration error: grid: expected an object"),
@@ -522,9 +522,9 @@ _ESTIMATE = {"s_hat": 2.4, "stderr": 0.05059644256269407, "shots_per_pair": 1000
     ("config", {"settings": {"a": "12"}}, "settings.a"),
     ("config", {"settings": {"a": [True, False]}}, "settings.a[0]"),
     ("config", {"settings": {"b": [0.25]}}, "settings.b"),
-    ("config", {"m": "001"}, "m"),
+    ("config", {"model": {"m": "001"}}, "model.m"),
     ("config", {"model": {"m": [0, 0, True]}}, "model.m[2]"),
-    ("config", {"jp": [[["0", 0], [1, 0]], [[1, 0], [0, 0]]]}, "jp[0][0][0]"),
+    ("config", {"model": {"jp": [[["0", 0], [1, 0]], [[1, 0], [0, 0]]]}}, "model.jp[0][0][0]"),
     ("config", {"hp": _pairs(np.diag([-1.0, 0.0, 1.0, 2.0]) + 0j)[:3]
                 + [[[0, 0], [0, 0], [0, 0], [True, 0]]]}, "hp[3][3][0]"),
     ("config", {"hp": [[["0.5", 0]] * 4] * 4}, "hp[0][0][0]"),
@@ -552,8 +552,9 @@ _ESTIMATE = {"s_hat": 2.4, "stderr": 0.05059644256269407, "shots_per_pair": 1000
     ("estimate", {"counts": dict(_ESTIMATE["counts"], zz=[1, 2, 3, 4])}, "counts.zz"),
     # integers beyond the float range inside the nested pair arrays
     ("config", {"hp": [[[10**400, 0]] * 4] * 4}, "hp[0][0][0]"),
-    ("config", {"model": "custom", "jp": [[[0, 0], [0, 0]], [[0, 0], [0, 10**400]]]},
-     "jp[1][1][1]"),
+    ("config", {"model": {"rule": "custom",
+                          "jp": [[[0, 0], [0, 0]], [[0, 0], [0, 10**400]]]}},
+     "model.jp[1][1][1]"),
 ])
 def test_json_numbers_must_be_numbers(tmp_path, capsys, target, doc, key):
     cfgfile = tmp_path / "run.json"
@@ -590,8 +591,9 @@ def test_estimate_without_shots_is_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("doc, key", [
-    ({"model": {"rule": "custom", "jp": _pairs(np.diag([1.0, 0.0]) + 0j)}}, "jp"),
-    ({"model": {"rule": "custom", "jp": _pairs(np.array([[0, 1], [0, 0]]) + 0j)}}, "jp"),
+    ({"model": {"rule": "custom", "jp": _pairs(np.diag([1.0, 0.0]) + 0j)}}, "model.jp"),
+    ({"model": {"rule": "custom", "jp": _pairs(np.array([[0, 1], [0, 0]]) + 0j)}},
+     "model.jp"),
     ({"hp": _pairs(_NON_HERMITIAN_4 + 0j)}, "hp"),
     ({"hp": _pairs(_NEAR_HERMITIAN_4 + 0j)}, "hp"),
     # every scenario starts from the Bell state, so no unperturbed
@@ -599,9 +601,9 @@ def test_estimate_without_shots_is_2(tmp_path, capsys):
     # its matrix
     ({"h0": _pairs(_NON_HERMITIAN_4 + 0j)}, "h0"),
     ({"h0": _pairs(np.diag([0.0, 0.0, 1.0, 2.0]) + 0j)}, "h0"),
-    ({"model": "custom"}, "jp"),
-    ({"model": {"rule": "tilt", "jp": _pairs(np.array([[1, 5], [0, 0]]) + 0j)}}, "jp"),
-    ({"model": {"rule": "self-cubic", "m": [1, 0, 0]}}, "m"),
+    ({"model": {"rule": "custom"}}, "model.jp"),
+    ({"model": {"rule": "tilt", "jp": _pairs(np.array([[1, 5], [0, 0]]) + 0j)}}, "model.jp"),
+    ({"model": {"rule": "self-cubic", "m": [1, 0, 0]}}, "model.m"),
     ({"hp": _pairs(_HUGE_HP + 0j)}, "hp"),
 ], ids=["traceful-jp", "non-hermitian-jp", "non-hermitian-hp", "near-hermitian-hp",
         "non-hermitian-h0", "degenerate-h0", "custom-without-jp", "jp-under-tilt",
@@ -629,6 +631,22 @@ def test_h0_is_an_unknown_key(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("doc, error", [
+    ({"m": [0, 0.6, 0.8]}, "m: unknown configuration key"),
+    ({"model": {"rule": "custom"}, "jp": _pairs(np.diag([0.5, -0.5]) + 0j)},
+     "jp: unknown configuration key"),
+    ({"model": "self-cubic"}, "model: expected an object"),
+], ids=["top-level-m", "top-level-jp", "model-string"])
+def test_model_keys_have_one_spelling(tmp_path, capsys, doc, error):
+    # rule, m and jp are set inside the model object only
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text(json.dumps(doc))
+    for command in cli.COMMANDS:
+        assert run_main([command, "--config", cfgfile, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == f"configuration error: {error}\n"
+    assert not (tmp_path / "out").exists()
+
+
 small = st.floats(-2.0, 2.0, allow_nan=False)
 # a positive norm: [5e-324, 0, 0] is nonzero, but its norm underflows to 0
 # and it would normalize to NaN
@@ -637,15 +655,15 @@ axes = st.lists(small, min_size=3, max_size=3).filter(
 fuzz_configs = st.fixed_dictionaries(
     {"scenario": st.sampled_from(lab.SCENARIOS), "beta": st.floats(0.0, 1.5)},
     optional={
-        "model": st.one_of(
-            st.sampled_from(gup.RULES),
-            st.fixed_dictionaries({"rule": st.sampled_from(gup.RULES)},
-                                  optional={"m": axes})),
-        "m": axes.map(lambda v: (np.asarray(v) / np.linalg.norm(v)).tolist()),
-        # traceless, sometimes with an identity part
-        "jp": st.tuples(st.integers(0, 99), st.floats(0.0, 2.0),
-                        st.sampled_from([0.0, 0.0, 0.5])).map(
-            lambda t: _pairs(_hermitian(t[0], 2, t[1]) + t[2] * np.eye(2))),
+        "model": st.fixed_dictionaries({}, optional={
+            "rule": st.sampled_from(gup.RULES),
+            # any axis, or a unit one
+            "m": st.one_of(axes, axes.map(
+                lambda v: (np.asarray(v) / np.linalg.norm(v)).tolist())),
+            # traceless, sometimes with an identity part
+            "jp": st.tuples(st.integers(0, 99), st.floats(0.0, 2.0),
+                            st.sampled_from([0.0, 0.0, 0.5])).map(
+                lambda t: _pairs(_hermitian(t[0], 2, t[1]) + t[2] * np.eye(2)))}),
         "hp": st.tuples(st.integers(0, 99), st.floats(0.0, 1.5)).map(
             lambda t: _pairs(_hermitian(t[0], 4, t[1]))),
         "settings": st.dictionaries(
@@ -737,8 +755,8 @@ class TestFirstOrderDomain:
     the same inputs exit 2 whatever directions a command would evaluate."""
 
     @pytest.mark.parametrize("doc", [
-        {"beta": 1.0001, "m": [0.6, 0.0, 0.8]},
-        {"beta": 1.0, "model": "self-cubic"},
+        {"beta": 1.0001, "model": {"m": [0.6, 0.0, 0.8]}},
+        {"beta": 1.0, "model": {"rule": "self-cubic"}},
         {"beta": 0.5, "model": {"rule": "custom",
                                 "jp": _pairs(2.0 * np.array([[0, -1j], [1j, 0]]))}},
     ], ids=["tilt", "self-cubic", "custom"])
@@ -822,7 +840,7 @@ def test_sweep_reports_the_tagged_scenario(tmp_path, capsys, scenario, region):
 @pytest.mark.parametrize("given_hp", [False, True], ids=["default-hp", "given-hp"])
 @pytest.mark.parametrize("scenario, path", [
     *((scenario, path) for scenario in ("s2", "s3")
-      for path in ("evaluate_point", "grid_scan", "optimize_angles")),
+      for path in ("evaluate_point", "grid_scan", "optimize_angles", "sweep")),
     ("s3", "sample"), ("s3", "audit")])
 def test_each_config_solves_its_perturbation_once(tmp_path, monkeypatch, custom_hp,
                                                    scenario, path, given_hp):
@@ -831,9 +849,10 @@ def test_each_config_solves_its_perturbation_once(tmp_path, monkeypatch, custom_
     solve = gup.perturb_state
     monkeypatch.setattr(gup, "perturb_state", lambda *a: calls.append(a) or solve(*a))
     hp = custom_hp if given_hp else None
-    if path in ("sample", "audit"):
+    if path in ("sample", "audit", "sweep"):
         cfgfile = tmp_path / "run.json"
         cfgfile.write_text(json.dumps({"scenario": scenario, "shots": 1000,
+                                       "betas": [0.1, 0.2], "theta_steps": 5,
                                        **({"hp": _pairs(hp)} if given_hp else {})}))
         assert run_main([path, "--config", cfgfile, "--out", tmp_path / "out"]) == 0
     else:
@@ -841,7 +860,9 @@ def test_each_config_solves_its_perturbation_once(tmp_path, monkeypatch, custom_
         {"evaluate_point": lambda: evaluate_point(cfg, canonical_settings()),
          "grid_scan": lambda: lab.grid_scan(cfg, resolution=5),
          "optimize_angles": lambda: lab.optimize_angles(cfg)}[path]()
-    assert len(calls) == 1
+    # a sweep builds an s2 and an s3 config at each of its two betas; the
+    # run's own config solves only to check a given hp
+    assert len(calls) == (2 * 2 + given_hp if path == "sweep" else 1)
 
 
 @pytest.mark.parametrize("flag, key, value, code", [
@@ -853,7 +874,8 @@ def test_each_config_solves_its_perturbation_once(tmp_path, monkeypatch, custom_
 def test_flag_and_file_share_one_check(tmp_path, capsys, flag, key, value, code):
     # a flag value reaches the checker of its config key, as a file value does
     cfgfile = tmp_path / "run.json"
-    cfgfile.write_text(json.dumps({key.split(".")[0]: value}))
+    section, _, name = key.rpartition(".")
+    cfgfile.write_text(json.dumps({section: {name: value}} if section else {key: value}))
     errors = []
     for argv in ([flag, value], ["--config", cfgfile]):
         assert run_main(["optimize", *argv, "--out", tmp_path / "out"]) == code
@@ -873,7 +895,7 @@ def test_one_tilt_axis_rule(tmp_path, capsys, off):
                      "--m", ",".join(repr(x) for x in m), "--out", tmp_path]) == (
         0 if accepted else 2)
     if not accepted:
-        assert "configuration error: m: axis norm" in capsys.readouterr().err
+        assert "configuration error: model.m: axis norm" in capsys.readouterr().err
     for build in (lambda: GupModel(beta=0.5, m=m), lambda: beta_sweep([0.5], [0.0], m=m)):
         if accepted:
             build()

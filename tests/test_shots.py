@@ -269,3 +269,30 @@ class TestPairThreads:
         with pytest.raises(MemoryError, match="apbp"):
             estimate_chsh(bell_state(), canonical_settings(), plan)
         assert threading.active_count() == before
+
+    def test_caller_stops_after_a_worker_error(self, monkeypatch):
+        # two groups: the caller samples pairs 0 and 2, the worker 1 and 3.
+        # Pair 0, if the caller starts it, returns only once the worker has
+        # failed on pair 1 and ended
+        plan = ShotPlan(shots_per_pair=1000, seed=5)
+        failed = threading.Event()
+        worker = []
+        sampled = []
+
+        def fake(seed, base, n, cumulative):
+            j = base // n
+            sampled.append(j)
+            if j == 1:
+                worker.append(threading.current_thread())
+                failed.set()
+                raise MemoryError("pair 1")
+            if j == 0:
+                assert failed.wait(timeout=10)
+                worker[0].join(timeout=10)
+            return np.array([n, 0, 0, 0])
+
+        monkeypatch.setattr(shots, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(kernels, "sample_counts", fake)
+        with pytest.raises(MemoryError, match="pair 1"):
+            estimate_chsh(bell_state(), canonical_settings(), plan)
+        assert 1 in sampled and 2 not in sampled and 3 not in sampled

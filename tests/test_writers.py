@@ -46,7 +46,7 @@ def test_scan_matches_per_cell_oracle(tmp_path, scenario, steps):
 
 
 def test_scan_custom_bounds_match_per_cell_oracle(tmp_path):
-    doc = {"scenario": "s1", "beta": 0.2, "m": [0.6, 0.0, 0.8],
+    doc = {"scenario": "s1", "beta": 0.2, "model": {"m": [0.6, 0.0, 0.8]},
            "grid": {"min": -0.37, "max": 1.21, "steps": 37}}
     cfg, _ = run_cli(tmp_path, doc, "scan")
     grid = lab.grid_scan(cli._scenario_config(cfg), resolution=37,
@@ -107,7 +107,7 @@ def test_constant_grid_takes_the_degenerate_range(tmp_path, value, monkeypatch):
 @pytest.mark.parametrize("betas", [[0.1], [0.1, 0.5], [0.0, 0.3, 0.9],
                                    [0.05, 0.2, 0.45, 0.7]])
 def test_sweep_matches_per_cell_oracle(tmp_path, betas, theta_steps):
-    doc = {"betas": betas, "theta_steps": theta_steps, "m": [0.6, 0.0, 0.8]}
+    doc = {"betas": betas, "theta_steps": theta_steps, "model": {"m": [0.6, 0.0, 0.8]}}
     cfg, best = run_cli(tmp_path, doc, "sweep")
     curves = lab.beta_sweep(betas, np.linspace(0.0, 2.0 * np.pi, theta_steps),
                             m=cfg["model.m"])
