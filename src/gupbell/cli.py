@@ -31,7 +31,6 @@ import warnings
 from dataclasses import asdict
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -45,9 +44,6 @@ from .errors import (
 from .gup import GupModel
 from .lab import ScenarioConfig, classify
 from .quantum import CLASSICAL_BOUND, ChshSettings, Direction
-
-if TYPE_CHECKING:
-    from .shots import ChshEstimate, ShotPlan
 
 PI = math.pi
 
@@ -469,7 +465,7 @@ def _run_optimize(cfg: dict, scenario: ScenarioConfig, out: Path) -> float:
     return opt.value
 
 
-def _estimate_payload(est: ChshEstimate, plan: ShotPlan) -> dict:
+def _estimate_payload(est, plan) -> dict:
     from . import shots
     return {
         "s_hat": est.s_hat,
@@ -484,8 +480,8 @@ def _estimate_payload(est: ChshEstimate, plan: ShotPlan) -> dict:
 
 
 def _sample_estimate(cfg: dict, scenario: ScenarioConfig, noise_p: float,
-                     seed: int) -> tuple[ChshEstimate, ShotPlan]:
-    """Shots from the scenario's own state and (corrected) observables."""
+                     seed: int) -> tuple:
+    """Shots from the scenario's own state and (corrected) observables, and their plan."""
     from . import shots
     plan = shots.ShotPlan(shots_per_pair=cfg["shots"], seed=seed, noise_p=noise_p)
     settings = _chsh_settings(cfg)
@@ -506,7 +502,7 @@ def _run_sample(cfg: dict, scenario: ScenarioConfig, out: Path) -> float:
 DERIVED_TOL = 1e-12
 
 
-def _load_estimate(path: str) -> ChshEstimate:
+def _load_estimate(path: str):
     """The estimate derived from a file's counts; the file's own ``s_hat``,
     ``stderr`` and ``correlators`` must agree with it."""
     from . import shots

@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensor
 from .errors import AmbiguousBranchError, HermiticityError, OutOfRangeError
 from .quantum import (
-    BELL_BASIS, SIGMA_X, SIGMA_Z, Direction, PureState, directions, pauli_parts, spin,
+    BELL_BASIS, SIGMA_X, SIGMA_Z, Direction, PureState, directions, frozen, is_hermitian,
+    pauli_parts, spin,
 )
 
 RULES = ("self-cubic", "tilt", "custom")
@@ -68,8 +68,7 @@ class GupModel:
             raise ValueError(f"unknown rule {self.rule!r}; expected one of {RULES}")
         if self.jp is not None and self.rule != "custom":
             raise ValueError(f"jp applies to the custom rule only, not {self.rule}")
-        m = np.array(self.m, dtype=float).reshape(-1)  # a copy: the caller may change its array
-        m.flags.writeable = False
+        m = frozen(self.m, float).reshape(-1)  # a copy: the caller may change its array
         axis = np.zeros(3)
         if self.rule == "tilt":
             if m.shape[0] != 3:
@@ -77,21 +76,20 @@ class GupModel:
             norm = math.sqrt(sum(x * x for x in m.tolist()))
             if not abs(norm - 1.0) <= 1e-6:
                 raise ValueError(f"axis norm {norm:.9g} deviates from 1 by more than 1e-6")
-            axis = m if norm == 1.0 else m / norm
+            axis = m / norm
             if abs(norm - 1.0) > 1e-12:  # beyond rounding
                 warnings.warn(f"m: normalizing axis (norm {norm:.12g})")
         object.__setattr__(self, "m", m)
         if self.rule == "custom":
-            jp = np.array(self.jp, dtype=complex)
-            jp.flags.writeable = False
+            jp = frozen(self.jp, complex)
             object.__setattr__(self, "jp", jp)
             identity, axis = pauli_parts(jp)
             if 2.0 * abs(self.beta * identity) > BRANCH_MISMATCH_TOL:
                 raise AmbiguousBranchError(
                     f"custom jp has identity part {identity:.12g}: the eigenvalue "
                     "branch magnitudes differ; normalization undefined")
-        object.__setattr__(self, "axis", axis)
-        object.__setattr__(self, "shift", self.beta * axis)
+        object.__setattr__(self, "axis", frozen(axis, float))
+        object.__setattr__(self, "shift", frozen(self.beta * axis, float))
         reach = self.beta * (1.0 if self.rule == "self-cubic" else np.linalg.norm(axis))
         if reach >= 1.0:
             raise OutOfRangeError(f"|beta'| reaches beta * |a| = {reach:.12g} >= 1; "
@@ -186,6 +184,9 @@ class PerturbedState:
     xi_p: np.ndarray
     beta: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "xi_p", frozen(self.xi_p, complex))
+
     def corrected_vector(self) -> np.ndarray:
         return self.xi.amplitudes + self.beta * self.xi_p
 
@@ -204,8 +205,7 @@ class ChshResult:
 
 
 #: H0 = -(sx (x) sx + sz (x) sz), read-only: Phi+ at E0 = -2, Phi- and Psi+ at 0, Psi- at +2
-_H0 = -(np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Z, SIGMA_Z))
-_H0.flags.writeable = False
+_H0 = frozen(-(np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Z, SIGMA_Z)), complex)
 _PHI_PLUS = PureState(BELL_BASIS[0])
 _EXCITED = tuple(zip(BELL_BASIS[1:], (-0.5, -0.5, -0.25)))
 
@@ -237,7 +237,7 @@ def perturb_state(h0: np.ndarray, hp: np.ndarray, level_index: int,
     if level_index != 0 or not np.array_equal(h0, _H0):
         raise ValueError("perturb_state expands level 0 of default_hamiltonian() only")
     hp = np.asarray(hp, dtype=complex)
-    if hp.shape != (4, 4) or not tensor.is_hermitian(hp):
+    if hp.shape != (4, 4) or not is_hermitian(hp):
         raise HermiticityError("expected a 4x4 Hermitian hp matrix")
     hp_xi = hp @ _PHI_PLUS.amplitudes
     xi_p = sum((vk.conj() @ hp_xi) * weight * vk for vk, weight in _EXCITED)

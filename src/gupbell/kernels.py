@@ -23,26 +23,21 @@ import math
 
 import numpy as np
 
+from .quantum import frozen
+
 U64 = np.uint64
 _GOLDEN = 0x9E3779B97F4A7C15
 _M64 = (1 << 64) - 1
 _TWO53 = 9007199254740992.0  # 2**53
 
-
-def _operand(value: int) -> np.ndarray:
-    """A read-only 0-d uint64 array: every call and thread shares it."""
-    a = np.array(value, dtype=np.uint64)
-    a.setflags(write=False)
-    return a
-
-
-_MIX1 = _operand(0xBF58476D1CE4E5B9)
-_MIX2 = _operand(0x94D049BB133111EB)
-_S30 = _operand(30)
-_S27 = _operand(27)
-_S31 = _operand(31)
-_S11 = _operand(11)
-_BIT53 = _operand(1 << 53)
+#: read-only 0-d operands, which every call and thread shares
+_MIX1 = frozen(0xBF58476D1CE4E5B9, U64)
+_MIX2 = frozen(0x94D049BB133111EB, U64)
+_S30 = frozen(30, U64)
+_S27 = frozen(27, U64)
+_S31 = frozen(31, U64)
+_S11 = frozen(11, U64)
+_BIT53 = frozen(1 << 53, U64)
 
 # bound once, so that the chunk loop looks up no np.<name>
 _array, _add, _multiply = np.array, np.add, np.multiply

@@ -26,7 +26,7 @@ from .errors import GupBellError, OutOfRangeError
 from .gup import ChshResult, GupModel, PerturbedState
 from .quantum import (
     CHSH_PAIRS, CHSH_SIGNS, CLASSICAL_BOUND, TSIRELSON, TWO_PI, ChshSettings,
-    Direction, PureState, bell_state, directions, moments,
+    Direction, PureState, bell_state, directions, frozen, moments,
 )
 
 BOXWORLD = 4.0
@@ -79,8 +79,7 @@ class ScenarioConfig:
                 self.state.amplitudes, bell_state().amplitudes):
             raise ValueError(f"scenario {self.scenario} perturbs the Bell state, no other")
         if self.hp is not None:  # a copy, so the caller's array cannot change it
-            object.__setattr__(self, "hp", np.array(self.hp, dtype=complex))
-            self.hp.flags.writeable = False
+            object.__setattr__(self, "hp", frozen(self.hp, complex))
         elif self.scenario in ("qm", "s1"):
             return  # neither reads a perturbed state
         hp = gup.default_perturbation(self.model) if self.hp is None else self.hp

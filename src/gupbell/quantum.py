@@ -8,13 +8,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, HermiticityError
-from .tensor import is_hermitian
 
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+def frozen(values, dtype) -> np.ndarray:
+    """A read-only copy of ``values`` as an array of ``dtype``: every array a
+    gupbell object or module constant holds, so no caller can change it."""
+    a = np.array(values, dtype=dtype)
+    a.flags.writeable = False
+    return a
+
+
+SIGMA_X = frozen([[0, 1], [1, 0]], complex)
+SIGMA_Y = frozen([[0, -1j], [1j, 0]], complex)
+SIGMA_Z = frozen([[1, 0], [0, -1]], complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-_SIGMA_0123 = np.stack((np.eye(2, dtype=complex),) + PAULIS)
+_SIGMA_0123 = frozen(np.stack((np.eye(2, dtype=complex),) + PAULIS), complex)
 
 TWO_PI = 2.0 * math.pi
 #: the classical bound: the largest S of any local deterministic strategy
@@ -91,20 +99,18 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amp = np.array(self.amplitudes, dtype=complex).reshape(-1)  # a copy, checked once
+        amp = frozen(self.amplitudes, complex).reshape(-1)  # a copy, checked once
         if amp.shape[0] != 4:
             raise DimensionError("a two-qubit state needs 4 amplitudes")
         norm = float(np.linalg.norm(amp))
         if not abs(norm - 1.0) <= 1e-12:  # also refuses a nan norm
             raise ValueError(f"state norm {norm} is not 1 within 1e-12")
-        amp.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)
 
 
 #: the Bell basis in the computational one: Phi+, Phi-, Psi+ and Psi-, one a row
-BELL_BASIS = np.array([(1, 0, 0, 1), (1, 0, 0, -1), (0, 1, 1, 0), (0, 1, -1, 0)],
-                      dtype=complex) * (1.0 / math.sqrt(2.0))
-BELL_BASIS.flags.writeable = False
+BELL_BASIS = frozen(np.array([(1, 0, 0, 1), (1, 0, 0, -1), (0, 1, 1, 0), (0, 1, -1, 0)],
+                             dtype=complex) * (1.0 / math.sqrt(2.0)), complex)
 
 
 def bell_state() -> PureState:
@@ -115,6 +121,16 @@ def bell_state() -> PureState:
 def spin(v) -> np.ndarray:
     """v . sigma for a real 3-vector v."""
     return v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z
+
+
+#: the largest |m - m^dagger| entry of a Hermitian jp, hp or observable
+HERMITIAN_TOL = 1e-12
+
+
+def is_hermitian(m: np.ndarray) -> bool:
+    m = np.asarray(m, dtype=complex)
+    return m.ndim == 2 and m.shape[0] == m.shape[1] and \
+        np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL
 
 
 def pauli_parts(m: np.ndarray) -> tuple[float, np.ndarray]:

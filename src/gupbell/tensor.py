@@ -10,15 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, HermiticityError, NumericError
-
-#: the largest |m - m^dagger| entry of a Hermitian jp, hp or observable
-HERMITIAN_TOL = 1e-12
-
-
-def is_hermitian(m: np.ndarray) -> bool:
-    m = np.asarray(m, dtype=complex)
-    return m.ndim == 2 and m.shape[0] == m.shape[1] and \
-        np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL
+from .quantum import is_hermitian
 
 
 def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -506,7 +506,7 @@ def _hermitian(seed: int, dim: int, scale: float) -> np.ndarray:
 
 
 _NON_HERMITIAN_4 = np.diag([-1.0, 0.0, 1.0, 2.0]) + np.diag([0.5, 0.0, 0.0], 1)
-# one entry 1e-11 off Hermitian: 10 x tensor.HERMITIAN_TOL
+# one entry 1e-11 off Hermitian: 10 x quantum.HERMITIAN_TOL
 _NEAR_HERMITIAN_4 = np.diag([-1.0, 0.0, 1.0, 2.0]) + np.diag([1e-11, 0.0, 0.0], 1)
 # finite entries whose first-order state correction overflows |xi + beta xi_p|^2
 _HUGE_HP = np.zeros((4, 4))
@@ -720,7 +720,7 @@ def test_fuzz_exit_codes(command, doc):
 
 #: the package modules that scan, sweep and optimize load
 CORE_MODULES = {"gupbell", *(f"gupbell.{m}" for m in
-                             ("cli", "errors", "gup", "lab", "quantum", "tensor"))}
+                             ("cli", "errors", "gup", "lab", "quantum"))}
 SHOT_MODULES = CORE_MODULES | {"gupbell.shots", "gupbell.kernels"}
 
 

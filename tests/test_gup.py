@@ -69,6 +69,11 @@ class TestGupModel:
         with pytest.raises(ValueError):
             GupModel(beta=0.1, rule="tilt", m=np.array([1.0, 1.0, 0.0]))
 
+    @pytest.mark.parametrize("m", [[0.0, 1.0], [0.0, 0.0, 0.6, 0.8]], ids=["2", "4"])
+    def test_tilt_axis_is_a_3_vector(self, m):
+        with pytest.raises(ValueError, match="tilt axis m must be a 3-vector"):
+            GupModel(beta=0.1, m=m)
+
     @pytest.mark.filterwarnings("ignore:.*no longer small")
     @pytest.mark.parametrize("model", MAPS, ids=MAP_IDS)
     def test_inverse_undoes_the_map(self, model):

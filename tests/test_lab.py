@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_oracle
-from gupbell import gup, lab, shots
+from gupbell import gup, lab, quantum, shots
 from gupbell.errors import GupBellError, HermiticityError, OutOfRangeError
 from gupbell.gup import GupModel
 from gupbell.lab import (
@@ -185,6 +185,57 @@ def test_records_compare_by_identity(make):
     assert record == record
     assert record != make()
     assert hash(record) == hash(record)
+
+
+def _tilt_off_norm() -> GupModel:
+    with pytest.warns(UserWarning, match="normalizing"):
+        return GupModel(beta=0.3, m=[0.0, 0.0, 1.0 + 1e-9])
+
+
+#: a model of each rule, a tilt axis normalized on the way in among them
+MODELS = {
+    "tilt": lambda: GupModel(beta=0.3, m=[0.48, 0.6, 0.64]),
+    "tilt-off-norm": _tilt_off_norm,
+    "self-cubic": lambda: GupModel(beta=0.3, rule="self-cubic"),
+    "custom": lambda: GupModel(beta=0.3, rule="custom",
+                               jp=[[0.2, 0.1 - 0.3j], [0.1 + 0.3j, -0.2]]),
+}
+
+
+def _perturbed(scenario, with_hp):
+    return lambda hp: ScenarioConfig(scenario, model=MODELS["tilt"](),
+                                     hp=hp if with_hp else None).perturbed.xi_p
+
+
+#: every array a frozen object or a module constant holds, built from the
+#: fixture custom_hp: its results are computed from these alone
+HELD_ARRAYS = {
+    **{f"{rule}.{name}": lambda hp, make=make, name=name: getattr(make(), name)
+       for rule, make in MODELS.items() for name in ("m", "jp", "axis", "shift")
+       if name != "jp" or rule == "custom"},
+    "PureState.amplitudes": lambda hp: PureState([0.6, 0.0, 0.0, 0.8j]).amplitudes,
+    "ScenarioConfig.hp": lambda hp: ScenarioConfig("s1", model=GupModel(beta=0.2), hp=hp).hp,
+    **{f"{scenario}{'-hp' if with_hp else ''}.xi_p": _perturbed(scenario, with_hp)
+       for scenario in ("s2", "s3") for with_hp in (False, True)},
+    "PerturbedState.xi_p": lambda hp: gup.PerturbedState(
+        xi=bell_state(), xi_p=np.ones(4, dtype=complex), beta=0.1).xi_p,
+    "SIGMA_X": lambda hp: SIGMA_X,
+    "SIGMA_Y": lambda hp: SIGMA_Y,
+    "SIGMA_Z": lambda hp: SIGMA_Z,
+    "_SIGMA_0123": lambda hp: quantum._SIGMA_0123,
+    "BELL_BASIS": lambda hp: quantum.BELL_BASIS,
+    "gup._H0": lambda hp: gup._H0,
+}
+
+
+@pytest.mark.parametrize("held", HELD_ARRAYS.values(), ids=HELD_ARRAYS)
+def test_held_arrays_are_read_only(held, custom_hp):
+    # results are computed from these arrays, so a write into one would
+    # change a built object's results; each is a read-only copy instead
+    array = held(custom_hp.copy())
+    assert isinstance(array, np.ndarray) and array.size > 0
+    with pytest.raises(ValueError, match="read-only"):
+        array[...] = 0
 
 
 class TestBatchConsistency:
@@ -609,6 +660,16 @@ class TestBetaSweep:
     def test_rejects_negative_beta(self):
         with pytest.raises(ValueError):
             beta_sweep(betas=(-0.1,), theta_axis=np.linspace(0, 1, 5))
+
+    @pytest.mark.parametrize("series, message", [
+        ({"qm": np.zeros(3), "s1": np.zeros(2)}, "series s1 length mismatch"),
+        ({"qm": np.zeros(3), "s3": np.array([0.0, math.inf, 0.0])},
+         "series s3 contains non-finite values"),
+        ({"s2": np.array([math.nan, 0.0, 0.0])}, "series s2 contains non-finite values"),
+    ], ids=["short", "inf", "nan"])
+    def test_curve_refuses_a_series_off_its_axis(self, series, message):
+        with pytest.raises(GupBellError, match=message):
+            lab.SweepCurve(0.1, np.zeros(3), series)
 
     def test_checks_hp_only_where_it_is_read(self, monkeypatch, custom_hp):
         # per beta, one solve, which checks hp, in each of s2 and s3; s1 reads no hp

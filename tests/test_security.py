@@ -51,6 +51,11 @@ class TestMinentropyBound:
         assert bits == pytest.approx(want, abs=1e-15)
         assert not beyond
 
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, s):
+        with pytest.raises(ValueError, match="S must be finite"):
+            minentropy_bound(s)
+
     def test_monotone_in_violation(self):
         grid = [2.0 + 0.8 * k / 50 for k in range(51)]
         bits = [minentropy_bound(s)[0] for s in grid]

@@ -1,4 +1,5 @@
 import math
+import os
 import sys
 import threading
 
@@ -269,6 +270,14 @@ class TestPairThreads:
         with pytest.raises(MemoryError, match="apbp"):
             estimate_chsh(bell_state(), canonical_settings(), plan)
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("count, usable", [(3, 3), (None, 1)])
+    def test_usable_cpus_without_an_affinity_mask(self, monkeypatch, count, usable):
+        # where the OS has no affinity call, the machine's count, and 1
+        # where even that is unknown
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert shots._usable_cpus() == usable
 
     def test_caller_stops_after_a_worker_error(self, monkeypatch):
         # two groups: the caller samples pairs 0 and 2, the worker 1 and 3.

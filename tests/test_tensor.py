@@ -6,7 +6,7 @@ from dense_oracle import expect
 from gupbell import tensor
 from gupbell.errors import DimensionError, HermiticityError
 from gupbell.gup import GupModel, default_hamiltonian, default_perturbation, perturb_state
-from gupbell.quantum import SIGMA_X, SIGMA_Z, bell_state, moments
+from gupbell.quantum import SIGMA_X, SIGMA_Z, bell_state, is_hermitian, moments
 from gupbell.shots import joint_probabilities
 
 
@@ -18,13 +18,13 @@ def random_hermitian(seed, dim=4):
 
 class TestIsHermitian:
     def test_accepts_hermitian(self):
-        assert tensor.is_hermitian(random_hermitian(0))
+        assert is_hermitian(random_hermitian(0))
 
     def test_rejects_non_hermitian(self):
-        assert not tensor.is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_rejects_non_square(self):
-        assert not tensor.is_hermitian(np.zeros((2, 3)))
+        assert not is_hermitian(np.zeros((2, 3)))
 
 
 class TestEigHermitian:
@@ -75,7 +75,7 @@ def _one_entry_off(m):
     return m
 
 
-#: every operator input, each read through ``tensor.is_hermitian``
+#: every operator input, each read through ``quantum.is_hermitian``
 OPERATOR_INPUTS = {
     "jp": lambda m: GupModel(0.1, rule="custom", jp=m(SIGMA_X)),
     "hp": lambda m: perturb_state(default_hamiltonian(), m(default_perturbation(GupModel(0.1))),

@@ -14,6 +14,7 @@ import pytest
 
 import dense_oracle
 from gupbell import cli, lab
+from gupbell.errors import GupBellError
 
 
 def run_cli(tmp_path, doc, command):
@@ -100,6 +101,13 @@ def test_constant_grid_takes_the_degenerate_range(tmp_path, value, monkeypatch):
     cli._run_scan(cli.parse_config(["scan"]), None, tmp_path)
     assert_scan_matches(tmp_path, grid)
     assert "stroke-width=\"0.4\"" not in (tmp_path / "scan.svg").read_text()
+
+
+def test_empty_grid_is_refused(tmp_path):
+    grid = lab.ScanGrid(np.zeros(0), np.zeros(0), np.zeros((0, 0)))
+    with pytest.raises(GupBellError, match="cannot render an empty grid"):
+        cli.render_heatmap(grid, tmp_path / "scan.svg")
+    assert not (tmp_path / "scan.svg").exists()
 
 
 @pytest.mark.filterwarnings("ignore:.*no longer small")
