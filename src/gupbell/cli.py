@@ -18,8 +18,9 @@ if __name__ == "__main__":
     # command, and takes that CPU from the shot sampler's pair threads; the
     # CLI's linear algebra is 2x2 and 4x4, so one BLAS thread is enough, and
     # a value the user set wins.  No collection walks the import heap
-    # either; main() freezes it once the imports are done.  A library
-    # import of this module keeps its collector, environment and BLAS pool
+    # either; the entry at the end freezes it once the imports are done.  A
+    # library import of this module, main() included, keeps its collector,
+    # heap, environment and BLAS pool
     gc.disable()
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
@@ -571,11 +572,6 @@ def _print_warning(message, *_):
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        # the process entry: move what the imports left to the permanent
-        # generation, so that no collection, the ones at exit included,
-        # walks it again; callers in a process pass argv and keep their heap
-        gc.freeze()
     with warnings.catch_warnings():  # restores the warning printer on return
         warnings.showwarning = _print_warning
         try:
@@ -601,4 +597,7 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # move what the imports left to the permanent generation, so that no
+    # collection, the ones at exit included, walks it again
+    gc.freeze()
     sys.exit(main())

@@ -10,8 +10,9 @@ qm and s2 measuring through the identity map ``GupModel(beta=0.0)``.
 ``BatchEvaluator`` evaluates S over arrays of directions for scans,
 sweeps and the optimizer; ``evaluate_point`` reads its T and map at one
 settings tuple and adds diagnostic terms.
-The optimizer's search takes S, its gradient and its Hessian from the
-same correlator kernel, at the map's derivatives ``GupModel.planar``.
+The optimizer's search starts from the closed form's directions and
+takes S, its gradient and its Hessian from the same correlator kernel,
+at the map's derivatives ``GupModel.planar``.
 """
 
 from __future__ import annotations
@@ -187,7 +188,7 @@ class BatchEvaluator:
     """Vectorized CHSH evaluation over arrays of measurement directions."""
 
     def __init__(self, cfg: ScenarioConfig):
-        self.t = cfg.moments()[2]
+        self.t = frozen(cfg.moments()[2], float)
         self.model = cfg.operator_model()
 
     def _corrected(self, n: np.ndarray) -> np.ndarray:
@@ -205,15 +206,6 @@ class BatchEvaluator:
         one ``values`` computes at that row pair bit for bit."""
         wx, wy = self._corrected(nx), self._corrected(ny)
         return np.einsum("ai,ij,bj->ab", wx, self.t, wy)
-
-    def grid(self, axis: np.ndarray) -> np.ndarray:
-        """S at every planar settings tuple with polar angles from ``axis``,
-        shape (n, n, n, n) indexed (a, a', b, b'): every pair reads the one
-        n x n ``table`` of the axis against itself."""
-        n, w = len(axis), directions(axis)
-        table = self.table(w, w)
-        return _chsh(table.reshape([n if k in pair else 1 for k in range(4)])
-                     for pair in CHSH_PAIRS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,8 +283,8 @@ def beta_sweep(betas=DEFAULT_SWEEP_BETAS, theta_axis=None, rule: str = "tilt",
 @dataclass(frozen=True)
 class Optimum:
     """Best settings found, and how: ``method`` is "closed_form" (the
-    settings built from the SVD of T, one evaluation) or "search" (coarse
-    grid plus Newton ascent from its best cells)."""
+    settings built from the SVD of T, one evaluation) or "search" (Newton
+    ascent from the settings of the closed form's symmetric images)."""
 
     settings: ChshSettings
     value: float
@@ -301,10 +293,7 @@ class Optimum:
     method: str
 
 
-#: the search's coarse grid steps per angle, the number of its best cells
-#: the ascent starts from, and the ascent's budget of evaluations
-COARSE_STEPS = 17
-SEARCH_CELLS = 8
+#: the search's budget of evaluations
 MAX_EVALS = 10_000
 
 
@@ -320,6 +309,15 @@ def _horodecki_directions(t: np.ndarray) -> tuple[np.ndarray, float]:
     return np.array([u[:, 0], u[:, 1], c + s, c - s]), 2.0 * math.hypot(sv[0], sv[1])
 
 
+def _xz_directions(t: np.ndarray) -> tuple[np.ndarray, float]:
+    """``_horodecki_directions`` of the x-z block of T, embedded in 3-D:
+    the maximum of S over unit x-z directions w."""
+    xz = [0, 2]
+    w = np.zeros((4, 3))
+    w[:, xz], maximum = _horodecki_directions(t[np.ix_(xz, xz)])
+    return w, maximum
+
+
 def _closed_form_optimum(ev: BatchEvaluator, eight_angles: bool) -> Optimum:
     """The exact optimum: the Horodecki directions of T (of its x-z block
     for planar settings, whose corrected directions are exactly the x-z
@@ -327,12 +325,7 @@ def _closed_form_optimum(ev: BatchEvaluator, eight_angles: bool) -> Optimum:
     ``value`` is S evaluated once at those settings, so the corrected map
     warns as for any other settings; ``converged`` is False when rounding
     at a reach next to 1 left it more than 1e-9 below the maximum."""
-    if eight_angles:
-        w, maximum = _horodecki_directions(ev.t)
-    else:
-        xz = [0, 2]
-        w = np.zeros((4, 3))
-        w[:, xz], maximum = _horodecki_directions(ev.t[np.ix_(xz, xz)])
+    w, maximum = (_horodecki_directions if eight_angles else _xz_directions)(ev.t)
     n = ev.model.inverse(w)
     dirs = [Direction(theta, phi) for theta, phi in zip(
         np.arctan2(np.hypot(n[:, 0], n[:, 1]), n[:, 2]), np.arctan2(n[:, 1], n[:, 0]))]
@@ -396,20 +389,6 @@ def _newton_ascent(ev: BatchEvaluator, x: np.ndarray, budget: int):
         s, grad, hess = trial
 
 
-def _largest_first(values: np.ndarray, k: int) -> np.ndarray:
-    """The flat indices of the ``k`` (at most ``values.size``) largest
-    values, largest first and ties in index order, as
-    ``np.argsort(-values, axis=None, kind="stable")[:k]`` gives them,
-    without sorting the whole array.  Every value at or above the k-th
-    largest is a candidate, and the candidates come in index order, so a
-    stable sort of them alone keeps the tie order at the cut.  A NaN
-    compares false, so it stays a candidate and sorts last, as in argsort."""
-    flat = -values.ravel()
-    kth = np.partition(flat, k - 1)[k - 1]
-    candidates = np.flatnonzero(~(flat > kth))
-    return candidates[np.argsort(flat[candidates], kind="stable")[:k]]
-
-
 def optimize_angles(cfg: ScenarioConfig, *, eight_angles: bool = False,
                     seed: int | None = None) -> Optimum:
     """The settings with the largest S, over planar angles or, with
@@ -419,11 +398,17 @@ def optimize_angles(cfg: ScenarioConfig, *, eight_angles: bool = False,
     closed form from the SVD of T (``_closed_form_optimum``): for every
     eight-angle optimum, as every model maps the sphere onto itself, and
     for a planar one whose shift has no y part.  Planar settings under an
-    out-of-plane shift are searched: a grid of ``COARSE_STEPS`` per angle,
-    then damped Newton ascent (``_newton_ascent``) from its
-    ``SEARCH_CELLS`` best cells, in order, on a budget of ``MAX_EVALS``
-    evaluations beyond the grid, checked before each start and each step.
-    ``value`` is S evaluated at the best settings; ``converged`` means that
+    out-of-plane shift are searched by damped Newton ascent
+    (``_newton_ascent``) from 8 starts, in order, on a budget of
+    ``MAX_EVALS`` evaluations, checked before each start and each step.
+    The starts are the images of the x-z closed-form directions
+    (w_a, w_a', w_b, w_b') under the symmetries of S: (w_a, w_a', w_b, w_b'),
+    (w_a, -w_a', w_b', w_b), (w_a', w_a, w_b, -w_b'), (-w_a', w_a, w_b', -w_b)
+    and the four with every direction negated, each a maximum of the
+    bilinear S over unit x-z directions.  Each is mapped back by
+    ``GupModel.inverse`` and projected onto the x-z plane.
+    ``value`` is S evaluated at the best settings, and ``evaluations``
+    counts the ascents' evaluations and that one; ``converged`` means that
     every start ran and the best one ended at a maximum within rounding.
     Deterministic: ties are broken by start order.  ``seed`` changes
     nothing, as neither method draws a random number; it is accepted so
@@ -433,13 +418,13 @@ def optimize_angles(cfg: ScenarioConfig, *, eight_angles: bool = False,
     if eight_angles or ev.model.shift[1] == 0.0:
         return _closed_form_optimum(ev, eight_angles)
 
-    axis = np.linspace(0.0, TWO_PI, COARSE_STEPS)
-    coarse = ev.grid(axis)
-    order = _largest_first(coarse, SEARCH_CELLS)
-    cells = axis[np.stack(np.unravel_index(order, coarse.shape), axis=-1)]
+    wa, wa2, wb, wb2 = _xz_directions(ev.t)[0]
+    images = np.array([(wa, wa2, wb, wb2), (wa, -wa2, wb2, wb),
+                       (wa2, wa, wb, -wb2), (-wa2, wa, wb2, -wb)])
+    n = ev.model.inverse(np.concatenate([images, -images]))
     spent = 0
     best_value = -math.inf
-    for x0 in cells:
+    for x0 in np.arctan2(n[..., 0], n[..., 2]):
         if spent >= MAX_EVALS:
             converged = False  # not every start ran
             break
@@ -451,5 +436,4 @@ def optimize_angles(cfg: ScenarioConfig, *, eight_angles: bool = False,
     dirs = [Direction(theta) for theta in best_x]
     value = float(ev.values(*(d.unit_vector() for d in dirs))[0])
     return Optimum(settings=ChshSettings(*dirs), value=value,
-                   evaluations=coarse.size + spent + 1, converged=converged,
-                   method="search")
+                   evaluations=spent + 1, converged=converged, method="search")

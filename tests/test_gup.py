@@ -11,7 +11,7 @@ from gupbell.gup import (
 )
 from gupbell.lab import ScenarioConfig, evaluate_point
 from gupbell.quantum import (
-    Direction, bell_state, canonical_settings, directions, spin_observable,
+    BELL_BASIS, Direction, bell_state, canonical_settings, directions, spin, spin_observable,
 )
 
 
@@ -232,6 +232,31 @@ class TestPerturbState:
         model = GupModel(beta=0.3, rule="self-cubic")
         hp = default_perturbation(model)
         assert np.max(np.abs(hp - 2.0 * default_hamiltonian())) < 1e-12
+
+    def test_default_perturbation_in_closed_form(self):
+        # the default hp couples Phi+ only through the y part of the axis a
+        # and a custom jp's identity part c0, which only beta = 0 admits:
+        # xi_p = i a_y (Psi+ - Phi-) + c0 (Phi- + Psi+), zero for self-cubic
+        phi_minus, psi_plus = BELL_BASIS[1], BELL_BASIS[2]
+        rng = np.random.default_rng(7)
+        for k in range(200):
+            beta, v = rng.uniform(0.0, 0.9), rng.normal(size=3)
+            c0 = rng.normal() if k % 6 == 5 else 0.0
+            model = [GupModel(beta=beta, m=v / np.linalg.norm(v)),
+                     GupModel(beta=beta, rule="self-cubic"),
+                     GupModel(beta=0.0 if c0 else beta, rule="custom",
+                              jp=c0 * np.eye(2) + spin(v * rng.uniform() / np.linalg.norm(v)))
+                     ][k % 3]
+            want = 1j * model.axis[1] * (psi_plus - phi_minus) + c0 * (phi_minus + psi_plus)
+            got = perturb_state(default_hamiltonian(), default_perturbation(model), 0,
+                                model.beta).xi_p
+            assert np.max(np.abs(got - want)) < 1e-15, k
+        # so at a_y = 0, the default axis z among them, s2 gives qm's values
+        # and s3 gives s1's, to rounding: s3 divides by a norm next to 1
+        model, s = GupModel(beta=0.2), canonical_settings()
+        for tag, same in (("s2", "qm"), ("s3", "s1")):
+            assert evaluate_point(ScenarioConfig(tag, model=model), s).value == pytest.approx(
+                evaluate_point(ScenarioConfig(same, model=model), s).value, abs=1e-14)
 
 
 class TestScenario1:
