@@ -15,9 +15,9 @@ import os
 if __name__ == "__main__":
     # the process entry, before numpy loads: numpy's OpenBLAS starts a
     # worker per extra CPU that spins for ~0.1 s, the whole life of a
-    # command, and takes that CPU from the shot sampler's pair threads; the
-    # CLI's linear algebra is 2x2 and 4x4, so one BLAS thread is enough, and
-    # a value the user set wins.  No collection walks the import heap
+    # command, and so takes a CPU for the length of a single-threaded run;
+    # the CLI's linear algebra is 2x2 and 4x4, so one BLAS thread is
+    # enough, and a value the user set wins.  No collection walks the import heap
     # either; the entry at the end freezes it once the imports are done.  A
     # library import of this module, main() included, keeps its collector,
     # heap, environment and BLAS pool
@@ -52,7 +52,7 @@ PI = math.pi
 SEED_MAX = 2**64 - 2
 #: largest count an estimate file may hold: counts are stored as int64
 COUNT_MAX = 2**63 - 1
-#: most shots per pair: the four pairs' stream indices must fit in 2**64
+#: most shots per pair: each count is an int64, so N must lie below 2**63
 SHOTS_MAX = 2**62
 #: most steps of a scan or sweep axis: the largest n whose n x n float64
 #: table numpy can size (8 n**2 <= 2**63 - 1)

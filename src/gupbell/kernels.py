@@ -1,13 +1,25 @@
-"""Counter-based deterministic sampling kernel.
+"""Counter-based deterministic sampling from a splitmix64 stream.
 
-The hot loop of the shot simulator draws one uniform per shot from a
-splitmix64-style mixing of (seed, global shot index) and bins it against
-three cumulative thresholds.  Shots are processed in chunks of ``CHUNK``;
+Stream index i of a seed is the splitmix64-style mix of seed + (i + 1)·golden
+(mod 2⁶⁴); its top 53 bits are the word k of that index.  Every draw depends
+only on the seed and the indices it reads, never on the order of evaluation.
+
+``draw_counts`` draws the four outcome counts of n shots at once, as one
+sample of Multinomial(n, p): three conditional binomials, each by Hörmann's
+BTRD (J. Stat. Comput. Simul. 46, 101 (1993)) or, where np < 10, by
+inversion.  It reads the uniforms (k + 1)·2⁻⁵³ of the indices base,
+base + 1, ..., as many as its rejection loops use, so its cost does not grow
+with n.  The accept tests call ``math.log``, ``math.log1p`` and ``math.exp``
+from the platform's libm; a libm that rounds one of them differently could
+move a count (see the frozen counts in ``tests/test_shots.py``).
+
+``sample_counts`` bins one uniform per shot, in chunks of ``CHUNK``;
 every uniform depends only on its global index, so counts never depend
-on the chunk size.
+on the chunk size.  No command calls it; it remains as the stream's
+bit-exact form, which the benchmark checks against its own splitmix64.
 
-The uniform of a shot is u = k·2⁻⁵³ with k the top 53 bits of its mixed
-word, so u ≥ c holds exactly when k ≥ t = ceil(c·2⁵³).  ``sample_counts``
+The uniform of a shot is u = k·2⁻⁵³, so u ≥ c holds exactly when
+k ≥ t = ceil(c·2⁵³).  ``sample_counts``
 never forms u: it sets bit 53 of each word in place and compares the
 buffer, viewed as float64, with the float64 views of t + 2⁵³.  Every
 compared bit pattern, 2⁵³ ≤ k + 2⁵³ < 2⁵⁴ and 2⁵³ ≤ t + 2⁵³ ≤ 2⁵⁴, is a
@@ -27,12 +39,13 @@ from .quantum import frozen
 
 U64 = np.uint64
 _GOLDEN = 0x9E3779B97F4A7C15
+_MIX1_INT, _MIX2_INT = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 _M64 = (1 << 64) - 1
 _TWO53 = 9007199254740992.0  # 2**53
 
 #: read-only 0-d operands, which every call and thread shares
-_MIX1 = frozen(0xBF58476D1CE4E5B9, U64)
-_MIX2 = frozen(0x94D049BB133111EB, U64)
+_MIX1 = frozen(_MIX1_INT, U64)
+_MIX2 = frozen(_MIX2_INT, U64)
 _S30 = frozen(30, U64)
 _S27 = frozen(27, U64)
 _S31 = frozen(31, U64)
@@ -46,15 +59,12 @@ _greater_equal, _count_nonzero = np.greater_equal, np.count_nonzero
 
 #: shots per vectorized chunk; bounds the temporary arrays, not the results.
 #: 2¹⁶ shots keep the three uint64 buffers and the bool mask (25 B/shot,
-#: ~1.6 MiB per thread) inside one core's 2 MiB L2 cache on a Xeon, where
+#: ~1.6 MiB per call) inside one core's 2 MiB L2 cache on a Xeon, where
 #: each in-place pass is cheapest; a core with 1 MiB of L2 no longer holds
-#: them, and 2¹⁷ overflows even 2 MiB.  The pair threads of
-#: shots.estimate_chsh share the GIL, and each of the loop's 17 numpy calls
-#: per chunk holds it while it dispatches.  So the loop binds each ufunc
+#: them, and 2¹⁷ overflows even 2 MiB.  Each of the loop's 17 numpy calls
+#: per chunk holds the GIL while it dispatches, so the loop binds each ufunc
 #: once and passes it 0-d arrays, which numpy dispatches in about two
-#: thirds of a numpy scalar's time: on a 2-vCPU Xeon, two threads sample 4
-#: pairs of 2.5·10⁶ shots in ~14 ms (~15.3 ms with scalar operands), one
-#: thread in ~25 ms
+#: thirds of a numpy scalar's time
 CHUNK = 1 << 16
 
 
@@ -138,3 +148,174 @@ def sample_counts(seed: int, base: int, n: int, cumulative) -> np.ndarray:
         above2 += _count_nonzero(mask)
     return np.array([n - above0, above0 - above1, above1 - above2, above2],
                     dtype=np.int64)
+
+
+# --- counts drawn from Multinomial(n, p) -------------------------------------
+
+def _word(seed: int, index: int) -> int:
+    """The 53-bit word k of one stream index, in Python ints: the word that
+    ``_mix`` forms for that index."""
+    z = (seed + (index + 1) * _GOLDEN) & _M64
+    z = ((z ^ (z >> 30)) * _MIX1_INT) & _M64
+    z = ((z ^ (z >> 27)) * _MIX2_INT) & _M64
+    return (z ^ (z >> 31)) >> 11
+
+
+def _uniforms(seed: int, index: int):
+    """The uniforms (k + 1)·2⁻⁵³ in (0, 1] of indices index, index + 1, ...:
+    never 0, so a rejection step may take its logarithm."""
+    while True:
+        yield (_word(seed, index) + 1) / _TWO53
+        index += 1
+
+
+#: fc(k) = ln k! − (k + ½) ln(k + 1) + (k + 1) − ½ ln 2π, the error of
+#: Stirling's formula, for k < 10: the doubles nearest their 40-digit values
+_FC = (0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+       0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+       0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+       0.00833056343336287)
+
+
+def _fc(k: int) -> float:
+    """Stirling's error fc(k): the table below 10, its series from there."""
+    if k < 10:
+        return _FC[k]
+    x = 1.0 / (k + 1)
+    return (1.0 / 12 - (1.0 / 360 - x * x / 1260) * x * x) * x
+
+
+def _log_ratio(num: int, den: int) -> float:
+    """ln(num/den) for positive ints, accurate where the ratio is near 1."""
+    return math.log1p((num - den) / den)
+
+
+def _inversion(n: int, p: float, uniform) -> int:
+    """Binomial(n, p) by sequential search of the cdf, for np < 10 and
+    p <= 1/2, where P(X = 0) = (1 − p)ⁿ >= e⁻¹⁴."""
+    s = p / (1.0 - p)
+    a = (n + 1) * s
+    # not (1 - p)**n: 1 - p rounds to 1 for p below ~2**-53, and x to 0
+    f = math.exp(n * math.log1p(-p))
+    u = uniform()
+    x = 0
+    # round-off can leave u above the whole sum: stop where the terms vanish
+    while u > f and x < n and f > 0.0:
+        u -= f
+        x += 1
+        f *= a / x - s
+    return x
+
+
+def _btrd(n: int, p: float, uniform) -> int:
+    """Binomial(n, p) by Hörmann's BTRD, for np >= 10 and p <= 1/2.
+
+    Steps 1–5.3 of the paper.  The mode m and the centre c = np + ½ are
+    split exactly in ints, p = num/den being a binary fraction, so a
+    candidate k is an exact int at every n up to 2⁶², not a float rounded
+    to a multiple of its ulp; the final test takes each log ratio near 1
+    by ``log1p``.
+    """
+    num, den = p.as_integer_ratio()
+    qnum = den - num  # 1 - p = qnum/den
+    q = 1.0 - p
+    r = p / q
+    nr = (n + 1) * r
+    npq = n * p * q
+    spq = math.sqrt(npq)
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    alpha = (2.83 + 5.1 / b) * spq
+    vr = 0.92 - 4.2 / b
+    urvr = 0.86 * vr
+    m = (n + 1) * num // den
+    c_int, c_rest = divmod(2 * n * num + den, 2 * den)
+    c_frac = c_rest / (2 * den)
+    while True:
+        v = uniform()
+        if v <= urvr:  # step 1: the quick accept, u read from the same v
+            u = v / vr - 0.43
+            return c_int + math.floor((2.0 * a / (0.5 - abs(u)) + b) * u + c_frac)
+        if v >= vr:  # step 2
+            u = uniform() - 0.5
+        else:  # step 3
+            u = v / vr - 0.93
+            u = (-0.5 if u < 0.0 else 0.5) - u
+            v = uniform() * vr
+        us = 0.5 - abs(u)
+        if us <= 0.0:  # u = ±1/2, an end of the hat's range
+            continue
+        k = c_int + math.floor((2.0 * a / us + b) * u + c_frac)
+        if k < 0 or k > n:
+            continue
+        v *= alpha / (a / (us * us) + b)
+        km = abs(k - m)
+        if km <= 15:  # step 5.1: f(k)/f(m) by its recursion
+            f = 1.0
+            for i in range(m + 1, k + 1):
+                f *= nr / i - r
+            for i in range(k + 1, m + 1):
+                v *= nr / i - r
+            if v <= f:
+                return k
+            continue
+        v = math.log(v)  # step 5.2: squeeze
+        rho = (km / npq) * (((km / 3.0 + 0.625) * km + 1.0 / 6.0) / npq + 0.5)
+        t = -km * km / (2.0 * npq)
+        if v < t - rho:
+            return k
+        if v > t + rho:
+            continue
+        nm, nk = n - m + 1, n - k + 1  # step 5.3: the final test
+        h = ((m + 0.5) * _log_ratio((m + 1) * qnum, num * nm)
+             + _fc(m) + _fc(n - m))
+        if v <= (h + (n + 1) * _log_ratio(nm, nk)
+                 + (k + 0.5) * _log_ratio(nk * num, (k + 1) * qnum)
+                 - _fc(k) - _fc(n - k)):
+            return k
+
+
+def _binomial(n: int, p: float, uniform) -> int:
+    """One draw of Binomial(n, p), reading uniforms from ``uniform()``."""
+    if n == 0 or p == 0.0:
+        return 0
+    if p == 1.0:
+        return n
+    if p > 0.5:  # 1 - p is exact here
+        return n - _binomial(n, 1.0 - p, uniform)
+    return _inversion(n, p, uniform) if n * p < 10.0 else _btrd(n, p, uniform)
+
+
+def draw_counts(seed: int, base: int, n: int, cumulative) -> list:
+    """Outcome counts of n shots of a four-outcome distribution, drawn at
+    once from Multinomial(n, p).
+
+    ``cumulative`` holds the three inner cumulative probabilities
+    (p0, p0+p1, p0+p1+p2), non-decreasing in [0, 1]; the fourth outcome
+    takes the rest.  n0 ~ Bin(n, c0), n1 ~ Bin(n − n0, (c1 − c0)/(1 − c0)),
+    n2 likewise and n3 the rest, so the four Python ints sum to n.  The
+    draws read the uniforms of stream indices base, base + 1, ..., a few
+    per binomial.
+    """
+    for name, value in (("seed", seed), ("base", base), ("n", n)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeError(f"{name} must be an int, got {value!r}")
+    c = np.asarray(cumulative, dtype=np.float64)
+    if c.shape != (3,) or not 0.0 <= c[0] <= c[1] <= c[2] <= 1.0:
+        raise ValueError("cumulative must be three non-decreasing values in "
+                         f"[0, 1], got {cumulative!r}")
+    if n < 0:
+        raise ValueError(f"shot count must be non-negative, got {n}")
+    if not 0 <= seed <= _M64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    if not 0 <= base <= _M64:
+        raise ValueError(f"base must lie in [0, 2**64), got {base}")
+    uniform = _uniforms(seed, base).__next__
+    counts, rest, below = [], n, 0.0
+    for cj in c.tolist():
+        # rest > 0 leaves below < 1: the previous draw had p < 1
+        k = _binomial(rest, (cj - below) / (1.0 - below), uniform) if rest else 0
+        counts.append(k)
+        rest -= k
+        below = cj
+    return counts + [rest]

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,12 +10,15 @@ import numpy as np
 from . import kernels
 from .errors import NotDichotomicError
 from .quantum import (
-    CHSH_PAIRS, CHSH_SIGNS, ChshSettings, PureState, moments, pauli_parts,
-    spin_observable,
+    CHSH_PAIRS, CHSH_SIGNS, ChshSettings, PureState, frozen, moments,
+    pauli_parts, spin_observable,
 )
 
 #: the labels of the four correlator pairs, in ``CHSH_PAIRS`` order
 PAIR_LABELS = ("ab", "abp", "apb", "apbp")
+#: pair j draws its counts from stream indices j·2⁶², j·2⁶² + 1, ...: a
+#: few per binomial, so the four ranges never meet below 2⁶⁴
+PAIR_STRIDE = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,8 @@ class ShotPlan:
                 raise TypeError(f"{name} must be an int, got {value!r}")
         if self.shots_per_pair < 1:
             raise ValueError("shots_per_pair must be at least 1")
-        # pair j reads stream indices j*N .. j*N + N - 1, all four below 2**64
+        # every count is stored as an int64, so N must lie below 2**63; the
+        # limit stays at 2**62, which configurations and estimate files meet
         if self.shots_per_pair > 2**62:
             raise ValueError("shots_per_pair must be at most 2**62")
         # the stream seed is a uint64: any other seed would wrap onto one
@@ -52,19 +54,21 @@ class ShotPlan:
 class CountsTable:
     """Outcome counts per setting pair, binned by outcome sign.
 
-    ``counts[label]`` is [n(+,+), n(+,-), n(-,+), n(-,-)].
+    ``counts[label]`` is [n(+,+), n(+,-), n(-,+), n(-,-)], a read-only
+    int64 copy of the row passed in, so no later write can undo the check.
     """
 
     counts: dict
     shots_per_pair: int
 
     def __post_init__(self):
-        for label, row in self.counts.items():
-            row = np.asarray(row, dtype=np.int64)
+        rows = {label: frozen(row, np.int64) for label, row in self.counts.items()}
+        for label, row in rows.items():
             # the sum of Python ints cannot wrap as an int64 sum can
             if (row.shape != (4,) or row.min() < 0
                     or sum(row.tolist()) != self.shots_per_pair):
                 raise ValueError(f"invalid counts for pair {label}")
+        object.__setattr__(self, "counts", rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,24 +137,14 @@ def estimate_from_counts(table: CountsTable) -> ChshEstimate:
                         counts=table, correlators=correlators)
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask where the OS
-    has one, else the machine's CPU count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def estimate_chsh(state: PureState, s: ChshSettings, plan: ShotPlan,
                   observables=None) -> ChshEstimate:
     """Estimate S from N shots per setting pair.
 
-    Shot k of pair j consumes the counter-derived uniform at global
-    stream index j*N + k, which makes the estimate reproducible for a
-    given seed independent of evaluation order.  So the four pairs are
-    dealt round-robin to one thread per usable CPU, at most four: the
-    caller samples the first group, and the counts do not depend on the
-    number of threads.
+    Each pair's four counts are one draw of Multinomial(N, p), with p its
+    Born probabilities (``kernels.draw_counts``), which costs the same at
+    every N.  Pair j reads the seed's stream from index j·``PAIR_STRIDE``,
+    so the estimate is reproducible for a given seed.
     """
     if observables is None:
         observables = default_observables(s)
@@ -159,34 +153,9 @@ def estimate_chsh(state: PureState, s: ChshSettings, plan: ShotPlan,
                          f" got {len(observables)}")
     rho = depolarize(state, plan.noise_p)
     n = plan.shots_per_pair
-    # every input error raises here, before any thread starts
-    cumulative = []
-    for a, b in CHSH_PAIRS:
+    counts = {}
+    for j, ((a, b), label) in enumerate(zip(CHSH_PAIRS, PAIR_LABELS)):
         probs, _ = joint_probabilities(rho, observables[a], observables[b])
-        cumulative.append(np.minimum(np.cumsum(probs)[:3], 1.0))
-    counts = [None] * len(cumulative)
-    errors = []
-
-    def sample(pairs):
-        try:
-            for j in pairs:
-                if errors:  # a group has failed: its error is raised below
-                    return
-                counts[j] = kernels.sample_counts(plan.seed, j * n, n, cumulative[j])
-        except Exception as exc:
-            errors.append(exc)
-
-    w = min(len(cumulative), _usable_cpus())
-    groups = [range(g, len(cumulative), w) for g in range(w)]
-    # daemons, so that an interrupt of the caller ends the process at once
-    workers = [threading.Thread(target=sample, args=(group,), daemon=True)
-               for group in groups[1:]]
-    for worker in workers:
-        worker.start()
-    sample(groups[0])
-    for worker in workers:
-        worker.join()
-    if errors:
-        raise errors[0]
-    return estimate_from_counts(CountsTable(counts=dict(zip(PAIR_LABELS, counts)),
-                                            shots_per_pair=n))
+        cumulative = np.minimum(np.cumsum(probs)[:3], 1.0)
+        counts[label] = kernels.draw_counts(plan.seed, j * PAIR_STRIDE, n, cumulative)
+    return estimate_from_counts(CountsTable(counts=counts, shots_per_pair=n))

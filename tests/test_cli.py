@@ -198,6 +198,21 @@ class TestSample:
         for label in ("ab", "abp", "apb", "apbp"):
             assert sum(doc["counts"][label]) == 20_000
 
+    def test_largest_shot_count_runs(self, tmp_path):
+        # 2**62 shots per pair, the most a plan takes, drawn at once: every
+        # count within 10 sigma of N p, with p(s, t) = (1 + s t E) / 4 and
+        # E = +-1/sqrt(2) at the default (textbook) settings
+        n = 2**62
+        out = tmp_path / "out"
+        assert run_main(["sample", "--shots", n, "--out", out]) == 0
+        doc = json.loads((out / "sample.json").read_text())
+        for label, e in zip(("ab", "abp", "apb", "apbp"), (1, 1, 1, -1)):
+            counts = doc["counts"][label]
+            assert sum(counts) == n, label
+            for c, st_sign in zip(counts, (1, -1, -1, 1)):
+                p = (1.0 + st_sign * e / math.sqrt(2.0)) / 4.0
+                assert abs(c - n * p) <= 10.0 * math.sqrt(n * p * (1.0 - p)), (label, c)
+
     def test_byte_identical_across_runs_and_envs(self, tmp_path):
         blobs = []
         for tag in ("r1", "r2"):
@@ -281,7 +296,7 @@ class TestExitCodes:
         (["scan", "--config", {"hp": [[1, 2], [3]]}],
          "configuration error: hp: expected a nested array of [re, im] pairs"),
         (["scan", "--config", {"hp": 5}], "configuration error: hp: expected shape 4x4x2, got ()"),
-        # four pairs of 2**62 + 1 shots do not fit in the 2**64 stream indices
+        # one more than the 2**62 shots per pair a plan takes
         (["sample", "--shots", str(2**62 + 1)],
          f"configuration error: shots: must be <= {2**62}"),
         # numpy cannot size the n x n table of so many steps

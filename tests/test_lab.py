@@ -1,13 +1,16 @@
 import dataclasses
+import json
 import math
+import tempfile
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dense_oracle
-from gupbell import gup, lab, quantum, shots
+from gupbell import cli, gup, lab, quantum, shots
 from gupbell.errors import GupBellError, HermiticityError, OutOfRangeError
 from gupbell.gup import GupModel
 from gupbell.lab import (
@@ -206,6 +209,19 @@ def _perturbed(scenario, with_hp):
                                      hp=hp if with_hp else None).perturbed.xi_p
 
 
+def _sampled_estimate():
+    plan = shots.ShotPlan(shots_per_pair=1000, seed=3)
+    return shots.estimate_chsh(bell_state(), canonical_settings(), plan), plan
+
+
+def _loaded_counts(hp):
+    """A row of the counts read back from an estimate file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sample.json"
+        path.write_text(json.dumps(cli._estimate_payload(*_sampled_estimate())))
+        return cli._load_estimate(str(path)).counts.counts["ab"]
+
+
 #: every array a frozen object or a module constant holds, built from the
 #: fixture custom_hp: its results are computed from these alone
 HELD_ARRAYS = {
@@ -227,6 +243,8 @@ HELD_ARRAYS = {
     "_SIGMA_0123": lambda hp: quantum._SIGMA_0123,
     "BELL_BASIS": lambda hp: quantum.BELL_BASIS,
     "gup._H0": lambda hp: gup._H0,
+    "CountsTable.sampled": lambda hp: _sampled_estimate()[0].counts.counts["apbp"],
+    "CountsTable.loaded": _loaded_counts,
 }
 
 

@@ -1,12 +1,11 @@
 import math
-import os
-import sys
-import threading
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from dense_oracle import chsh_value, correlation_tensor, correlator
+from dense_oracle import chsh_value, correlation_tensor, correlator, uniform_stream
 from gupbell import kernels, shots
 from gupbell.errors import NotDichotomicError
 from gupbell.quantum import (
@@ -29,11 +28,11 @@ class TestPlansAndTables:
             ShotPlan(shots_per_pair=10, noise_p=1.5)
 
     def test_shots_per_pair_must_fit_the_stream(self):
-        # pair j reads stream indices j*N .. j*N + N - 1: four pairs fit in
-        # the 2**64 indices only up to N = 2**62
+        # every count is stored as an int64; N = 2**62 itself is sampled
+        # in TestDrawCounts
         with pytest.raises(ValueError, match="shots_per_pair"):
             ShotPlan(shots_per_pair=2**62 + 1)
-        ShotPlan(shots_per_pair=2**62)  # built, never sampled
+        ShotPlan(shots_per_pair=2**62)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_uint64_rejected(self, seed):
@@ -210,98 +209,151 @@ class TestEstimateChsh:
                           ShotPlan(shots_per_pair=10), observables)
 
 
-def serial_counts(state, settings, plan):
-    """The four pairs' counts, drawn one after another on this thread."""
-    rho = depolarize(state, plan.noise_p)
-    obs = default_observables(settings)
-    n = plan.shots_per_pair
-    out = {}
-    for j, ((a, b), label) in enumerate(zip(CHSH_PAIRS, PAIR_LABELS)):
-        probs, _ = joint_probabilities(rho, obs[a], obs[b])
-        cumulative = np.minimum(np.cumsum(probs)[:3], 1.0)
-        out[label] = kernels.sample_counts(plan.seed, j * n, n, cumulative)
-    return out
+class TestEstimateCost:
+    def test_cost_does_not_grow_with_shots(self):
+        # one multinomial draw per pair: 4·10⁶ shots per pair cost what 10³
+        # do (a per-shot sampler took ~100 times as long)
+        def fastest(n):
+            plan = ShotPlan(shots_per_pair=n, seed=3)
+            times = []
+            for _ in range(7):
+                t0 = time.perf_counter()
+                estimate_chsh(bell_state(), canonical_settings(), plan)
+                times.append(time.perf_counter() - t0)
+            return min(times)
+
+        fastest(1000)  # warm-up
+        assert fastest(4_000_000) < 5.0 * fastest(1000)
 
 
-class TestPairThreads:
-    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
-    # each side of the default chunk and of the former default 2¹⁵
-    @pytest.mark.parametrize("n", [(1 << 15) - 3, (1 << 15) + 5,
-                                   kernels.CHUNK - 3, kernels.CHUNK + 5])
-    def test_counts_do_not_depend_on_threads(self, monkeypatch, asym_settings,
-                                             cpus, n):
-        plan = ShotPlan(shots_per_pair=n, seed=11, noise_p=0.1)
-        want = serial_counts(bell_state(), asym_settings, plan)
-        sample_counts = kernels.sample_counts
-        threads = set()
+class TestStream:
+    @pytest.mark.parametrize("base", [0, shots.PAIR_STRIDE - 2048, 3 * shots.PAIR_STRIDE])
+    def test_scalar_words_match_the_kernel(self, base):
+        # one stream definition: the draws' Python-int splitmix64 gives the
+        # shot kernel's words (k·2⁻⁵³ is exact, so equal floats are equal k)
+        seed = 0xDEADBEEF12345678
+        want = uniform_stream(seed, base, 4096).tolist()
+        assert [kernels._word(seed, i) * 2.0**-53 for i in range(base, base + 4096)] == want
 
-        def recording(*args):
-            # thread objects, not idents, which a later thread may reuse
-            threads.add(threading.current_thread())
-            return sample_counts(*args)
+    def test_uniforms_lie_in_the_half_open_unit_interval(self):
+        # (k + 1)·2⁻⁵³ in (0, 1]: never 0, whose logarithm a rejection step takes
+        u = kernels._uniforms(5, 0)
+        values = [next(u) for _ in range(1000)]
+        assert values == [x + 2.0**-53 for x in uniform_stream(5, 0, 1000).tolist()]
+        assert all(0.0 < x <= 1.0 for x in values)
 
-        monkeypatch.setattr(shots, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(kernels, "sample_counts", recording)
-        # frequent thread switches, so that a lost update would show
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            est = estimate_chsh(bell_state(), asym_settings, plan)
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(threads) == cpus
-        assert threading.current_thread() in threads
-        for label in PAIR_LABELS:
-            assert np.array_equal(est.counts.counts[label], want[label]), label
 
-    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
-    def test_worker_error_reaches_the_caller(self, monkeypatch, cpus):
-        plan = ShotPlan(shots_per_pair=1000, seed=5)
-        sample_counts = kernels.sample_counts
+def _pmf(n, p):
+    """Binomial(n, p)'s pmf, exact in rationals and then rounded."""
+    p = Fraction(p)
+    return [float(math.comb(n, k) * p**k * (1 - p) ** (n - k)) for k in range(n + 1)]
 
-        def failing(seed, base, n, cumulative):
-            if base == PAIR_LABELS.index("apbp") * n:
-                raise MemoryError("pair apbp")
-            return sample_counts(seed, base, n, cumulative)
 
-        monkeypatch.setattr(shots, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(kernels, "sample_counts", failing)
-        before = threading.active_count()
-        with pytest.raises(MemoryError, match="apbp"):
-            estimate_chsh(bell_state(), canonical_settings(), plan)
-        assert threading.active_count() == before
+def _chi2(observed, expected):
+    """Pearson's statistic and degrees of freedom, with the cells of
+    expected count below 5 pooled into one."""
+    obs = [o for o, e in zip(observed, expected) if e >= 5]
+    exp = [e for e in expected if e >= 5]
+    rest = sum(expected) - sum(exp)
+    if rest > 0:
+        obs.append(sum(observed) - sum(obs))
+        exp.append(rest)
+    return sum((o - e) ** 2 / e for o, e in zip(obs, exp)), len(exp) - 1
 
-    @pytest.mark.parametrize("count, usable", [(3, 3), (None, 1)])
-    def test_usable_cpus_without_an_affinity_mask(self, monkeypatch, count, usable):
-        # where the OS has no affinity call, the machine's count, and 1
-        # where even that is unknown
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: count)
-        assert shots._usable_cpus() == usable
 
-    def test_caller_stops_after_a_worker_error(self, monkeypatch):
-        # two groups: the caller samples pairs 0 and 2, the worker 1 and 3.
-        # Pair 0, if the caller starts it, returns only once the worker has
-        # failed on pair 1 and ended
-        plan = ShotPlan(shots_per_pair=1000, seed=5)
-        failed = threading.Event()
-        worker = []
-        sampled = []
+def _chi2_limit(df):
+    """The chi-square quantile at 1 - 10⁻⁴ (z = 3.719), by Wilson and
+    Hilferty's cube-root normal approximation."""
+    h = 2.0 / (9.0 * df)
+    return df * (1.0 - h + 3.719 * math.sqrt(h)) ** 3
 
-        def fake(seed, base, n, cumulative):
-            j = base // n
-            sampled.append(j)
-            if j == 1:
-                worker.append(threading.current_thread())
-                failed.set()
-                raise MemoryError("pair 1")
-            if j == 0:
-                assert failed.wait(timeout=10)
-                worker[0].join(timeout=10)
-            return np.array([n, 0, 0, 0])
 
-        monkeypatch.setattr(shots, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(kernels, "sample_counts", fake)
-        with pytest.raises(MemoryError, match="pair 1"):
-            estimate_chsh(bell_state(), canonical_settings(), plan)
-        assert 1 in sampled and 2 not in sampled and 3 not in sampled
+class TestDrawCounts:
+    @pytest.mark.parametrize("seed, n, cumulative, want", [
+        (1, 1, (0.25, 0.5, 0.75), [0, 1, 0, 0]),
+        (42, 2**62, (0.25, 0.5, 0.75), [1152921505845563920, 1152921503510109825,
+                                        1152921504259071475, 1152921504812642684]),
+        (7, 1000, (0.0, 0.0, 1.0), [0, 0, 1000, 0]),
+        (7, 1000, (0.0, 0.5, 0.5), [0, 502, 0, 498]),
+        (7, 1000, (1.0, 1.0, 1.0), [1000, 0, 0, 0]),
+        (7, 1000, (0.0, 0.0, 0.0), [0, 0, 0, 1000]),
+        # (1 - p)**N would round 1 - 2**-60 to 1 and never draw outcome 0
+        (9, 2**62, (2.0**-60, 2.0**-60, 1.0), [5, 0, 4611686018427387899, 0]),
+    ])
+    def test_frozen_counts(self, seed, n, cumulative, want):
+        # the same counts for a (seed, N, cumulative) on every platform;
+        # only a libm that rounds log, log1p or exp differently may move them
+        got = kernels.draw_counts(seed, 0, n, np.array(cumulative))
+        assert all(type(c) is int for c in got)
+        assert got == want
+
+    @pytest.mark.parametrize("n, want", [
+        (10**6, {"ab": [427445, 72942, 73077, 426536],
+                 "abp": [426946, 72998, 72678, 427378],
+                 "apb": [426353, 73085, 73010, 427552],
+                 "apbp": [72833, 427204, 426712, 73251]}),
+        (2**62, {"ab": [1968160120105071734, 337682889919482565,
+                        337682890209083434, 1968160118193750171],
+                 "abp": [1968160119046432348, 337682890038824547,
+                         337682889431448579, 1968160119910682430],
+                 "apb": [1968160117779354569, 337682890225646248,
+                         337682890064232207, 1968160120358154880],
+                 "apbp": [337682889684513918, 1968160119601351267,
+                          1968160118563572499, 337682890577950220]}),
+    ])
+    def test_frozen_textbook_estimate(self, n, want):
+        # the four CHSH pairs at the textbook settings, pair j from stream
+        # index j·2⁶²
+        plan = ShotPlan(shots_per_pair=n, seed=42)
+        est = estimate_chsh(bell_state(), canonical_settings(), plan)
+        assert {k: v.tolist() for k, v in est.counts.counts.items()} == want
+
+    @pytest.mark.parametrize("n, cumulative", [
+        (6, (0.1, 0.3, 0.6)),  # every binomial by inversion
+        (40, (0.3, 0.6, 0.8)),  # n0 and most n1 by BTRD, n2 by inversion
+        (25, (0.4, 0.45, 0.9)),  # n0 by BTRD, n1 by inversion
+    ])
+    def test_chi_square_against_the_exact_pmf(self, n, cumulative):
+        # each count of Multinomial(n, p) is Binomial(n, p_j) on its own
+        draws = [kernels.draw_counts(seed, 0, n, cumulative) for seed in range(20_000)]
+        probs = np.diff(np.concatenate(([0.0], cumulative, [1.0]))).tolist()
+        for j, p in enumerate(probs):
+            observed = np.bincount([d[j] for d in draws], minlength=n + 1)
+            stat, df = _chi2(observed.tolist(), [len(draws) * x for x in _pmf(n, p)])
+            assert stat < _chi2_limit(df), (j, p, stat, df)
+
+    def test_mean_and_variance_at_a_million_shots(self):
+        # |z| < 4 for each count's mean, and its sample variance within 4σ
+        # of N p (1 - p), σ = sqrt(2 / (K - 1)) for K draws
+        n, draws = 10**6, 20_000
+        cumulative = (0.427, 0.5, 0.573)
+        counts = np.array([kernels.draw_counts(seed, 0, n, cumulative)
+                           for seed in range(draws)], dtype=np.float64)
+        probs = np.diff(np.concatenate(([0.0], cumulative, [1.0])))
+        for j, p in enumerate(probs):
+            var = n * p * (1.0 - p)
+            z = (counts[:, j].mean() - n * p) / math.sqrt(var / draws)
+            ratio = counts[:, j].var(ddof=1) / var
+            assert abs(z) < 4.0, (j, z)
+            assert abs(ratio - 1.0) < 4.0 * math.sqrt(2.0 / (draws - 1)), (j, ratio)
+
+    @pytest.mark.parametrize("kwargs, error, match", [
+        ({"seed": 1.0}, TypeError, "seed"),
+        ({"base": True}, TypeError, "base"),
+        ({"n": np.int64(5)}, TypeError, "n must"),
+        ({"seed": -1}, ValueError, "seed"),
+        ({"seed": 2**64}, ValueError, "seed"),
+        ({"base": 2**64}, ValueError, "base"),
+        ({"n": -1}, ValueError, "non-negative"),
+        ({"cumulative": (0.5, 0.4, 1.0)}, ValueError, "cumulative"),
+        ({"cumulative": (0.5, 1.0)}, ValueError, "cumulative"),
+        ({"cumulative": (0.0, 0.5, 1.5)}, ValueError, "cumulative"),
+        ({"cumulative": (float("nan"), 0.5, 1.0)}, ValueError, "cumulative"),
+    ])
+    def test_rejects_invalid_inputs(self, kwargs, error, match):
+        args = dict({"seed": 1, "base": 0, "n": 5, "cumulative": (0.2, 0.5, 0.7)}, **kwargs)
+        with pytest.raises(error, match=match):
+            kernels.draw_counts(**args)
+
+    def test_no_shots_draws_nothing(self):
+        assert kernels.draw_counts(1, 0, 0, (0.2, 0.5, 0.7)) == [0, 0, 0, 0]
