@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -207,6 +209,120 @@ class TestEstimateChsh:
         with pytest.raises(ValueError, match="got 3"):
             estimate_chsh(bell_state(), canonical_settings(),
                           ShotPlan(shots_per_pair=10), observables)
+
+
+def serial_counts(state, settings, plan):
+    """The four pairs' counts, drawn one after another on this thread."""
+    rho = depolarize(state, plan.noise_p)
+    obs = default_observables(settings)
+    n = plan.shots_per_pair
+    out = {}
+    for j, ((a, b), label) in enumerate(zip(CHSH_PAIRS, PAIR_LABELS)):
+        probs, _ = joint_probabilities(rho, obs[a], obs[b])
+        cumulative = np.minimum(np.cumsum(probs)[:3], 1.0)
+        out[label] = kernels.draw_counts(plan.seed, j * shots.PAIR_STRIDE, n, cumulative)
+    return out
+
+
+def concurrently(run, callers):
+    """Call ``run(i)`` for i < ``callers``, each on its own thread, started
+    together with frequent thread switches; return each call's result or
+    the exception it raised, and the threads."""
+    start = threading.Barrier(callers)
+    results = [None] * callers
+
+    def call(i):
+        start.wait()
+        try:
+            results[i] = run(i)
+        except Exception as exc:
+            results[i] = exc
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(callers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    return results, threads
+
+
+class TestPairThreads:
+    """``estimate_chsh`` starts no thread: it draws every pair on the
+    calling thread, so callers on several threads share no state."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    # each side of the kernel's chunk and of its former default 2¹⁵, where
+    # the per-shot sampler split its work; the draw must not care
+    @pytest.mark.parametrize("n", [(1 << 15) - 3, (1 << 15) + 5,
+                                   kernels.CHUNK - 3, kernels.CHUNK + 5])
+    def test_counts_do_not_depend_on_threads(self, monkeypatch, asym_settings,
+                                             cpus, n):
+        plan = ShotPlan(shots_per_pair=n, seed=11, noise_p=0.1)
+        want = serial_counts(bell_state(), asym_settings, plan)
+        draw_counts = kernels.draw_counts
+        drawn_on = []
+
+        def recording(*args):
+            # thread objects, not idents, which a later thread may reuse
+            drawn_on.append(threading.current_thread())
+            return draw_counts(*args)
+
+        monkeypatch.setattr(kernels, "draw_counts", recording)
+        results, callers = concurrently(
+            lambda i: estimate_chsh(bell_state(), asym_settings, plan), cpus)
+        # four draws per call, each on the thread that called
+        assert sorted(map(callers.index, drawn_on)) == [i for i in range(cpus) for _ in range(4)]
+        for est in results:
+            assert isinstance(est, ChshEstimate), est
+            for label in PAIR_LABELS:
+                assert np.array_equal(est.counts.counts[label], want[label]), label
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    def test_worker_error_reaches_the_caller(self, monkeypatch, cpus):
+        # caller 0's draw of pair apbp fails; its error reaches caller 0
+        # alone, and the other callers' estimates are whole
+        plans = [ShotPlan(shots_per_pair=1000, seed=5 + i) for i in range(cpus)]
+        want = [serial_counts(bell_state(), canonical_settings(), plan) for plan in plans]
+        draw_counts = kernels.draw_counts
+
+        def failing(seed, base, n, cumulative):
+            if seed == 5 and base == PAIR_LABELS.index("apbp") * shots.PAIR_STRIDE:
+                raise MemoryError("pair apbp")
+            return draw_counts(seed, base, n, cumulative)
+
+        monkeypatch.setattr(kernels, "draw_counts", failing)
+        before = threading.active_count()
+        results, _ = concurrently(
+            lambda i: estimate_chsh(bell_state(), canonical_settings(), plans[i]), cpus)
+        assert threading.active_count() == before
+        assert isinstance(results[0], MemoryError) and "apbp" in str(results[0])
+        for est, counts in zip(results[1:], want[1:]):
+            assert isinstance(est, ChshEstimate), est
+            for label in PAIR_LABELS:
+                assert np.array_equal(est.counts.counts[label], counts[label]), label
+
+    def test_caller_stops_after_a_worker_error(self, monkeypatch):
+        # pairs are drawn in order on the calling thread: the failing draw
+        # of pair 1 ends the estimate, and pairs 2 and 3 are never drawn
+        plan = ShotPlan(shots_per_pair=1000, seed=5)
+        drawn = []
+
+        def fake(seed, base, n, cumulative):
+            j = base // shots.PAIR_STRIDE
+            drawn.append(j)
+            if j == 1:
+                raise MemoryError("pair 1")
+            return [n, 0, 0, 0]
+
+        monkeypatch.setattr(kernels, "draw_counts", fake)
+        with pytest.raises(MemoryError, match="pair 1"):
+            estimate_chsh(bell_state(), canonical_settings(), plan)
+        assert drawn == [0, 1]
 
 
 class TestEstimateCost:
