@@ -210,13 +210,16 @@ class BatchEvaluator:
 
 @dataclass(frozen=True, eq=False)
 class ScanGrid:
-    """CHSH values over the two-angle family a=0, a'=t1, b=t2, b'=-t2."""
+    """CHSH values over the two-angle family a=0, a'=t1, b=t2, b'=-t2; each
+    array is a read-only copy of the one passed in."""
 
     theta1_axis: np.ndarray
     theta2_axis: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
+        for name in ("theta1_axis", "theta2_axis", "values"):
+            object.__setattr__(self, name, frozen(getattr(self, name), float))
         if self.values.shape != (len(self.theta1_axis), len(self.theta2_axis)):
             raise GupBellError("grid shape does not match axes")
         if not np.all(np.isfinite(self.values)):
@@ -241,13 +244,17 @@ def grid_scan(cfg: ScenarioConfig, resolution: int = 201,
 
 @dataclass(frozen=True, eq=False)
 class SweepCurve:
-    """S against the sweep angle, one series per scenario, at fixed beta."""
+    """S against the sweep angle, one series per scenario, at fixed beta;
+    the axis and each series are read-only copies of the ones passed in."""
 
     beta: float
     theta_axis: np.ndarray
     series: dict
 
     def __post_init__(self):
+        object.__setattr__(self, "theta_axis", frozen(self.theta_axis, float))
+        object.__setattr__(self, "series", {tag: frozen(vals, float)
+                                            for tag, vals in self.series.items()})
         for tag, vals in self.series.items():
             if len(vals) != len(self.theta_axis):
                 raise GupBellError(f"series {tag} length mismatch")

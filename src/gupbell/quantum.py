@@ -136,14 +136,17 @@ def is_hermitian(m: np.ndarray) -> bool:
 def pauli_parts(m: np.ndarray) -> tuple[float, np.ndarray]:
     """Identity part c0 and Bloch vector c of a 2x2 Hermitian matrix,
     m = c0 I + c . sigma; its eigenvalues are c0 +- |c|.  Raises
-    HermiticityError for any other input."""
+    HermiticityError for any other input.  No BLAS call: each part is the
+    one rounded sum of tr(m sigma_i) / 2, so it equals that trace bit for bit."""
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
         raise HermiticityError(f"expected a 2x2 Hermitian matrix, got shape {m.shape}")
     if not is_hermitian(m):
         raise HermiticityError("expected a 2x2 Hermitian matrix")
-    c = np.array([np.trace(m @ sig).real / 2.0 for sig in PAULIS])
-    return float(np.trace(m).real) / 2.0, c
+    (m00, m01), (m10, m11) = m.tolist()
+    c = np.array([(m01.real + m10.real) / 2.0, (m10.imag - m01.imag) / 2.0,
+                  (m00.real - m11.real) / 2.0])
+    return (m00.real + m11.real) / 2.0, c
 
 
 def spin_observable(n: Direction) -> np.ndarray:

@@ -90,6 +90,23 @@ def depolarize(state: PureState, p: float):
     return tuple((1.0 - p) * x for x in moments(state.amplitudes))
 
 
+#: the signs s and t of the four joint outcomes (+,+), (+,-), (-,+), (-,-)
+_S, _T = frozen([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]], float)
+
+
+def _unit_direction(c: np.ndarray) -> tuple[np.ndarray, float]:
+    """c/|c| and |c| of an observable c0 I + c . sigma, whose outcomes are c0 +- |c|."""
+    norm = np.linalg.norm(c)
+    if 2.0 * norm < 1e-12:
+        raise NotDichotomicError("observable has a single degenerate eigenvalue")
+    return c / norm, norm
+
+
+def _born(x, y, z) -> np.ndarray:
+    """P(s, t) = (1 + s x + t y + s t z) / 4, x = u_a.r_A, y = u_b.r_B, z = u_a.T.u_b."""
+    return np.maximum(0.0, (1.0 + _S * x + _T * y + _S * _T * z) / 4.0)
+
+
 def joint_probabilities(rho, obs_a: np.ndarray, obs_b: np.ndarray):
     """Born probabilities for the four joint outcomes, ordered
     (+,+), (+,-), (-,+), (-,-), with the actual outcome eigenvalues, in
@@ -102,15 +119,10 @@ def joint_probabilities(rho, obs_a: np.ndarray, obs_b: np.ndarray):
     r_a, r_b, t = rho
     a0, a = pauli_parts(obs_a)
     b0, b = pauli_parts(obs_b)
-    norm_a, norm_b = np.linalg.norm(a), np.linalg.norm(b)
-    if 2.0 * min(norm_a, norm_b) < 1e-12:
-        raise NotDichotomicError("observable has a single degenerate eigenvalue")
-    ua, ub = a / norm_a, b / norm_b
-    sa = np.array([1.0, 1.0, -1.0, -1.0])
-    sb = np.array([1.0, -1.0, 1.0, -1.0])
-    probs = np.maximum(0.0, (1.0 + sa * (ua @ r_a) + sb * (ub @ r_b)
-                             + sa * sb * (ua @ t @ ub)) / 4.0)
-    outcomes = np.stack([a0 + sa * norm_a, b0 + sb * norm_b], axis=-1)
+    ua, norm_a = _unit_direction(a)
+    ub, norm_b = _unit_direction(b)
+    probs = _born(ua @ r_a, ub @ r_b, ua @ t @ ub)
+    outcomes = np.stack([a0 + _S * norm_a, b0 + _T * norm_b], axis=-1)
     return probs, outcomes
 
 
@@ -144,18 +156,25 @@ def estimate_chsh(state: PureState, s: ChshSettings, plan: ShotPlan,
     Each pair's four counts are one draw of Multinomial(N, p), with p its
     Born probabilities (``kernels.draw_counts``), which costs the same at
     every N.  Pair j reads the seed's stream from index j·``PAIR_STRIDE``,
-    so the estimate is reproducible for a given seed.
+    so the estimate is reproducible for a given seed.  Each observable's
+    unit direction is found once (a setting's unit vector if none is given),
+    and p equals ``joint_probabilities``' bit for bit.
     """
     if observables is None:
-        observables = default_observables(s)
-    if len(observables) != 4:
+        vectors = [d.unit_vector() for d in (s.a, s.a_prime, s.b, s.b_prime)]
+    elif len(observables) == 4:
+        vectors = [pauli_parts(obs)[1] for obs in observables]
+    else:
         raise ValueError("estimate_chsh needs four observables [A, A', B, B'],"
                          f" got {len(observables)}")
-    rho = depolarize(state, plan.noise_p)
+    u = [_unit_direction(c)[0] for c in vectors]
+    r_a, r_b, t = depolarize(state, plan.noise_p)
+    along = [ui @ r for ui, r in zip(u, (r_a, r_a, r_b, r_b))]  # each on its own side
+    ut = [ua @ t for ua in u[:2]]
     n = plan.shots_per_pair
     counts = {}
     for j, ((a, b), label) in enumerate(zip(CHSH_PAIRS, PAIR_LABELS)):
-        probs, _ = joint_probabilities(rho, observables[a], observables[b])
+        probs = _born(along[a], along[b], ut[a] @ u[b])
         cumulative = np.minimum(np.cumsum(probs)[:3], 1.0)
         counts[label] = kernels.draw_counts(plan.seed, j * PAIR_STRIDE, n, cumulative)
     return estimate_from_counts(CountsTable(counts=counts, shots_per_pair=n))

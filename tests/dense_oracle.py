@@ -3,7 +3,8 @@
 The package computes every value from the moments (r_A, r_B, T), read
 off the amplitudes of the state, and the corrected directions of the
 observables.  This module computes the same quantities the long way:
-the moments as traces against each scenario's effective 4x4 density,
+the moments as traces against each scenario's effective 4x4 density, the
+Pauli parts of an observable as traces against the Pauli matrices,
 and the values as expectation values of dense Bell operators built from
 eigendecomposed corrected observables; the tests compare the two.  A
 general Rayleigh-Schrodinger solver on ``np.linalg.eigh`` checks the
@@ -30,7 +31,7 @@ from gupbell.errors import DimensionError, HermiticityError
 from gupbell.gup import ChshResult, GupModel, PerturbedState
 from gupbell.quantum import (
     CLASSICAL_BOUND, PAULIS, SIGMA_X, SIGMA_Z, ChshSettings, Direction, PureState,
-    spin_observable,
+    is_hermitian, spin_observable,
 )
 
 
@@ -62,6 +63,18 @@ def correlation_tensor(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     t = np.array([[np.trace(rho @ np.kron(si, sj)).real for sj in PAULIS]
                   for si in PAULIS])
     return r_a, r_b, t
+
+
+def trace_pauli_parts(m: np.ndarray) -> tuple[float, np.ndarray]:
+    """``quantum.pauli_parts`` as traces, c0 = tr(m) / 2 and
+    c_i = tr(m sigma_i) / 2, with its checks and errors."""
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (2, 2):
+        raise HermiticityError(f"expected a 2x2 Hermitian matrix, got shape {m.shape}")
+    if not is_hermitian(m):
+        raise HermiticityError("expected a 2x2 Hermitian matrix")
+    c = np.array([np.trace(m @ sig).real / 2.0 for sig in PAULIS])
+    return float(np.trace(m).real) / 2.0, c
 
 
 def effective_density(cfg) -> np.ndarray:

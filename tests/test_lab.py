@@ -222,6 +222,10 @@ def _loaded_counts(hp):
         return cli._load_estimate(str(path)).counts.counts["ab"]
 
 
+def _sweep(hp):
+    return beta_sweep((0.2,), np.linspace(0.0, 1.0, 5), m=MODELS["tilt"]().m, hp=hp)[0]
+
+
 #: every array a frozen object or a module constant holds, built from the
 #: fixture custom_hp: its results are computed from these alone
 HELD_ARRAYS = {
@@ -245,6 +249,12 @@ HELD_ARRAYS = {
     "gup._H0": lambda hp: gup._H0,
     "CountsTable.sampled": lambda hp: _sampled_estimate()[0].counts.counts["apbp"],
     "CountsTable.loaded": _loaded_counts,
+    **{f"ScanGrid.{name}": lambda hp, name=name: getattr(
+        grid_scan(ScenarioConfig("s2", model=MODELS["tilt"](), hp=hp), resolution=5), name)
+       for name in ("theta1_axis", "theta2_axis", "values")},
+    "SweepCurve.theta_axis": lambda hp: _sweep(hp).theta_axis,
+    **{f"SweepCurve.series-{tag}": lambda hp, tag=tag: _sweep(hp).series[tag]
+       for tag in lab.SCENARIOS},
 }
 
 

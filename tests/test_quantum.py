@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dense_oracle import bell_operator, chsh_value, correlation_tensor
-from gupbell.errors import DimensionError
+from dense_oracle import bell_operator, chsh_value, correlation_tensor, trace_pauli_parts
+from gupbell.errors import DimensionError, HermiticityError
 from gupbell.quantum import (
-    ChshSettings, Direction, PureState, bell_state, canonical_settings,
-    directions, moments, spin_observable,
+    HERMITIAN_TOL, ChshSettings, Direction, PureState, bell_state, canonical_settings,
+    directions, moments, pauli_parts, spin, spin_observable,
 )
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -131,3 +131,54 @@ class TestMoments:
         r_a, r_b, t = moments(bell_state().amplitudes)
         assert np.all(r_a == 0.0) and np.all(r_b == 0.0)
         assert np.max(np.abs(t - np.diag([1.0, -1.0, 1.0]))) < 1e-15
+
+
+def near_hermitian(rng) -> np.ndarray:
+    """A random 2x2 matrix within HERMITIAN_TOL of Hermitian: a Hermitian
+    one whose entries have magnitudes from 1e-300 to 1e300, plus an error
+    of up to HERMITIAN_TOL / 4 in each part of each entry."""
+    scale = 10.0 ** rng.integers(-300, 301, size=(2, 2))
+    scale[1, 0] = scale[0, 1]
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    error = rng.uniform(-1.0, 1.0, size=(2, 2, 2)) @ [1.0, 1j] * (HERMITIAN_TOL / 4)
+    return scale * (a + a.conj().T) + error
+
+
+class TestPauliParts:
+    """``pauli_parts`` in closed form against the trace formula it replaced."""
+
+    def test_equals_the_trace_formula(self):
+        # each part is the one rounded sum of its trace, so bit for bit
+        rng = np.random.default_rng(29)
+        for _ in range(4000):
+            m = near_hermitian(rng)
+            (c0, c), (want0, want) = pauli_parts(m), trace_pauli_parts(m)
+            assert type(c0) is float and c0 == want0, m
+            assert c.dtype == np.float64 and np.array_equal(c, want), m
+
+    @pytest.mark.parametrize("m", [
+        np.array([[0.0, 1.0 + 1e-11], [1.0, 0.0]]),  # 10 x HERMITIAN_TOL off
+        np.array([[1.0, 0.0], [1j, 1.0]]),
+        np.array([[math.nan, 0.0], [0.0, 1.0]]),
+        # inf - inf in the Hermiticity check warns before the refusal
+        pytest.param(np.array([[math.inf, 0.0], [0.0, 1.0]]), marks=pytest.mark.filterwarnings(
+            "ignore:invalid value encountered in subtract:RuntimeWarning")),
+        np.zeros((2, 3)), np.eye(3), np.zeros(4), np.float64(1.0), np.zeros((1, 2, 2)),
+        [[1.0, 0.0]],
+    ], ids=["off-tol", "lower-only", "nan", "inf", "2x3", "3x3", "flat",
+            "scalar", "stacked", "list"])
+    def test_raises_as_the_trace_formula(self, m):
+        with pytest.raises(HermiticityError) as want:
+            trace_pauli_parts(m)
+        with pytest.raises(HermiticityError) as got:
+            pauli_parts(m)
+        assert str(got.value) == str(want.value)
+
+    def test_spin_round_trip_is_exact(self):
+        # the parts of v . sigma are v itself: estimate_chsh may take a
+        # setting's unit vector for the direction of its spin observable
+        rng = np.random.default_rng(31)
+        for theta, phi in rng.uniform(-7.0, 7.0, size=(2000, 2)):
+            v = Direction(theta, phi).unit_vector()
+            c0, c = pauli_parts(spin(v))
+            assert c0 == 0.0 and np.array_equal(c, v), v

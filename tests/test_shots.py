@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from dense_oracle import chsh_value, correlation_tensor, correlator, uniform_stream
-from gupbell import kernels, shots
-from gupbell.errors import NotDichotomicError
+from gupbell import gup, kernels, shots
+from gupbell.errors import HermiticityError, NotDichotomicError
 from gupbell.quantum import (
-    CHSH_PAIRS, Direction, PureState, bell_state, canonical_settings, moments,
-    spin_observable,
+    CHSH_PAIRS, ChshSettings, Direction, PureState, bell_state, canonical_settings,
+    moments, spin, spin_observable,
 )
 from gupbell.shots import (
     PAIR_LABELS, ChshEstimate, CountsTable, ShotPlan, default_observables,
@@ -209,6 +209,103 @@ class TestEstimateChsh:
         with pytest.raises(ValueError, match="got 3"):
             estimate_chsh(bell_state(), canonical_settings(),
                           ShotPlan(shots_per_pair=10), observables)
+
+
+def random_settings(rng) -> ChshSettings:
+    """Four directions anywhere on the sphere."""
+    return ChshSettings(*(Direction(*rng.uniform(-7.0, 7.0, 2)) for _ in range(4)))
+
+
+def random_observables(rng, s: ChshSettings) -> list:
+    """[A, A', B, B'] at the settings: the GUP-corrected spins of a random
+    model, or in one case of four, Hermitian matrices with identity parts."""
+    if rng.uniform() < 0.25:
+        h = rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2))
+        return list(h + h.conj().transpose(0, 2, 1))
+    rule = ("tilt", "self-cubic", "custom")[rng.integers(3)]
+    v = rng.normal(size=3)
+    v /= np.linalg.norm(v)
+    model = gup.GupModel(beta=rng.uniform(0.0, 0.9), rule=rule,
+                         **{"tilt": {"m": v}, "self-cubic": {},
+                            "custom": {"jp": spin(rng.uniform() * v)}}[rule])
+    return [gup.gup_correct_observable(d, model).j_gup
+            for d in (s.a, s.a_prime, s.b, s.b_prime)]
+
+
+def recorded_thresholds(monkeypatch) -> list:
+    """The list that each ``kernels.draw_counts`` call appends its
+    cumulative thresholds to, from here on."""
+    seen = []
+    draw_counts = kernels.draw_counts
+
+    def recording(seed, base, n, cumulative):
+        seen.append(cumulative)
+        return draw_counts(seed, base, n, cumulative)
+
+    monkeypatch.setattr(kernels, "draw_counts", recording)
+    return seen
+
+
+class TestDirectionsOnce:
+    """``estimate_chsh`` reduces each observable to its direction once and
+    forms each pair's probabilities from the directions: exactly as
+    ``joint_probabilities`` forms them, pair by pair, from the matrices."""
+
+    @pytest.mark.filterwarnings("ignore:.*no longer small")
+    def test_thresholds_are_those_of_joint_probabilities(self, monkeypatch):
+        rng = np.random.default_rng(37)
+        seen = recorded_thresholds(monkeypatch)
+        for _ in range(300):
+            state, settings = random_state(rng), random_settings(rng)
+            plan = ShotPlan(shots_per_pair=int(rng.integers(1, 2**62)),
+                            seed=int(rng.integers(2**63)), noise_p=rng.uniform())
+            rho = depolarize(state, plan.noise_p)
+            for given in (random_observables(rng, settings), None):
+                obs = default_observables(settings) if given is None else given
+                seen.clear()
+                estimate_chsh(state, settings, plan, given)
+                assert len(seen) == 4
+                for got, (a, b) in zip(seen, CHSH_PAIRS):
+                    probs, _ = joint_probabilities(rho, obs[a], obs[b])
+                    assert np.array_equal(got, np.minimum(np.cumsum(probs)[:3], 1.0))
+
+    def test_settings_alone_build_no_observable(self, monkeypatch):
+        # with no observables given, the settings' unit vectors are the
+        # directions: the counts of their spin observables, and no matrix
+        rng = np.random.default_rng(41)
+        cases = []
+        for _ in range(200):
+            settings = random_settings(rng)
+            plan = ShotPlan(shots_per_pair=int(rng.integers(1, 2**62)),
+                            seed=int(rng.integers(2**63)), noise_p=rng.uniform(0.0, 0.3))
+            state = random_state(rng)
+            want = estimate_chsh(state, settings, plan, default_observables(settings))
+            cases.append((state, settings, plan, want))
+
+        def refuse(*args):
+            raise AssertionError("default_observables called")
+
+        monkeypatch.setattr(shots, "default_observables", refuse)
+        monkeypatch.setattr(shots, "spin_observable", refuse)
+        for state, settings, plan, want in cases:
+            got = estimate_chsh(state, settings, plan)
+            for label in PAIR_LABELS:
+                assert np.array_equal(got.counts.counts[label], want.counts.counts[label])
+
+    @pytest.mark.parametrize("slot", range(4), ids=["A", "A'", "B", "B'"])
+    @pytest.mark.parametrize("bad, error", [
+        (np.array([[1.0, 1.0], [0.0, -1.0]]), HermiticityError),
+        (np.eye(3), HermiticityError),
+        (np.zeros(4), HermiticityError),
+        (2.0 * np.eye(2), NotDichotomicError),
+        (np.zeros((2, 2)), NotDichotomicError),
+    ], ids=["non-hermitian", "3x3", "flat", "identity", "zero"])
+    def test_one_bad_observable_raises(self, slot, bad, error):
+        observables = default_observables(canonical_settings())
+        observables[slot] = bad
+        with pytest.raises(error):
+            estimate_chsh(bell_state(), canonical_settings(), ShotPlan(shots_per_pair=10),
+                          observables)
 
 
 def serial_counts(state, settings, plan):
