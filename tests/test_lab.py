@@ -641,6 +641,17 @@ class TestGridScan:
         with pytest.raises(GupBellError, match="non-finite"):
             ScanGrid(np.zeros(2), np.zeros(2), np.full((2, 2), math.nan))
 
+    def test_grid_and_curve_own_their_arrays(self):
+        # the finite checks hold for the arrays built, whatever the caller
+        # writes into the ones it passed in afterwards
+        axis, values, series = np.zeros(2), np.zeros((2, 2)), np.zeros(2)
+        grid = ScanGrid(axis, axis, values)
+        curve = lab.SweepCurve(0.1, axis, {"qm": series})
+        for array in (axis, values, series):
+            array[...] = math.nan
+        assert np.all(grid.values == 0.0) and np.all(grid.theta1_axis == 0.0)
+        assert np.all(curve.series["qm"] == 0.0) and np.all(curve.theta_axis == 0.0)
+
     def test_resolution_minimum(self):
         with pytest.raises(ValueError):
             grid_scan(ScenarioConfig(), resolution=1)

@@ -225,9 +225,8 @@ def random_observables(rng, s: ChshSettings) -> list:
     rule = ("tilt", "self-cubic", "custom")[rng.integers(3)]
     v = rng.normal(size=3)
     v /= np.linalg.norm(v)
-    model = gup.GupModel(beta=rng.uniform(0.0, 0.9), rule=rule,
-                         **{"tilt": {"m": v}, "self-cubic": {},
-                            "custom": {"jp": spin(rng.uniform() * v)}}[rule])
+    kwargs = {"tilt": {"m": v}, "custom": {"jp": spin(rng.uniform() * v)}}.get(rule, {})
+    model = gup.GupModel(beta=rng.uniform(0.0, 0.9), rule=rule, **kwargs)
     return [gup.gup_correct_observable(d, model).j_gup
             for d in (s.a, s.a_prime, s.b, s.b_prime)]
 
