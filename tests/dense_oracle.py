@@ -271,9 +271,7 @@ def sweep_settings(theta: float) -> ChshSettings:
 def uniform_stream(seed: int, base: int, n: int) -> np.ndarray:
     """The shot kernel's uniforms in [0, 1) for global indices
     base..base+n-1, formed as floats: u = k * 2**-53."""
-    k = kernels._mix(seed, base, kernels._steps(n), np.empty(n, np.uint64),
-                     np.empty(n, np.uint64))
-    return k.astype(np.float64) * 2.0**-53
+    return kernels._words(seed, base, n).astype(np.float64) * 2.0**-53
 
 
 def correlator(rho: np.ndarray, obs_a: np.ndarray, obs_b: np.ndarray) -> float:

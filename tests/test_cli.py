@@ -767,6 +767,31 @@ def test_each_command_loads_only_its_modules(tmp_path, run, loaded):
     assert numpy_loaded == (loaded != {"gupbell"})
 
 
+def test_no_command_calls_the_per_shot_sampler(tmp_path, capsys, monkeypatch):
+    # counts are drawn from Multinomial(N, p); kernels.sample_counts is the
+    # stream's per-shot form, kept only to be checked against
+    from gupbell import kernels
+
+    def refuse(*args):
+        raise AssertionError("kernels.sample_counts was called")
+
+    monkeypatch.setattr(kernels, "sample_counts", refuse)
+    sample = tmp_path / "sample"
+    estimates = tmp_path / "estimates.json"
+    estimates.write_text(json.dumps({
+        "baseline_estimate": str(sample / "sample.json"),
+        "observed_estimate": str(sample / "sample.json")}))
+    for argv in (["sample", "--shots", 10_000, "--out", sample],
+                 ["audit", "--shots", 10_000, "--noise-p", 0.1],
+                 ["audit", "--config", estimates],
+                 ["scan", "--grid-steps", 11],
+                 ["sweep", "--betas", 0.1],
+                 ["optimize", "--scenario", "s1", "--beta", 0.2,
+                  "--m", "0.48,0.6,0.64"]):
+        out = [] if "--out" in argv else ["--out", tmp_path / argv[0]]
+        assert run_main(argv + out) == 0, (argv, capsys.readouterr().err)
+
+
 class TestFirstOrderDomain:
     """A model whose reach beta * |a| (beta for self-cubic), the largest
     |beta'| over all directions, is 1 or more is rejected when it is built:

@@ -52,14 +52,13 @@ def _assert_matches_oracles(seed, base, n, cumulative):
 
 def _edge_thresholds(seed, base, n):
     """Threshold triples on, just above and just below uniforms that the
-    window actually draws, plus 0 and 1 and the extreme thresholds of the
-    kernel's float64 encoding of k + 2⁵³ and t + 2⁵³.
+    window actually draws, plus 0 and 1 and the extreme integer thresholds
+    t = ceil(c·2⁵³).
 
     The drawn uniforms are the smallest, median and largest of the window
-    and the two nearest 1/2, on either side of k = 2⁵², where the exponent
-    field of the view of k + 2⁵³ steps from 2 to 3.  The extremes are
-    c = 2⁻⁵³ (t = 1) and c = 1 - 2⁻⁵³ (t = 2⁵³ - 1), and c = 1/2 (t = 2⁵²)
-    with one step of t to either side."""
+    and the two nearest 1/2, on either side of k = 2⁵², the words' top bit.
+    The extremes are c = 2⁻⁵³ (t = 1) and c = 1 - 2⁻⁵³ (t = 2⁵³ - 1), and
+    c = 1/2 (t = 2⁵²) with one step of t to either side."""
     words = sorted(_words(seed, base, n))
     half = bisect.bisect_left(words, 2**52)
     assert 0 < half < n
@@ -158,16 +157,14 @@ _BOUNDARY_WORDS = (0, 1, 2, 2**52 - 2, 2**52 - 1, 2**52, 2**52 + 1,
 @pytest.mark.parametrize("chunk", [kernels.CHUNK, 1 << 15, 4])
 def test_binning_exact_at_encoding_boundaries(monkeypatch, chunk):
     # words the stream is unlikely to draw: both ends of [0, 2⁵³) and each
-    # side of 2⁵², where the exponent field of the float64 view of k + 2⁵³
-    # steps from 2 to 3.  Each threshold t lies on a word or one step to
-    # either side, so c = t·2⁻⁵³ is exact and u ≥ c means k ≥ t
+    # side of 2⁵², the words' top bit.  Each threshold t lies on a word or
+    # one step to either side, so c = t·2⁻⁵³ is exact and u ≥ c means k ≥ t
     words = np.array(_BOUNDARY_WORDS, dtype=np.uint64)
 
-    def fixed_words(seed, start, steps, z, scratch):
-        z[:] = words[start:start + z.size]
-        return z
+    def fixed_words(seed, start, n):
+        return words[start:start + n].copy()
 
-    monkeypatch.setattr(kernels, "_mix", fixed_words)
+    monkeypatch.setattr(kernels, "_words", fixed_words)
     monkeypatch.setattr(kernels, "CHUNK", chunk)
     n = len(_BOUNDARY_WORDS)
     targets = sorted({t for k in _BOUNDARY_WORDS for t in (k - 1, k, k + 1)
@@ -190,7 +187,8 @@ def _peak_bytes(n):
 
 
 def test_memory_bounded_by_chunk():
-    # the buffers hold one chunk (25 B/shot), whatever the shot count
+    # the temporaries hold one chunk (24 B/shot measured), whatever the
+    # shot count
     slack = 64 * 1024
     peak = _peak_bytes(4_000_000)
     assert peak < 32 * kernels.CHUNK + slack
@@ -241,30 +239,19 @@ def test_accepts_the_ends_of_the_stream(seed, base, n):
     assert got.tolist() == _reference_counts(seed, base, n, cumulative)
 
 
-def test_shared_operands_are_read_only():
-    # every module-level array is shared by all calls and threads
-    shared = {name: value for name, value in vars(kernels).items()
-              if isinstance(value, np.ndarray)}
-    assert {"_MIX1", "_MIX2", "_S30", "_S27", "_S31", "_S11", "_BIT53"} <= set(shared)
-    for name, operand in shared.items():
-        assert operand.shape == () and operand.dtype == np.uint64, name
-        with pytest.raises(ValueError, match="read-only"):
-            operand[...] = 0
-        with pytest.raises(ValueError, match="read-only"):
-            np.add(operand, operand, out=operand)
-
-
 def test_concurrent_calls_match_serial_calls(monkeypatch):
-    # each numpy call of the kernel first yields the GIL, and the threads
-    # switch every microsecond besides, so a per-call value kept at module
-    # level (an offset or threshold buffer) is overwritten by another
-    # thread between its write and its use, even on one CPU
-    for name, value in list(vars(kernels).items()):
-        if isinstance(value, np.ufunc):
-            def yielding(*args, _ufunc=value, **kwargs):
-                time.sleep(0)
-                return _ufunc(*args, **kwargs)
-            monkeypatch.setattr(kernels, name, yielding)
+    # each chunk's words first yield the GIL, and the threads switch every
+    # microsecond besides, so a per-call value kept at module level (an
+    # offset or threshold buffer) is overwritten by another thread between
+    # its write and its use, even on one CPU
+    words, calls = kernels._words, []
+
+    def yielding(*args):
+        calls.append(args)
+        time.sleep(0)
+        return words(*args)
+
+    monkeypatch.setattr(kernels, "_words", yielding)
     jobs = [(3, 0, kernels.CHUNK + 1_234, (0.2, 0.5, 0.9)),
             (2**64 - 2, 2**40 - 77, 2 * kernels.CHUNK - 5, (0.1, 0.4, 0.6)),
             (11, 5 * kernels.CHUNK, 3 * kernels.CHUNK + 77, (0.3, 0.35, 0.8)),
@@ -290,3 +277,6 @@ def test_concurrent_calls_match_serial_calls(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert results == [[counts] * repeats for counts in serial]
+    # the patch ran: every chunk of every call read its words through it
+    chunks = sum(-(-job[2] // kernels.CHUNK) for job in jobs)
+    assert len(calls) == (repeats + 1) * chunks

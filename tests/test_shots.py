@@ -439,7 +439,9 @@ class TestEstimateCost:
 
 
 class TestStream:
-    @pytest.mark.parametrize("base", [0, shots.PAIR_STRIDE - 2048, 3 * shots.PAIR_STRIDE])
+    # 2⁶⁴ − 4096 ends the window on the last index, whose i + 1 wraps to 0
+    @pytest.mark.parametrize("base", [0, shots.PAIR_STRIDE - 2048, 3 * shots.PAIR_STRIDE,
+                                      2**64 - 4096])
     def test_scalar_words_match_the_kernel(self, base):
         # one stream definition: the draws' Python-int splitmix64 gives the
         # shot kernel's words (k·2⁻⁵³ is exact, so equal floats are equal k)
